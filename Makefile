@@ -58,6 +58,9 @@ fuzz-short:
 	$(GO) test -tags pfdebug ./internal/refmodel/ -run '^$$' -fuzz FuzzPresent -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/refmodel/ -run '^$$' -fuzz FuzzCacheAccess -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/trace/ -run '^$$' -fuzz FuzzStreamRead -fuzztime $(FUZZTIME)
+	$(GO) test -tags pfdebug ./internal/trace/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
+	$(GO) test -tags pfdebug ./internal/trace/ -run '^$$' -fuzz FuzzReadText -fuzztime $(FUZZTIME)
+	$(GO) test -tags pfdebug ./internal/trace/ -run '^$$' -fuzz FuzzReadPrefetches -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/serve/ -run '^$$' -fuzz FuzzServeFrame -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./ -run '^$$' -fuzz FuzzLoadPrefetcher -fuzztime $(FUZZTIME)
 

@@ -14,6 +14,7 @@ package pathfinder
 // `make race`) to keep the parallel engine honest.
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -41,10 +42,7 @@ var fastTraces = []string{"cc-5", "bfs-10", "605-mcf-s1", "471-omnetpp-s1"}
 // internal/snn's BenchmarkPresent micro-benchmarks (see
 // docs/performance.md). Run by `make bench-micro` into BENCH_snn.json.
 func BenchmarkSimulate(b *testing.B) {
-	accs, err := GenerateTrace("cc-5", 20_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	accs := collectTrace(b, "cc-5", 20_000, 1)
 	cfg := ScaledSimConfig()
 	cfg.Warmup = len(accs) / 10
 	b.ReportAllocs()
@@ -54,7 +52,7 @@ func BenchmarkSimulate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pfs := GeneratePrefetches(pf, accs, Budget)
+		pfs := generatePrefetches(b, pf, accs)
 		if _, err := Simulate(cfg, accs, pfs); err != nil {
 			b.Fatal(err)
 		}
@@ -230,17 +228,14 @@ func BenchmarkTable9HWCost(b *testing.B) {
 // simulation, which would let timing feedback perturb learning. We measure
 // the generation phase alone to show it is the cheap part.
 func BenchmarkAblationTwoPhaseVsInline(b *testing.B) {
-	accs, err := GenerateTrace("cc-5", 20_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	accs := collectTrace(b, "cc-5", 20_000, 1)
 	b.Run("generate-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pf, err := New(DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
-			GeneratePrefetches(pf, accs, Budget)
+			generatePrefetches(b, pf, accs)
 		}
 	})
 	b.Run("generate-and-simulate", func(b *testing.B) {
@@ -249,7 +244,7 @@ func BenchmarkAblationTwoPhaseVsInline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pfs := GeneratePrefetches(pf, accs, Budget)
+			pfs := generatePrefetches(b, pf, accs)
 			if _, err := Simulate(ScaledSimConfig(), accs, pfs); err != nil {
 				b.Fatal(err)
 			}
@@ -260,10 +255,7 @@ func BenchmarkAblationTwoPhaseVsInline(b *testing.B) {
 // BenchmarkAblationOneTickSpeed quantifies the §3.4 "Lowering Time
 // Interval" design choice as an engine-level speedup.
 func BenchmarkAblationOneTickSpeed(b *testing.B) {
-	accs, err := GenerateTrace("cc-5", 10_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	accs := collectTrace(b, "cc-5", 10_000, 1)
 	run := func(b *testing.B, oneTick bool) {
 		for i := 0; i < b.N; i++ {
 			cfg := DefaultConfig()
@@ -272,7 +264,7 @@ func BenchmarkAblationOneTickSpeed(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			GeneratePrefetches(pf, accs, Budget)
+			generatePrefetches(b, pf, accs)
 		}
 	}
 	b.Run("32-tick", func(b *testing.B) { run(b, false) })
@@ -283,11 +275,8 @@ func BenchmarkAblationOneTickSpeed(b *testing.B) {
 // prefetch-aware insertion at the LLC, under an aggressive (low-accuracy)
 // prefetcher: SRRIP should limit pollution.
 func BenchmarkAblationLLCReplacement(b *testing.B) {
-	accs, err := GenerateTrace("cc-5", 20_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pfs := GeneratePrefetches(NewNextLine(0), accs, Budget)
+	accs := collectTrace(b, "cc-5", 20_000, 1)
+	pfs := generatePrefetches(b, NewNextLine(0), accs)
 	run := func(b *testing.B, cfg SimConfig) {
 		for i := 0; i < b.N; i++ {
 			res, err := Simulate(cfg, accs, pfs)
@@ -308,10 +297,7 @@ func BenchmarkAblationLLCReplacement(b *testing.B) {
 // BenchmarkExtensionColdPageEnsemble measures the future-work cold-page
 // predictor's contribution when ensembled with PATHFINDER.
 func BenchmarkExtensionColdPageEnsemble(b *testing.B) {
-	accs, err := GenerateTrace("bfs-10", 20_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	accs := collectTrace(b, "bfs-10", 20_000, 1)
 	cfg := ScaledSimConfig()
 	cfg.Warmup = len(accs) / 10
 	base, err := Simulate(cfg, accs, nil)
@@ -328,7 +314,9 @@ func BenchmarkExtensionColdPageEnsemble(b *testing.B) {
 			if withNP {
 				p = NewEnsemble("PF+NP", pf, NewNextPage())
 			}
-			m, err := EvaluateAgainstBaseline(p, accs, cfg, base.LLCLoadMisses)
+			m, err := Eval(context.Background(), EvalJob{
+				Prefetcher: p, Accs: accs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -342,10 +330,7 @@ func BenchmarkExtensionColdPageEnsemble(b *testing.B) {
 // BenchmarkAblationSTDPRule compares the additive (BindsNet PostPre) STDP
 // rule against the multiplicative weight-dependent variant.
 func BenchmarkAblationSTDPRule(b *testing.B) {
-	accs, err := GenerateTrace("cc-5", 15_000, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	accs := collectTrace(b, "cc-5", 15_000, 1)
 	cfg := ScaledSimConfig()
 	cfg.Warmup = len(accs) / 10
 	base, err := Simulate(cfg, accs, nil)
@@ -360,7 +345,9 @@ func BenchmarkAblationSTDPRule(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			m, err := EvaluateAgainstBaseline(pf, accs, cfg, base.LLCLoadMisses)
+			m, err := Eval(context.Background(), EvalJob{
+				Prefetcher: pf, Accs: accs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}

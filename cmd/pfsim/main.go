@@ -154,7 +154,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		co, err := pathfinder.GenerateTrace(*coRunner, len(accs), *seed+7)
+		coSrc, err := pathfinder.GenerateTraceSource(*coRunner, len(accs), *seed+7)
+		if err != nil {
+			fatal(err)
+		}
+		co, err := pathfinder.CollectTrace(coSrc)
 		if err != nil {
 			fatal(err)
 		}

@@ -12,6 +12,21 @@ import (
 	"pathfinder/internal/trace"
 )
 
+// collectTrace streams the named benchmark from its generator into a
+// slice.
+func collectTrace(t *testing.T, name string, n int, seed int64) []pathfinder.Access {
+	t.Helper()
+	src, err := pathfinder.GenerateTraceSource(name, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs, err := pathfinder.CollectTrace(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return accs
+}
+
 // TestResolveTraceGenerated pins the generated-benchmark path: the input
 // streams from the workload generator and is keyed by its generator spec.
 func TestResolveTraceGenerated(t *testing.T) {
@@ -33,12 +48,9 @@ func TestResolveTraceGenerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pathfinder.GenerateTrace("cc-5", 500, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := collectTrace(t, "cc-5", 500, 3)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed generated trace differs from GenerateTrace")
+		t.Fatal("streamed generated trace differs from the generator's records")
 	}
 }
 
@@ -46,10 +58,7 @@ func TestResolveTraceGenerated(t *testing.T) {
 // key come from one up-front pass, and open re-streams the same records
 // each time it is called.
 func TestResolveTraceFile(t *testing.T) {
-	want, err := pathfinder.GenerateTrace("cc-5", 400, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := collectTrace(t, "cc-5", 400, 9)
 	path := filepath.Join(t.TempDir(), "cc5.pft")
 	f, err := os.Create(path)
 	if err != nil {
@@ -99,10 +108,7 @@ func TestResolveTraceFileMissing(t *testing.T) {
 // TestGenerateStream pins that the source-factory generate matches the
 // slice-based prefetch generation for an online prefetcher.
 func TestGenerateStream(t *testing.T) {
-	accs, err := pathfinder.GenerateTrace("cc-5", 2000, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accs := collectTrace(t, "cc-5", 2000, 5)
 	open := func(context.Context) (pathfinder.TraceSource, error) {
 		return pathfinder.NewSliceTraceSource(accs), nil
 	}
@@ -113,7 +119,11 @@ func TestGenerateStream(t *testing.T) {
 	if label != "BO" {
 		t.Fatalf("label = %q, want BO", label)
 	}
-	want := pathfinder.GeneratePrefetches(pathfinder.NewBestOffset(), accs, pathfinder.Budget)
+	want, err := pathfinder.GeneratePrefetchesStream(context.Background(), pathfinder.NewBestOffset(),
+		pathfinder.NewSliceTraceSource(accs), pathfinder.Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("streamed generation differs from slice generation")
 	}

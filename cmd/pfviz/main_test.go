@@ -60,7 +60,11 @@ func TestRunSaveAndReload(t *testing.T) {
 // file must train the identical prefetcher as generating the benchmark,
 // proven by comparing the two dumps verbatim.
 func TestRunTraceFile(t *testing.T) {
-	accs, err := pathfinder.GenerateTrace("cc-5", 3000, 1)
+	src, err := pathfinder.GenerateTraceSource("cc-5", 3000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs, err := pathfinder.CollectTrace(src)
 	if err != nil {
 		t.Fatal(err)
 	}

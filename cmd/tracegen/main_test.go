@@ -91,7 +91,11 @@ func TestRunStdout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stdout is not a decodable trace stream: %v", err)
 	}
-	want, err := pathfinder.GenerateTrace("cc-5", 300, 1)
+	src, err := pathfinder.GenerateTraceSource("cc-5", 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pathfinder.CollectTrace(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,21 +69,6 @@ func ExampleRunner() {
 	// bfs-10 BO true
 }
 
-// ExampleEvaluate runs the deprecated slice-based wrapper, kept for
-// callers that already hold a generated trace.
-func ExampleEvaluate() {
-	accs, err := pathfinder.GenerateTrace("bfs-10", 10_000, 1)
-	if err != nil {
-		panic(err)
-	}
-	m, err := pathfinder.Evaluate(pathfinder.NewBestOffset(), accs, pathfinder.ScaledSimConfig())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(m.Prefetcher, m.IPC > 0, m.Accuracy >= 0 && m.Accuracy <= 1)
-	// Output: BO true true
-}
-
 // ExampleHardwareCost reproduces the paper's headline footprint (§3.5).
 func ExampleHardwareCost() {
 	cost, err := pathfinder.HardwareCost(pathfinder.DefaultHWConfig())

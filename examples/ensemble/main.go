@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pathfinder"
@@ -17,7 +18,11 @@ func main() {
 	const loads = 60_000
 	// omnetpp: the paper's canonical SISB-friendly benchmark — heavy
 	// temporal repetition, few within-page deltas (§5).
-	accs, err := pathfinder.GenerateTrace("471-omnetpp-s1", loads, 1)
+	src, err := pathfinder.GenerateTraceSource("471-omnetpp-s1", loads, 1)
+	if err != nil {
+		panic(err)
+	}
+	accs, err := pathfinder.CollectTrace(src)
 	if err != nil {
 		panic(err)
 	}
@@ -46,7 +51,9 @@ func main() {
 
 	fmt.Println("prefetcher   IPC     speedup  accuracy  coverage  issued")
 	for _, p := range members {
-		m, err := pathfinder.EvaluateAgainstBaseline(p, accs, cfg, base.LLCLoadMisses)
+		m, err := pathfinder.Eval(context.Background(), pathfinder.EvalJob{
+			Prefetcher: p, Accs: accs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
+		})
 		if err != nil {
 			panic(err)
 		}

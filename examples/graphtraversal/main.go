@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pathfinder"
@@ -15,7 +16,11 @@ import (
 
 func main() {
 	const loads = 60_000
-	accs, err := pathfinder.GenerateTrace("bfs-10", loads, 1)
+	src, err := pathfinder.GenerateTraceSource("bfs-10", loads, 1)
+	if err != nil {
+		panic(err)
+	}
+	accs, err := pathfinder.CollectTrace(src)
 	if err != nil {
 		panic(err)
 	}
@@ -31,7 +36,9 @@ func main() {
 
 	fmt.Println("prefetcher   IPC     speedup  accuracy  coverage")
 	show := func(p pathfinder.OnlinePrefetcher) {
-		m, err := pathfinder.EvaluateAgainstBaseline(p, accs, cfg, base.LLCLoadMisses)
+		m, err := pathfinder.Eval(context.Background(), pathfinder.EvalJob{
+			Prefetcher: p, Accs: accs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
+		})
 		if err != nil {
 			panic(err)
 		}

@@ -7,22 +7,31 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pathfinder"
 )
 
+// generate materializes a benchmark trace: both simulations below replay
+// it, and the co-runner's addresses are rewritten in place.
+func generate(name string, loads int, seed int64) []pathfinder.Access {
+	src, err := pathfinder.GenerateTraceSource(name, loads, seed)
+	if err != nil {
+		panic(err)
+	}
+	accs, err := pathfinder.CollectTrace(src)
+	if err != nil {
+		panic(err)
+	}
+	return accs
+}
+
 func main() {
 	const loads = 40_000
-	victim, err := pathfinder.GenerateTrace("cc-5", loads, 1)
-	if err != nil {
-		panic(err)
-	}
+	victim := generate("cc-5", loads, 1)
 	// The co-runner streams through its own address space.
-	coRunner, err := pathfinder.GenerateTrace("bfs-10", loads, 2)
-	if err != nil {
-		panic(err)
-	}
+	coRunner := generate("bfs-10", loads, 2)
 	for i := range coRunner {
 		coRunner[i].Addr += 1 << 42 // disjoint address spaces
 	}
@@ -34,7 +43,11 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	file := pathfinder.GeneratePrefetches(pf, victim, pathfinder.Budget)
+	file, err := pathfinder.GeneratePrefetchesStream(context.Background(), pf,
+		pathfinder.NewSliceTraceSource(victim), pathfinder.Budget)
+	if err != nil {
+		panic(err)
+	}
 
 	solo, err := pathfinder.Simulate(cfg, victim, file)
 	if err != nil {

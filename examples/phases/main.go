@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pathfinder"
@@ -37,7 +38,11 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	pfFile := pathfinder.GeneratePrefetches(pf, accs, pathfinder.Budget)
+	pfFile, err := pathfinder.GeneratePrefetchesStream(context.Background(), pf,
+		pathfinder.NewSliceTraceSource(accs), pathfinder.Budget)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("two-phase trace, %d loads (pattern changes at 50%%)\n", n)
 	fmt.Printf("no prefetching: IPC %.3f\n\n", base.IPC)
@@ -48,7 +53,9 @@ func main() {
 		pfs  []pathfinder.PrefetchEntry
 	}{{"DeltaLSTM", dl}, {"Pathfinder", pfFile}} {
 		p1, p2 := perPhaseHits(accs, c.pfs)
-		m, err := pathfinder.EvaluateFile(c.name, accs, c.pfs, cfg, base.LLCLoadMisses)
+		m, err := pathfinder.Eval(context.Background(), pathfinder.EvalJob{
+			Label: c.name, Accs: accs, File: c.pfs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
+		})
 		if err != nil {
 			panic(err)
 		}

@@ -90,7 +90,8 @@ var noisePrefetchers = []string{"Pathfinder", "SPP", "VLDP", "BO"}
 // workload is corrupted with increasing per-access noise; PATHFINDER's
 // accuracy should degrade more gracefully than exact-match rule tables
 // like SPP and VLDP. The (noise level × prefetcher) grid runs as one
-// parallel batch; each level's no-prefetch baseline is simulated once.
+// parallel batch; its jobs carry their accesses without a SourceKey, so
+// each cell simulates its own no-prefetch baseline.
 func NoiseTolerance(w io.Writer, opts ...Option) ([]NoiseRow, error) {
 	o := newOptions(opts)
 	levels := []float64{0, 0.05, 0.10, 0.20, 0.30}

@@ -112,18 +112,17 @@ func FuzzCacheAccess(f *testing.F) {
 	f.Add(uint64(0x0101), []byte{})
 	f.Add(uint64(0x0402), []byte{0, 1, 1, 2, 0, 1, 2, 3, 1, 1, 3, 2, 0, 9, 5, 1})
 	f.Add(uint64(0x0803|1<<16), []byte{1, 1, 1, 2, 1, 3, 1, 4, 1, 5, 0, 1, 0, 2, 0, 3, 2, 1, 4, 0, 0, 5})
-	// Big-associativity seeds around the packed-recency boundary: 16 ways
-	// (the last packed geometry) and 18 ways (the linked-list fallback).
-	f.Add(uint64(0x0104|1<<17), []byte{0, 1, 1, 2, 0, 3, 2, 4, 1, 5, 3, 6, 0, 7, 5, 8, 0, 9, 1, 10})
+	// Big-associativity seeds at the top of the packed recency word: 16
+	// ways (the widest supported geometry) and 12 ways.
+	f.Add(uint64(0x0704|1<<17), []byte{0, 1, 1, 2, 0, 3, 2, 4, 1, 5, 3, 6, 0, 7, 5, 8, 0, 9, 1, 10})
 	f.Add(uint64(0x0304|1<<17), []byte{1, 1, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 0, 1, 0, 2, 2, 3, 4, 4})
 	f.Fuzz(func(t *testing.T, geom uint64, data []byte) {
 		sets := 1 + int(geom)%8
 		ways := 1 + int(geom>>8)%8
 		if geom>>17&1 == 1 {
-			// Straddle the 16-way packed-recency boundary: ways 15..22
-			// cover the last SWAR-packed geometries and the linked-list
-			// fallback on either side.
-			ways = 15 + int(geom>>8)%8
+			// Ways 9..16 cover the wide geometries up to the 16-way cap
+			// of the packed recency word, where the top nibble falls off.
+			ways = 9 + int(geom>>8)%8
 		}
 		policy := sim.PolicyLRU
 		if geom>>16&1 == 1 {

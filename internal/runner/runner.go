@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,27 +139,26 @@ func (c Config) WithJournal(j *Journal) Config {
 type Job struct {
 	// Trace names a workload (generated with the effective Loads/Seed and
 	// cached across jobs). Optional when Accs or Source is set, but still
-	// used as the result label and the baseline-cache key.
+	// used as the result label; it never identifies Accs or Source records.
 	Trace string
 	// Accs, if non-nil, is the trace to replay (bypasses generation).
 	Accs []trace.Access
 	// Source, if non-nil, supplies the job's trace as a stream instead of
 	// a slice — the constant-memory path for traces too large to
 	// materialize. It is a factory, not a stream: the evaluation replays
-	// the trace up to three times (baseline, offline generation, timed
-	// run), calling Source once per replay, so every call must return a
-	// fresh Source positioned at the first record with identical records.
-	// Source supersedes Accs and Trace-generation; Trace remains the
-	// result label. When the stream's length is unknown (no Remaining),
-	// the default 10%-of-trace warmup is resolved from a length the
-	// runner memoized for this SourceKey during an earlier full replay;
-	// with no memo either, the job fails loudly unless Job.Warmup or
-	// Sim.Warmup pins warmup explicitly (negative Job.Warmup disables
-	// it). Warmup never silently resolves to zero on the stream path.
+	// the trace up to three times (baseline, generation, timed run), so
+	// every call must return a fresh Source positioned at the first
+	// record with identical records. Source supersedes Accs and
+	// Trace-generation; Trace remains the result label. When the stream's
+	// length is unknown (no Remaining), the default 10%-of-trace warmup is
+	// resolved from a length the runner memoized for this SourceKey during
+	// an earlier full replay; with no memo either, the job fails loudly
+	// unless Job.Warmup or Sim.Warmup pins warmup explicitly (negative
+	// Job.Warmup disables it). Warmup never silently resolves to zero.
 	Source func(ctx context.Context) (trace.Source, error)
-	// SourceKey is the cache identity of Source's records — a content
-	// digest (trace.HashSource), a file digest, or a generator spec
-	// string. It extends the journal cell key and keys the shared
+	// SourceKey is the cache identity of a Source or Accs job's records —
+	// a content digest (trace.HashSource), a file digest, or a generator
+	// spec string. It extends the journal cell key and keys the shared
 	// no-prefetch baseline cache; when empty the baseline is recomputed
 	// per cell and the journal key stays purely positional.
 	SourceKey string
@@ -205,10 +205,11 @@ type Runner struct {
 	traces    flight[[]trace.Access]
 	baselines flight[baselineInfo]
 
-	// srcLens memoizes SourceKey → record count for streams that cannot
+	// srcLens memoizes input key → record count for streams that cannot
 	// report their own length, learned from a completed full replay. It
 	// is what lets an unknown-length stream resolve the same 10% warmup
-	// default as the slice path instead of silently warming up nothing.
+	// default as a length-known input instead of silently warming up
+	// nothing.
 	srcLens sync.Map
 
 	baselineSims atomic.Int64
@@ -616,89 +617,91 @@ func resolveWarmup(jobWarmup, simWarmup, n int) int {
 	return n / 10
 }
 
-// eval runs one job end to end: trace, baseline, prefetch file, timed
-// replay.
-func (r *Runner) eval(ctx context.Context, job Job, c cell) (Result, error) {
-	if job.Source != nil {
-		return r.evalStream(ctx, job, c)
-	}
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	if err := r.inject(ctx, fault.SiteJobStart, c.key, c.attempt); err != nil {
-		return Result{}, err
-	}
-	loads, seed, cfg := r.effective(job)
+// input is a job's trace resolved once per attempt. Every stage —
+// baseline, prefetch generation, timed replay — opens its own stream over
+// the same records, so the stages share one code path whether the records
+// live in memory or behind a Source factory.
+type input struct {
+	accs   []trace.Access                              // in-memory records, when source is nil
+	source func(context.Context) (trace.Source, error) // the job's stream factory
+	first  trace.Source                                // an opened, unread stream handed out by the next open
+	n      int                                         // record count, valid when known
+	known  bool
+	key    string // baseline-cache identity; "" leaves the baseline uncached
+}
 
-	accs := job.Accs
-	if accs == nil {
-		if job.Trace == "" {
-			return Result{}, fmt.Errorf("job has neither a trace name nor accesses")
+// open returns a fresh stream positioned at the first record.
+func (in *input) open(ctx context.Context) (trace.Source, error) {
+	if src := in.first; src != nil {
+		in.first = nil
+		return src, nil
+	}
+	if in.source != nil {
+		return in.source(ctx)
+	}
+	return trace.NewSliceSource(in.accs), nil
+}
+
+// resolve turns a job into its trace input. A named trace is generated
+// once per (name, loads, seed) through the single-flight trace cache and
+// keyed by that triple. Source and Accs jobs are keyed only by their
+// SourceKey: a Trace label does not identify records. A Source is opened
+// once here to learn its length (or recall one memoized under its key),
+// and that unread stream feeds the first stage.
+func (r *Runner) resolve(ctx context.Context, job Job, c cell) (input, error) {
+	var in input
+	if job.SourceKey != "" {
+		in.key = "src\x00" + job.SourceKey
+	}
+	switch {
+	case job.Source != nil:
+		if err := r.inject(ctx, fault.SiteTraceDecode, c.key, c.attempt); err != nil {
+			return input{}, err
 		}
-		key := fmt.Sprintf("%s\x00%d\x00%d", job.Trace, loads, seed)
-		var err error
-		accs, err = r.traces.Do(ctx, key, func() ([]trace.Access, error) {
+		src, err := job.Source(ctx)
+		if err != nil {
+			return input{}, err
+		}
+		in.source, in.first = job.Source, src
+		if s, ok := src.(interface{ Remaining() (uint64, bool) }); ok {
+			if rem, known := s.Remaining(); known {
+				in.n, in.known = int(rem), true
+				if in.key != "" {
+					r.srcLens.Store(in.key, in.n)
+				}
+			}
+		}
+		if !in.known && in.key != "" {
+			if v, ok := r.srcLens.Load(in.key); ok {
+				in.n, in.known = v.(int), true
+			}
+		}
+		return in, nil
+	case job.Accs != nil:
+		in.accs = job.Accs
+	case job.Trace == "":
+		return input{}, fmt.Errorf("job has neither a trace name nor accesses")
+	default:
+		loads, seed, _ := r.effective(job)
+		key := job.Trace + "\x00" + strconv.Itoa(loads) + "\x00" + strconv.FormatInt(seed, 10)
+		accs, err := r.traces.Do(ctx, key, func() ([]trace.Access, error) {
 			if err := r.inject(ctx, fault.SiteTraceDecode, key, c.attempt); err != nil {
 				return nil, err
 			}
 			return workload.GenerateCtx(ctx, job.Trace, loads, seed)
 		})
 		if err != nil {
-			return Result{}, err
+			return input{}, err
 		}
+		in.accs, in.key = accs, key
 	}
-	if len(accs) == 0 {
-		return Result{}, fmt.Errorf("empty trace")
-	}
-	cfg.Warmup = resolveWarmup(job.Warmup, cfg.Warmup, len(accs))
-
-	var base baselineInfo
-	if job.Baseline != nil {
-		base.misses = *job.Baseline
-	} else {
-		var err error
-		base, err = r.baseline(ctx, job, cfg, accs, c)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	pfs, label, err := r.prefetchFile(ctx, job, accs, c)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := r.inject(ctx, fault.SiteSimulate, c.key, c.attempt); err != nil {
-		return Result{}, err
-	}
-	eng, release := acquireEngine(cfg)
-	defer release()
-	res, err := eng.RunCtx(ctx, accs, pfs)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Metrics: Metrics{
-			Prefetcher:     label,
-			Trace:          job.Trace,
-			IPC:            res.IPC,
-			Accuracy:       res.Accuracy(),
-			Coverage:       res.Coverage(base.misses),
-			Issued:         res.PrefIssued,
-			Useful:         res.PrefUseful,
-			BaselineMisses: base.misses,
-		},
-		BaselineIPC: base.ipc,
-		Cycles:      res.Cycles,
-		Wall:        time.Since(start),
-	}, nil
+	in.n, in.known = len(in.accs), true
+	return in, nil
 }
 
-// evalStream is eval for Source jobs: the trace is never materialized —
-// each stage (baseline, generation, timed replay) streams its own fresh
-// resolution of the job's Source through the simulator's bounded replay
-// window, so the cell's heap usage is independent of trace length.
-func (r *Runner) evalStream(ctx context.Context, job Job, c cell) (Result, error) {
+// eval runs one job end to end: trace, baseline, prefetch file, timed
+// replay.
+func (r *Runner) eval(ctx context.Context, job Job, c cell) (Result, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -707,70 +710,47 @@ func (r *Runner) evalStream(ctx context.Context, job Job, c cell) (Result, error
 		return Result{}, err
 	}
 	_, _, cfg := r.effective(job)
-
-	// First resolution: probe the length (when the source knows it) for
-	// the warmup default, then feed the baseline replay. When the source
-	// cannot report a length, fall back to a length memoized from an
-	// earlier full replay under the same SourceKey; with neither, a
-	// defaulted warmup would silently resolve to zero — diverging from
-	// the slice path's 10% convention — so that case is a loud error
-	// unless the job (or sim config) pins warmup explicitly.
-	if err := r.inject(ctx, fault.SiteTraceDecode, c.key, c.attempt); err != nil {
-		return Result{}, err
-	}
-	src, err := job.Source(ctx)
+	in, err := r.resolve(ctx, job, c)
 	if err != nil {
 		return Result{}, err
 	}
-	n, lenKnown := 0, false
-	if s, ok := src.(interface{ Remaining() (uint64, bool) }); ok {
-		if rem, known := s.Remaining(); known {
-			if rem == 0 {
-				return Result{}, fmt.Errorf("empty trace")
-			}
-			n, lenKnown = int(rem), true
-			if job.SourceKey != "" {
-				r.srcLens.Store(job.SourceKey, n)
-			}
-		}
+	if in.known && in.n == 0 {
+		return Result{}, fmt.Errorf("empty trace")
 	}
-	if !lenKnown && job.SourceKey != "" {
-		if v, ok := r.srcLens.Load(job.SourceKey); ok {
-			n, lenKnown = v.(int), true
-		}
+	// With no length to take 10% of, a defaulted warmup would silently
+	// resolve to zero; that is a loud error unless warmup is pinned.
+	if !in.known && job.Warmup == 0 && cfg.Warmup == 0 {
+		return Result{}, fmt.Errorf("job %q (trace %q): stream length unknown, so the default 10%%-of-trace warmup cannot be resolved and would silently become zero, diverging from a length-known input of the same records; set Job.Warmup explicitly (negative disables warmup) or replay a length-known source under the same SourceKey first", c.key, job.Trace)
 	}
-	if !lenKnown && job.Warmup == 0 && cfg.Warmup == 0 {
-		return Result{}, fmt.Errorf("job %q (trace %q): stream length unknown, so the default 10%%-of-trace warmup cannot be resolved and would silently become zero, diverging from the slice path; set Job.Warmup explicitly (negative disables warmup) or replay a length-known source under the same SourceKey first", c.key, job.Trace)
-	}
-	cfg.Warmup = resolveWarmup(job.Warmup, cfg.Warmup, n)
+	cfg.Warmup = resolveWarmup(job.Warmup, cfg.Warmup, in.n)
 
 	var base baselineInfo
 	if job.Baseline != nil {
 		base.misses = *job.Baseline
 	} else {
-		base, err = r.baselineStream(ctx, job, cfg, src, c)
+		base, err = r.baseline(ctx, job, cfg, &in, c)
 		if err != nil {
 			return Result{}, err
 		}
 	}
 
-	pfs, label, err := r.prefetchFileStream(ctx, job, c)
+	pfs, label, err := r.prefetchFile(ctx, job, &in, c)
 	if err != nil {
 		return Result{}, err
 	}
 	if err := r.inject(ctx, fault.SiteSimulate, c.key, c.attempt); err != nil {
 		return Result{}, err
 	}
-	timed, err := job.Source(ctx)
+	timed, err := in.open(ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	// When the length had to come from neither the source nor the memo,
-	// learn it here: the timed replay consumes the stream to EOF, so its
-	// record count is the trace length, and the next job under this
-	// SourceKey resolves the standard warmup default.
+	// A length neither the source nor the memo knew is learned here: the
+	// timed replay consumes the stream to EOF, so its record count is the
+	// trace length, and the next job under this key resolves the standard
+	// warmup default.
 	var counter *countingSource
-	if !lenKnown && job.SourceKey != "" {
+	if !in.known && in.key != "" {
 		counter = &countingSource{src: timed}
 		timed = counter
 	}
@@ -781,7 +761,7 @@ func (r *Runner) evalStream(ctx context.Context, job Job, c cell) (Result, error
 		return Result{}, err
 	}
 	if counter != nil {
-		r.srcLens.Store(job.SourceKey, counter.n)
+		r.srcLens.Store(in.key, counter.n)
 	}
 	return Result{
 		Metrics: Metrics{
@@ -800,22 +780,19 @@ func (r *Runner) evalStream(ctx context.Context, job Job, c cell) (Result, error
 	}, nil
 }
 
-// baselineStream is baseline for Source jobs. src is the caller's already
-// resolved stream; the single-flight leader consumes it, and when the
-// cache already holds the entry (or another cell is computing it) the
-// unread stream is simply discarded. Caching requires a SourceKey — the
-// records have no other stable identity — and, as on the slice path, the
-// shared machine configuration.
-func (r *Runner) baselineStream(ctx context.Context, job Job, cfg sim.Config, src trace.Source, c cell) (baselineInfo, error) {
+// baseline returns the input's no-prefetch simulation, through the
+// single-flight cache when the input has a cache identity and the job runs
+// on the shared machine configuration. When another cell already holds or
+// is building the entry, the input's unread first stream is left for the
+// next stage.
+func (r *Runner) baseline(ctx context.Context, job Job, cfg sim.Config, in *input, c cell) (baselineInfo, error) {
 	run := func() (baselineInfo, error) {
 		if err := r.inject(ctx, fault.SiteBaseline, c.key, c.attempt); err != nil {
 			return baselineInfo{}, err
 		}
-		if src == nil {
-			var err error
-			if src, err = job.Source(ctx); err != nil {
-				return baselineInfo{}, err
-			}
+		src, err := in.open(ctx)
+		if err != nil {
+			return baselineInfo{}, err
 		}
 		r.baselineSims.Add(1)
 		if m := runnerTele.Load(); m != nil {
@@ -829,18 +806,19 @@ func (r *Runner) baselineStream(ctx context.Context, job Job, cfg sim.Config, sr
 		}
 		return baselineInfo{ipc: res.IPC, misses: res.LLCLoadMisses}, nil
 	}
-	if job.Sim != nil || job.SourceKey == "" {
+	// A per-job machine override or an input without an identity is not
+	// cacheable: the key could not distinguish it from the shared runs.
+	if job.Sim != nil || in.key == "" {
 		return run()
 	}
-	key := fmt.Sprintf("src\x00%s\x00%d", job.SourceKey, cfg.Warmup)
-	return r.baselines.Do(ctx, key, run)
+	return r.baselines.Do(ctx, in.key+"\x00"+strconv.Itoa(cfg.Warmup), run)
 }
 
-// prefetchFileStream produces a Source job's prefetch file and result
-// label. Online prefetchers advise over the stream directly; GenFile
-// generators take a slice by signature, so a GenFile job collects the
-// stream first — offline trainers need the materialized trace anyway.
-func (r *Runner) prefetchFileStream(ctx context.Context, job Job, c cell) ([]trace.Prefetch, string, error) {
+// prefetchFile produces the job's prefetch file and result label. Online
+// prefetchers advise over a stream of the input; GenFile generators take a
+// slice by signature, so they get the input collected — offline trainers
+// need the materialized trace anyway.
+func (r *Runner) prefetchFile(ctx context.Context, job Job, in *input, c cell) ([]trace.Prefetch, string, error) {
 	label := job.Label
 	switch {
 	case job.File != nil:
@@ -855,7 +833,7 @@ func (r *Runner) prefetchFileStream(ctx context.Context, job Job, c cell) ([]tra
 		if err := r.inject(ctx, fault.SitePrefetchGen, c.key, c.attempt); err != nil {
 			return nil, "", err
 		}
-		src, err := job.Source(ctx)
+		src, err := in.open(ctx)
 		if err != nil {
 			return nil, "", err
 		}
@@ -880,86 +858,11 @@ func (r *Runner) prefetchFileStream(ctx context.Context, job Job, c cell) ([]tra
 		if budget <= 0 {
 			budget = prefetch.Budget
 		}
-		src, err := job.Source(ctx)
+		src, err := in.open(ctx)
 		if err != nil {
 			return nil, "", err
 		}
 		pfs, err := prefetch.GenerateFileStreamCtx(ctx, p, src, budget)
-		if err != nil {
-			return nil, "", err
-		}
-		if label == "" {
-			label = p.Name()
-		}
-		return pfs, label, nil
-	}
-	return nil, "", fmt.Errorf("job has no prefetcher, generator, or file")
-}
-
-// baseline returns the trace's no-prefetch simulation, through the
-// single-flight cache when the job runs on the shared machine
-// configuration.
-func (r *Runner) baseline(ctx context.Context, job Job, cfg sim.Config, accs []trace.Access, c cell) (baselineInfo, error) {
-	run := func() (baselineInfo, error) {
-		if err := r.inject(ctx, fault.SiteBaseline, c.key, c.attempt); err != nil {
-			return baselineInfo{}, err
-		}
-		r.baselineSims.Add(1)
-		if m := runnerTele.Load(); m != nil {
-			m.baselineSims.Inc()
-		}
-		eng, release := acquireEngine(cfg)
-		defer release()
-		res, err := eng.RunCtx(ctx, accs, nil)
-		if err != nil {
-			return baselineInfo{}, fmt.Errorf("baseline simulation: %w", err)
-		}
-		return baselineInfo{ipc: res.IPC, misses: res.LLCLoadMisses}, nil
-	}
-	// A per-job machine override or an anonymous trace is not cacheable:
-	// the cache key could not distinguish it from the shared runs.
-	if job.Sim != nil || job.Trace == "" {
-		return run()
-	}
-	loads, seed, _ := r.effective(job)
-	key := fmt.Sprintf("%s\x00%d\x00%d\x00%d", job.Trace, loads, seed, cfg.Warmup)
-	return r.baselines.Do(ctx, key, run)
-}
-
-// prefetchFile produces the job's prefetch file and result label.
-func (r *Runner) prefetchFile(ctx context.Context, job Job, accs []trace.Access, c cell) ([]trace.Prefetch, string, error) {
-	label := job.Label
-	switch {
-	case job.File != nil:
-		if label == "" {
-			label = "file"
-		}
-		return job.File, label, nil
-	case job.GenFile != nil:
-		if label == "" {
-			return nil, "", fmt.Errorf("GenFile job needs a Label")
-		}
-		if err := r.inject(ctx, fault.SitePrefetchGen, c.key, c.attempt); err != nil {
-			return nil, "", err
-		}
-		pfs, err := job.GenFile(ctx, accs)
-		return pfs, label, err
-	case job.New != nil, job.Prefetcher != nil:
-		if err := r.inject(ctx, fault.SitePrefetchGen, c.key, c.attempt); err != nil {
-			return nil, "", err
-		}
-		p := job.Prefetcher
-		if job.New != nil {
-			var err error
-			if p, err = job.New(); err != nil {
-				return nil, "", err
-			}
-		}
-		budget := job.Budget
-		if budget <= 0 {
-			budget = prefetch.Budget
-		}
-		pfs, err := prefetch.GenerateFileCtx(ctx, p, accs, budget)
 		if err != nil {
 			return nil, "", err
 		}

@@ -48,33 +48,29 @@ type CacheStats struct {
 // instead of one per way.
 //
 // Recency is O(1) for both LRU promotion and victim selection — no argmin
-// scan on the miss path. For geometries with at most 16 ways (every
-// shipped level qualifies) a whole set's recency order is packed into one
-// uint64: sixteen 4-bit way indices, MRU in the lowest nibble, LRU in
-// nibble fill-1, so a hit promotion is a single load, a handful of SWAR
-// bit operations and a single store. Wider geometries fall back to the
-// intrusive doubly-linked list per set (prev/next/lists). Three facts make
-// both forms exactly equivalent to the recency stamps they replaced:
-// stamps were unique (every operation draws a fresh tick), lines never
-// leave a set except by replacement (so occupancy only grows and empty
-// ways fill in ascending index order, tracked by a per-set fill count),
-// and the stamp argmin therefore always picked either way `fill` (first
-// empty) or the recency order's tail (oldest valid line). The stamps are
-// maintained only by the pfdebug build, which checks the strict recency
-// order against them — release builds never touch them.
+// scan on the miss path. Associativity is capped at maxWays (every shipped
+// level fits), so a whole set's recency order is packed into one uint64:
+// sixteen 4-bit way indices, MRU in the lowest nibble, LRU in nibble
+// fill-1, so a hit promotion is a single load, a handful of SWAR bit
+// operations and a single store. Three facts make the packed word exactly
+// equivalent to the recency stamps it replaced: stamps were unique (every
+// operation draws a fresh tick), lines never leave a set except by
+// replacement (so occupancy only grows and empty ways fill in ascending
+// index order, tracked by a per-set fill count), and the stamp argmin
+// therefore always picked either way `fill` (first empty) or the recency
+// order's tail (oldest valid line). The stamps are maintained only by the
+// pfdebug build, which checks the strict recency order against them —
+// release builds never touch them.
 type Cache struct {
 	sets    int
 	ways    int
 	setMask uint64 // sets-1 when sets is a power of two, else 0
 	policy  Policy
-	packed  bool     // ways <= 16: recency lives in rec, not prev/next
 	tags    []uint64 // sets × ways, row-major
 	lru     []uint64 // recency stamps; maintained only under pfdebug
 	meta    []uint8  // lineValid | linePrefetched | rrpv<<lineRRPVShift
 	rec     []uint64 // packed per-set recency order, 4 bits per way
-	prev    []uint16 // intrusive recency list, way index towards MRU
-	next    []uint16 // way index towards LRU
-	lists   []setList
+	fill    []uint8  // valid ways per set
 	tick    uint64
 
 	// Miss memo: a missing Lookup records the block so the Fill that
@@ -88,15 +84,9 @@ type Cache struct {
 	CacheStats
 }
 
-// setList is one set's recency-list anchors: the most- and least-recently
-// used valid ways plus the number of valid ways. head/tail are meaningful
-// only while fill > 0.
-type setList struct {
-	head, tail, fill uint16
-}
-
-// noWay terminates a set's recency list.
-const noWay = ^uint16(0)
+// maxWays is the widest associativity a Cache supports: one packed
+// recency word holds sixteen 4-bit way indices.
+const maxWays = 16
 
 const (
 	lineValid      = 1 << 0
@@ -115,7 +105,7 @@ const srripMax = 3
 const invalidTag = ^uint64(0)
 
 // NewCache returns an LRU cache with the given geometry. Both sets and ways
-// must be positive; sets need not be a power of two.
+// must be positive, ways at most 16; sets need not be a power of two.
 func NewCache(sets, ways int) *Cache {
 	return NewCacheWithPolicy(sets, ways, PolicyLRU)
 }
@@ -126,28 +116,22 @@ func NewCacheWithPolicy(sets, ways int, policy Policy) *Cache {
 	if sets <= 0 || ways <= 0 {
 		panic("sim: cache sets and ways must be positive")
 	}
-	if ways >= int(noWay) {
-		panic("sim: cache ways must fit the recency list's uint16 links")
+	if ways > maxWays {
+		panic("sim: cache ways must be at most 16")
 	}
 	n := sets * ways
 	c := &Cache{
 		sets: sets, ways: ways, policy: policy,
-		packed:   ways <= 16,
 		tags:     make([]uint64, n),
 		meta:     make([]uint8, n),
-		lists:    make([]setList, sets),
+		rec:      make([]uint64, sets),
+		fill:     make([]uint8, sets),
 		missTick: ^uint64(0), // no miss recorded yet
 	}
 	if pfdebugEnabled {
 		// Recency stamps back the pfdebug order checks only; release
 		// builds neither write nor allocate them.
 		c.lru = make([]uint64, n)
-	}
-	if c.packed {
-		c.rec = make([]uint64, sets)
-	} else {
-		c.prev = make([]uint16, n)
-		c.next = make([]uint16, n)
 	}
 	if sets&(sets-1) == 0 {
 		c.setMask = uint64(sets - 1)
@@ -244,16 +228,6 @@ func promoteRec(r uint64, w uint16) uint64 {
 	return high | low<<4 | uint64(w)
 }
 
-// promote marks way w of the set most recently used, in whichever recency
-// representation the geometry selected.
-func (c *Cache) promote(set, base int, w uint16) {
-	if c.packed {
-		c.rec[set] = promoteRec(c.rec[set], w)
-	} else {
-		c.moveToHead(&c.lists[set], base, w)
-	}
-}
-
 // hitAt applies a demand hit on way w of set — MRU promotion, prefetch-bit
 // clear and report, counters.
 func (c *Cache) hitAt(set, base int, w uint16, block uint64, count bool) (hit, prefetchedFirstTouch bool) {
@@ -261,7 +235,7 @@ func (c *Cache) hitAt(set, base int, w uint16, block uint64, count bool) (hit, p
 	if pfdebugEnabled {
 		c.lru[i] = c.tick
 	}
-	c.promote(set, base, w)
+	c.rec[set] = promoteRec(c.rec[set], w)
 	pf := c.meta[i]&linePrefetched != 0
 	c.meta[i] = lineValid // rrpv = 0, prefetch bit cleared
 	if count {
@@ -271,26 +245,6 @@ func (c *Cache) hitAt(set, base int, w uint16, block uint64, count bool) (hit, p
 		c.debugCheckSet(block)
 	}
 	return true, pf
-}
-
-// moveToHead promotes valid way w of the set anchored by l to MRU.
-func (c *Cache) moveToHead(l *setList, base int, w uint16) {
-	if l.head == w {
-		return
-	}
-	i := base + int(w)
-	p, n := c.prev[i], c.next[i]
-	c.next[base+int(p)] = n // w != head, so p is a real way
-	if n != noWay {
-		c.prev[base+int(n)] = p
-	} else {
-		l.tail = p
-	}
-	h := l.head
-	c.prev[base+int(h)] = w
-	c.prev[i] = noWay
-	c.next[i] = h
-	l.head = w
 }
 
 // Contains reports whether block is resident, without touching LRU state or
@@ -327,7 +281,7 @@ func (c *Cache) Fill(block uint64, prefetched bool) (evicted uint64, hadEviction
 			if pfdebugEnabled {
 				c.lru[i] = c.tick
 			}
-			c.promote(set, base, uint16(w))
+			c.rec[set] = promoteRec(c.rec[set], uint16(w))
 			m := uint8(lineValid) // rrpv = 0
 			if prefetched || c.meta[i]&linePrefetched != 0 {
 				m |= linePrefetched
@@ -343,53 +297,34 @@ func (c *Cache) Fill(block uint64, prefetched bool) (evicted uint64, hadEviction
 }
 
 // insert installs block — known absent from its set — into a victim way
-// chosen in O(1) from the set's recency list: the next empty way while the
-// set is still filling, the list tail (or SRRIP's re-reference pick) once
-// it is full. Shared tail of Fill's memoized and scanning paths; tick has
-// already been advanced.
+// chosen in O(1) from the set's recency word: the next empty way while the
+// set is still filling, the oldest nibble (or SRRIP's re-reference pick)
+// once it is full. Shared tail of Fill's memoized and scanning paths; tick
+// has already been advanced.
 func (c *Cache) insert(block uint64, prefetched bool) (evicted uint64, hadEviction bool) {
 	set := c.setIndex(block)
 	base := set * c.ways
-	l := &c.lists[set]
 	var victim int
-	if int(l.fill) < c.ways {
+	if f := c.fill[set]; int(f) < c.ways {
 		// Replacement never empties a way, so occupancy only grows and
 		// empty ways are claimed in ascending index order: the next one is
-		// way `fill`. Link it in at MRU.
-		w := l.fill
-		victim = base + int(w)
-		if c.packed {
-			// Shifting the word up pushes any garbage nibbles further
-			// above the valid region; with a full 16-way set the oldest
-			// nibble simply falls off the top.
-			c.rec[set] = c.rec[set]<<4 | uint64(w)
-		} else {
-			if l.fill == 0 {
-				l.tail = w
-				c.next[victim] = noWay
-			} else {
-				c.next[victim] = l.head
-				c.prev[base+int(l.head)] = w
-			}
-			c.prev[victim] = noWay
-			l.head = w
-		}
-		l.fill++
+		// way `fill`. Shifting it in at MRU pushes any garbage nibbles
+		// further above the valid region; with a full 16-way set the
+		// oldest nibble simply falls off the top.
+		victim = base + int(f)
+		c.rec[set] = c.rec[set]<<4 | uint64(f)
+		c.fill[set] = f + 1
 	} else {
+		r := c.rec[set]
 		var w uint16
-		switch {
-		case c.policy != PolicyLRU:
+		if c.policy != PolicyLRU {
 			w = uint16(c.pickVictimSRRIP(base) - base)
-			c.promote(set, base, w)
-		case c.packed:
+			c.rec[set] = promoteRec(r, w)
+		} else {
 			// The LRU victim is the oldest valid nibble; promoting it is
 			// the same shift-and-append as claiming an empty way.
-			r := c.rec[set]
 			w = uint16(r >> (4 * uint(c.ways-1)) & 0xF)
 			c.rec[set] = r<<4 | uint64(w)
-		default:
-			w = l.tail
-			c.moveToHead(l, base, w)
 		}
 		victim = base + int(w)
 	}
@@ -443,11 +378,8 @@ func (c *Cache) Reset() {
 	}
 	clear(c.lru)
 	clear(c.meta)
-	// The recency order rebuilds as the ways refill, so only the per-set
-	// anchors (and the packed words) need clearing, not the prev/next
-	// links.
-	clear(c.lists)
 	clear(c.rec)
+	clear(c.fill)
 	c.tick = 0
 	c.missTick = ^uint64(0)
 	c.ResetStats()

@@ -40,76 +40,42 @@ func (c *Cache) debugCheckSet(block uint64) {
 		panic(fmt.Sprintf("sim pfdebug: block %d resident in %d ways of one set", block, matches))
 	}
 
-	// The recency order must agree with the stamps: walking MRU→LRU visits
-	// exactly fill distinct valid ways, each strictly older than the one
-	// before.
+	// The packed recency order must agree with the stamps: nibble s of the
+	// set's recency word is the s-th most recently used way, so walking
+	// nibbles 0..fill-1 visits exactly fill distinct valid ways, each
+	// strictly older than the one before. Garbage above nibble fill-1 is
+	// never consulted and stays unchecked.
 	set := c.setIndex(block)
-	l := c.lists[set]
+	fill := int(c.fill[set])
 	valid := 0
 	for i := base; i < base+c.ways; i++ {
 		if c.meta[i]&lineValid != 0 {
 			valid++
 		}
 	}
-	if int(l.fill) != valid {
-		panic(fmt.Sprintf("sim pfdebug: set fill count %d but %d valid ways", l.fill, valid))
+	if fill != valid {
+		panic(fmt.Sprintf("sim pfdebug: set fill count %d but %d valid ways", fill, valid))
 	}
-	if l.fill == 0 {
-		return
-	}
-	if c.packed {
-		// Packed representation: nibble s of the set's recency word is the
-		// s-th most recently used way. Garbage above nibble fill-1 is
-		// never consulted and stays unchecked.
-		r := c.rec[set]
-		var last uint64
-		var seen uint32
-		for s := 0; s < int(l.fill); s++ {
-			w := uint16(r >> (4 * uint(s)) & 0xF)
-			if int(w) >= c.ways {
-				panic(fmt.Sprintf("sim pfdebug: packed recency nibble %d names way %d of %d", s, w, c.ways))
-			}
-			if seen&(1<<w) != 0 {
-				panic(fmt.Sprintf("sim pfdebug: packed recency repeats way %d", w))
-			}
-			seen |= 1 << w
-			i := base + int(w)
-			if c.meta[i]&lineValid == 0 {
-				panic(fmt.Sprintf("sim pfdebug: packed recency visits invalid way %d", w))
-			}
-			if s > 0 && c.lru[i] >= last {
-				panic(fmt.Sprintf("sim pfdebug: packed recency out of order at way %d (stamp %d after %d)", w, c.lru[i], last))
-			}
-			last = c.lru[i]
-		}
-		return
-	}
-	w, steps := l.head, 0
+	r := c.rec[set]
 	var last uint64
-	for {
+	var seen uint32
+	for s := 0; s < fill; s++ {
+		w := uint16(r >> (4 * uint(s)) & 0xF)
+		if int(w) >= c.ways {
+			panic(fmt.Sprintf("sim pfdebug: packed recency nibble %d names way %d of %d", s, w, c.ways))
+		}
+		if seen&(1<<w) != 0 {
+			panic(fmt.Sprintf("sim pfdebug: packed recency repeats way %d", w))
+		}
+		seen |= 1 << w
 		i := base + int(w)
 		if c.meta[i]&lineValid == 0 {
-			panic(fmt.Sprintf("sim pfdebug: recency list visits invalid way %d", w))
+			panic(fmt.Sprintf("sim pfdebug: packed recency visits invalid way %d", w))
 		}
-		if steps > 0 && c.lru[i] >= last {
-			panic(fmt.Sprintf("sim pfdebug: recency list out of order at way %d (stamp %d after %d)", w, c.lru[i], last))
+		if s > 0 && c.lru[i] >= last {
+			panic(fmt.Sprintf("sim pfdebug: packed recency out of order at way %d (stamp %d after %d)", w, c.lru[i], last))
 		}
 		last = c.lru[i]
-		steps++
-		if steps > int(l.fill) {
-			panic("sim pfdebug: recency list longer than fill count (cycle?)")
-		}
-		n := c.next[i]
-		if n == noWay {
-			break
-		}
-		w = n
-	}
-	if steps != int(l.fill) {
-		panic(fmt.Sprintf("sim pfdebug: recency list length %d, fill count %d", steps, l.fill))
-	}
-	if w != l.tail {
-		panic(fmt.Sprintf("sim pfdebug: recency list ends at way %d, tail anchor says %d", w, l.tail))
 	}
 }
 

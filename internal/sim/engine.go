@@ -82,6 +82,9 @@ func (e *Engine) RunMultiStreamCtx(ctx context.Context, srcs []trace.Source, pfs
 	if cfg.Width <= 0 || cfg.ROB <= 0 {
 		return nil, fmt.Errorf("sim: invalid core config (width %d, ROB %d)", cfg.Width, cfg.ROB)
 	}
+	if cfg.L1Ways > maxWays || cfg.L2Ways > maxWays || cfg.LLCWays > maxWays {
+		return nil, fmt.Errorf("sim: cache associativity above %d ways (L1 %d, L2 %d, LLC %d)", maxWays, cfg.L1Ways, cfg.L2Ways, cfg.LLCWays)
+	}
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("sim: no cores")
 	}

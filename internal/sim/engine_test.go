@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"pathfinder/internal/trace"
@@ -113,5 +114,16 @@ func TestEngineReuseAfterError(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("post-error reuse diverged:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestEngineRejectsWideCache checks that a level wider than the packed
+// recency word (16 ways) is a configuration error, not a panic.
+func TestEngineRejectsWideCache(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LLCWays = 17
+	_, err := Run(cfg, seqTrace(1000, 10), nil)
+	if err == nil || !strings.Contains(err.Error(), "16 ways") {
+		t.Fatalf("17-way LLC: err = %v, want an associativity error", err)
 	}
 }

@@ -68,12 +68,12 @@ func (s *SliceSource) Reset() { s.i = 0 }
 // Collect drains a Source into a slice — the bridge back from the
 // streaming world for consumers that genuinely need random access (offline
 // trainers, delta statistics). Sources exposing Remaining() (uint64, bool)
-// get a pre-sized destination.
+// get a pre-sized destination, up to presizeMax records.
 func Collect(src Source) ([]Access, error) {
 	var accs []Access
 	if s, ok := src.(interface{ Remaining() (uint64, bool) }); ok {
-		if n, known := s.Remaining(); known && n <= sanityMaxRecords {
-			accs = make([]Access, 0, n)
+		if n, known := s.Remaining(); known {
+			accs = make([]Access, 0, min(n, presizeMax))
 		}
 	}
 	for {
@@ -124,6 +124,12 @@ func HashSource(src Source) (hash uint64, n uint64, err error) {
 // sanityMaxRecords bounds declared record counts: a counted container
 // claiming more is a corrupt or hostile header, not a real trace.
 const sanityMaxRecords = 1 << 30
+
+// presizeMax caps the capacity allocated up front from a declared record
+// count. A header is a claim, not an allocation budget: a few bytes
+// declaring a billion records must not cost gigabytes before the first
+// record decodes, so longer traces grow as their records arrive.
+const presizeMax = 1 << 20
 
 // Reader is the streaming binary trace decoder: it accepts both the
 // counted PFT2 container and the unbounded PFT3 stream container and

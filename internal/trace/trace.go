@@ -217,7 +217,7 @@ func ReadPrefetches(r io.Reader) ([]Prefetch, error) {
 	if n > sanityMax {
 		return nil, fmt.Errorf("trace: implausible record count %d", n)
 	}
-	pfs := make([]Prefetch, 0, n)
+	pfs := make([]Prefetch, 0, min(n, presizeMax))
 	id := uint64(0)
 	for i := uint64(0); i < n; i++ {
 		d, err := binary.ReadUvarint(br)

@@ -23,9 +23,10 @@
 //
 // A minimal end-to-end run:
 //
-//	accs, _ := pathfinder.GenerateTrace("cc-5", 100_000, 1)
 //	pf, _ := pathfinder.New(pathfinder.DefaultConfig())
-//	m, _ := pathfinder.Eval(context.Background(), pathfinder.EvalJob{Prefetcher: pf, Accs: accs})
+//	m, _ := pathfinder.Eval(context.Background(), pathfinder.EvalJob{
+//		Trace: "cc-5", Loads: 100_000, Prefetcher: pf,
+//	})
 //	fmt.Printf("IPC %.3f accuracy %.2f coverage %.2f\n", m.IPC, m.Accuracy, m.Coverage)
 package pathfinder
 
@@ -217,22 +218,14 @@ func NewEnsemble(label string, members ...OnlinePrefetcher) OnlinePrefetcher {
 // Workloads returns the names of the paper's 11 benchmark traces (Table 5).
 func Workloads() []string { return workload.Names() }
 
-// GenerateTrace synthesises a deterministic trace of n loads for the named
-// benchmark (see DESIGN.md for the trace-substitution rationale).
-//
-// Deprecated: GenerateTrace materializes all n accesses up front. Use
-// GenerateTraceSource, which streams the identical records in constant
-// memory (and CollectTrace when a slice is genuinely needed).
-func GenerateTrace(name string, n int, seed int64) ([]Access, error) {
-	return workload.Generate(name, n, seed)
-}
-
-// GenerateTraceSource returns a streaming generator for the named
-// benchmark: the same deterministic records GenerateTrace materializes,
-// yielded one at a time, so the heap footprint is the generator state
-// rather than the trace. For the Table 5 synthetic specs a negative n
-// streams indefinitely (the live-capture stand-in for daemon consumers);
-// the executed graph kernels need a concrete length.
+// GenerateTraceSource returns a streaming generator synthesising a
+// deterministic trace of n loads for the named benchmark (see DESIGN.md
+// for the trace-substitution rationale), yielded one access at a time, so
+// the heap footprint is the generator state rather than the trace; use
+// CollectTrace when a slice is genuinely needed. For the Table 5
+// synthetic specs a negative n streams indefinitely (the live-capture
+// stand-in for daemon consumers); the executed graph kernels need a
+// concrete length.
 func GenerateTraceSource(name string, n int, seed int64) (TraceSource, error) {
 	return workload.NewSource(name, n, seed)
 }
@@ -331,21 +324,12 @@ func SimulateMulti(cfg SimConfig, cores [][]Access, pfs [][]PrefetchEntry) ([]Si
 	return sim.RunMulti(cfg, cores, pfs)
 }
 
-// GeneratePrefetches drives an online prefetcher over a trace, producing
-// its prefetch file (phase one of the two-phase flow of §4.1).
-//
-// Deprecated: GeneratePrefetches takes the materialized trace. Use
-// GeneratePrefetchesStream, which drives the prefetcher over a
-// TraceSource one access at a time (and reports errors, which this
-// signature swallows).
-func GeneratePrefetches(p OnlinePrefetcher, accs []Access, budget int) []PrefetchEntry {
-	return prefetch.GenerateFile(p, accs, budget)
-}
-
 // GeneratePrefetchesStream drives an online prefetcher over a streaming
-// trace, producing its prefetch file. Only the prefetch file is
-// materialized — it is what the simulator replays — so generation over an
-// arbitrarily long trace holds one access at a time plus the file itself.
+// trace, producing its prefetch file (phase one of the two-phase flow of
+// §4.1; NewSliceTraceSource adapts an in-memory trace). Only the prefetch
+// file is materialized — it is what the simulator replays — so generation
+// over an arbitrarily long trace holds one access at a time plus the file
+// itself.
 func GeneratePrefetchesStream(ctx context.Context, p OnlinePrefetcher, src TraceSource, budget int) ([]PrefetchEntry, error) {
 	return prefetch.GenerateFileStreamCtx(ctx, p, src, budget)
 }
@@ -426,53 +410,9 @@ func OpenJournal(path string) (*RunJournal, error) { return runner.OpenJournal(p
 // Eval runs the complete two-phase evaluation described by one EvalJob:
 // trace acquisition, the no-prefetch baseline (unless job.Baseline is
 // precomputed), prefetch-file generation, and the timed replay. Warmup
-// defaults to 10% of the trace; job.Sim defaults to ScaledSimConfig. It
-// subsumes the deprecated Evaluate, EvaluateAgainstBaseline and
-// EvaluateFile entry points; use a Runner to evaluate whole grids in
-// parallel.
+// defaults to 10% of the trace; job.Sim defaults to ScaledSimConfig. Use
+// a Runner to evaluate whole grids in parallel.
 func Eval(ctx context.Context, job EvalJob) (Metrics, error) {
 	res, err := runner.New(runner.Config{Parallelism: 1}).Eval(ctx, job)
 	return res.Metrics, err
-}
-
-// Evaluate runs the two-phase evaluation of one online prefetcher on a
-// trace with a fresh baseline simulation and a 10%-of-trace warmup.
-//
-// Deprecated: use Eval with an EvalJob{Prefetcher: p, Accs: accs, Sim: &cfg}.
-func Evaluate(p OnlinePrefetcher, accs []Access, cfg SimConfig) (Metrics, error) {
-	return Eval(context.Background(), EvalJob{Prefetcher: p, Accs: accs, Sim: &cfg})
-}
-
-// EvaluateAgainstBaseline is Evaluate with a precomputed baseline miss
-// count, letting callers share one baseline run across many prefetchers.
-// cfg.Warmup must already be set as it was for the baseline run.
-//
-// Deprecated: use Eval with EvalJob.Baseline set (a Runner shares
-// baselines across a grid automatically).
-func EvaluateAgainstBaseline(p OnlinePrefetcher, accs []Access, cfg SimConfig, baselineMisses uint64) (Metrics, error) {
-	return Eval(context.Background(), EvalJob{
-		Prefetcher: p, Accs: accs, Sim: &cfg,
-		Baseline: &baselineMisses, Warmup: explicitWarmup(cfg.Warmup),
-	})
-}
-
-// EvaluateFile scores an already-generated prefetch file (used for the
-// offline baselines Delta-LSTM and Voyager).
-//
-// Deprecated: use Eval with EvalJob.File.
-func EvaluateFile(name string, accs []Access, pfs []PrefetchEntry, cfg SimConfig, baselineMisses uint64) (Metrics, error) {
-	return Eval(context.Background(), EvalJob{
-		Label: name, Accs: accs, File: pfs, Sim: &cfg,
-		Baseline: &baselineMisses, Warmup: explicitWarmup(cfg.Warmup),
-	})
-}
-
-// explicitWarmup maps a SimConfig.Warmup the legacy entry points received
-// onto the EvalJob override, preserving their exact semantics: whatever
-// the caller set is used verbatim, including zero (no warmup).
-func explicitWarmup(w int) int {
-	if w == 0 {
-		return -1
-	}
-	return w
 }

@@ -1,21 +1,43 @@
 package pathfinder
 
 import (
+	"context"
 	"testing"
 )
 
-// TestEndToEndQuickstart exercises the README quickstart path: generate a
-// trace, evaluate PATHFINDER, and check the metrics are sane.
-func TestEndToEndQuickstart(t *testing.T) {
-	accs, err := GenerateTrace("cc-5", 10_000, 1)
+// collectTrace streams the named benchmark from its generator into a
+// slice, for tests that replay one trace several times.
+func collectTrace(tb testing.TB, name string, n int, seed int64) []Access {
+	tb.Helper()
+	src, err := GenerateTraceSource(name, n, seed)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	accs, err := CollectTrace(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return accs
+}
+
+// generatePrefetches drives p over an in-memory trace.
+func generatePrefetches(tb testing.TB, p OnlinePrefetcher, accs []Access) []PrefetchEntry {
+	tb.Helper()
+	pfs, err := GeneratePrefetchesStream(context.Background(), p, NewSliceTraceSource(accs), Budget)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pfs
+}
+
+// TestEndToEndQuickstart exercises the README quickstart path: evaluate
+// PATHFINDER on a generated trace and check the metrics are sane.
+func TestEndToEndQuickstart(t *testing.T) {
 	pf, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Evaluate(pf, accs, ScaledSimConfig())
+	m, err := Eval(context.Background(), EvalJob{Trace: "cc-5", Loads: 10_000, Prefetcher: pf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,18 +57,15 @@ func TestEvaluateEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Evaluate(pf, nil, ScaledSimConfig()); err == nil {
-		t.Error("Evaluate accepted an empty trace")
+	if _, err := Eval(context.Background(), EvalJob{Prefetcher: pf, Accs: []Access{}}); err == nil {
+		t.Error("Eval accepted an empty trace")
 	}
 }
 
 // TestAllBaselinesRunEndToEnd runs every online baseline through one short
 // trace, as an integration smoke test across prefetch + sim + workload.
 func TestAllBaselinesRunEndToEnd(t *testing.T) {
-	accs, err := GenerateTrace("623-xalan-s1", 8_000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accs := collectTrace(t, "623-xalan-s1", 8_000, 2)
 	cfg := ScaledSimConfig()
 	cfg.Warmup = len(accs) / 10
 	base, err := Simulate(cfg, accs, nil)
@@ -68,7 +87,9 @@ func TestAllBaselinesRunEndToEnd(t *testing.T) {
 		NewEnsemble("ens", NewNextLine(1), NewSISB()),
 	}
 	for _, p := range baselines {
-		m, err := EvaluateAgainstBaseline(p, accs, cfg, base.LLCLoadMisses)
+		m, err := Eval(context.Background(), EvalJob{
+			Prefetcher: p, Accs: accs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -87,10 +108,7 @@ func TestOfflineBaselinesRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("offline baselines are slow")
 	}
-	accs, err := GenerateTrace("471-omnetpp-s1", 6_000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accs := collectTrace(t, "471-omnetpp-s1", 6_000, 3)
 	cfg := ScaledSimConfig()
 	cfg.Warmup = len(accs) / 10
 	base, err := Simulate(cfg, accs, nil)
@@ -104,7 +122,9 @@ func TestOfflineBaselinesRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvaluateFile("DeltaLSTM", accs, dpfs, cfg, base.LLCLoadMisses); err != nil {
+	if _, err := Eval(context.Background(), EvalJob{
+		Label: "DeltaLSTM", Accs: accs, File: dpfs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +133,9 @@ func TestOfflineBaselinesRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := EvaluateFile("Voyager", accs, vpfs, cfg, base.LLCLoadMisses)
+	m, err := Eval(context.Background(), EvalJob{
+		Label: "Voyager", Accs: accs, File: vpfs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,19 +168,16 @@ func TestWorkloadsListStable(t *testing.T) {
 }
 
 func TestGenerateTraceUnknown(t *testing.T) {
-	if _, err := GenerateTrace("nope", 100, 1); err == nil {
+	if _, err := GenerateTraceSource("nope", 100, 1); err == nil {
 		t.Error("accepted unknown benchmark")
 	}
 }
 
-// TestPrefetchFileRoundTripThroughSim checks the GeneratePrefetches output
-// is consumable by Simulate.
+// TestPrefetchFileRoundTripThroughSim checks the GeneratePrefetchesStream
+// output is consumable by Simulate.
 func TestPrefetchFileRoundTripThroughSim(t *testing.T) {
-	accs, err := GenerateTrace("bfs-10", 5_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfs := GeneratePrefetches(NewNextLine(0), accs, Budget)
+	accs := collectTrace(t, "bfs-10", 5_000, 1)
+	pfs := generatePrefetches(t, NewNextLine(0), accs)
 	if len(pfs) != 2*len(accs) {
 		t.Fatalf("next-line produced %d prefetches for %d accesses", len(pfs), len(accs))
 	}
@@ -173,14 +192,8 @@ func TestPrefetchFileRoundTripThroughSim(t *testing.T) {
 }
 
 func TestSimulateMultiPublicAPI(t *testing.T) {
-	a, err := GenerateTrace("cc-5", 5_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateTrace("bfs-10", 5_000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := collectTrace(t, "cc-5", 5_000, 1)
+	b := collectTrace(t, "bfs-10", 5_000, 2)
 	for i := range b {
 		b[i].Addr += 1 << 42
 	}
@@ -194,10 +207,7 @@ func TestSimulateMultiPublicAPI(t *testing.T) {
 }
 
 func TestThrottleAndISBPublicAPI(t *testing.T) {
-	accs, err := GenerateTrace("623-xalan-s1", 6_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accs := collectTrace(t, "623-xalan-s1", 6_000, 1)
 	cfg := ScaledSimConfig()
 	cfg.Warmup = len(accs) / 10
 	base, err := Simulate(cfg, accs, nil)
@@ -213,7 +223,9 @@ func TestThrottleAndISBPublicAPI(t *testing.T) {
 		NewStride(),
 		NewDynamicEnsemble("dyn", NewNextLine(0), NewSISB()),
 	} {
-		m, err := EvaluateAgainstBaseline(p, accs, cfg, base.LLCLoadMisses)
+		m, err := Eval(context.Background(), EvalJob{
+			Prefetcher: p, Accs: accs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}

@@ -32,11 +32,7 @@ func goldenPrefetcher(t testing.TB) *Prefetcher {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	accs, err := GenerateTrace("cc-5", 3000, 7)
-	if err != nil {
-		t.Fatalf("GenerateTrace: %v", err)
-	}
-	for _, a := range accs {
+	for _, a := range collectTrace(t, "cc-5", 3000, 7) {
 		p.Advise(a, Budget)
 	}
 	return p

@@ -15,10 +15,7 @@ import (
 // the streaming simulation of the same records is bit-identical to the
 // materialized one.
 func TestSimulateStreamMatchesSimulate(t *testing.T) {
-	accs, err := GenerateTrace("cc-5", 5000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accs := collectTrace(t, "cc-5", 5000, 3)
 	cfg := ScaledSimConfig()
 	cfg.Warmup = 500
 	want, err := Simulate(cfg, accs, nil)
@@ -37,10 +34,7 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 // TestOpenTraceFile round-trips a counted binary trace through the file
 // source, checking Remaining passes through from the counted container.
 func TestOpenTraceFile(t *testing.T) {
-	accs, err := GenerateTrace("cc-5", 1000, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accs := collectTrace(t, "cc-5", 1000, 2)
 	path := filepath.Join(t.TempDir(), "t.pft")
 	f, err := os.Create(path)
 	if err != nil {
