@@ -54,7 +54,7 @@ func run(ctx context.Context, sigs <-chan os.Signal, args []string, stdout io.Wr
 	var (
 		addr         = fs.String("addr", "127.0.0.1:9177", "listen address (port 0 picks a free port)")
 		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof here (empty: off)")
-		sessionPF    = fs.String("session-prefetcher", "pathfinder", "prefetcher behind each session (pathfinder, nextline, bo, spp, sisb, isb, pythia, stride, vldp, sms, nextpage, pf+nl, pf+nl+sisb)")
+		sessionPF    = fs.String("session-prefetcher", "pathfinder", "prefetcher behind each session: any online technique name of the registry (NewPrefetcherByName in internal/serve/eval.go)")
 		budget       = fs.Int("budget", 0, "predictions per event (0: the paper's budget of 2)")
 		shards       = fs.Int("shards", 0, "session-table shards, rounded to a power of two (0: 8)")
 		maxSessions  = fs.Int("max-sessions", 0, "resident-session cap with LRU idle eviction (0: 1024)")

@@ -15,9 +15,9 @@
 // baseline/generation/replay passes can each re-stream it; the evaluation
 // is cached under a content digest of the records (see docs/streaming.md).
 //
-// Prefetchers: none, nextline, bo, bo-throttled, stride, vldp, sms, spp,
-// sisb, isb, nextpage, pythia, pathfinder, pathfinder-1tick, ensemble
-// (pathfinder+sisb+nextline), dynamic-ensemble, deltalstm, voyager.
+// -prefetcher takes any technique name of the registry, online or
+// offline; the names are listed on NewPrefetcherByName in
+// internal/serve/eval.go.
 package main
 
 import (
@@ -28,11 +28,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"pathfinder"
 	"pathfinder/internal/profiling"
+	"pathfinder/internal/serve"
 	"pathfinder/internal/trace"
 )
 
@@ -322,108 +322,39 @@ func (s fileSource) Next(a *pathfinder.Access) error {
 
 func (s fileSource) Remaining() (uint64, bool) { return s.tf.Remaining() }
 
-// generate builds the named prefetcher's prefetch file by streaming the
-// trace from a fresh source; open is called once per generation (the
-// offline learners collect the records they need a full slice of).
+// generate builds the named technique's prefetch file by streaming the
+// trace from a fresh source. The name resolves through the technique
+// registry (serve.JobFor); the offline learners collect the records they
+// need a full slice of.
 func generate(ctx context.Context, name string, open func(context.Context) (pathfinder.TraceSource, error), seed int64) ([]pathfinder.PrefetchEntry, string, error) {
-	online := func(p pathfinder.OnlinePrefetcher) ([]pathfinder.PrefetchEntry, string, error) {
-		src, err := open(ctx)
-		if err != nil {
-			return nil, "", err
-		}
-		pfs, err := pathfinder.GeneratePrefetchesStream(ctx, p, src, pathfinder.Budget)
-		return pfs, p.Name(), err
+	job, err := serve.JobFor(serve.EvalRequest{Prefetcher: name, Seed: seed})
+	if err != nil {
+		return nil, "", err
 	}
-	collect := func() ([]pathfinder.Access, error) {
-		src, err := open(ctx)
-		if err != nil {
-			return nil, err
+	var p pathfinder.OnlinePrefetcher
+	if job.New != nil {
+		if p, err = job.New(); err != nil {
+			return nil, "", err
 		}
-		return pathfinder.CollectTrace(src)
 	}
-	switch strings.ToLower(name) {
-	case "none":
-		return online(pathfinder.NewNoPrefetch())
-	case "nextline", "nl":
-		return online(pathfinder.NewNextLine(0))
-	case "bo":
-		return online(pathfinder.NewBestOffset())
-	case "spp":
-		return online(pathfinder.NewSPP())
-	case "sisb":
-		return online(pathfinder.NewSISB())
-	case "pythia":
-		return online(pathfinder.NewPythia(seed))
-	case "stride":
-		return online(pathfinder.NewStride())
-	case "vldp":
-		return online(pathfinder.NewVLDP())
-	case "sms":
-		return online(pathfinder.NewSMS())
-	case "isb":
-		return online(pathfinder.NewISB())
-	case "nextpage":
-		return online(pathfinder.NewNextPage())
-	case "bo-throttled":
-		return online(pathfinder.NewThrottle(pathfinder.NewBestOffset()))
-	case "dynamic-ensemble":
-		cfg := pathfinder.DefaultConfig()
-		cfg.Seed = seed
-		pf, err := pathfinder.New(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return online(pathfinder.NewDynamicEnsemble("DynPF+SISB+NL", pf, pathfinder.NewSISB(), pathfinder.NewNextLine(0)))
-	case "pathfinder":
-		cfg := pathfinder.DefaultConfig()
-		cfg.Seed = seed
-		pf, err := pathfinder.New(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return online(pf)
-	case "pathfinder-1tick":
-		cfg := pathfinder.DefaultConfig()
-		cfg.Seed = seed
-		cfg.OneTick = true
-		pf, err := pathfinder.New(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		src, err := open(ctx)
-		if err != nil {
-			return nil, "", err
-		}
-		pfs, err := pathfinder.GeneratePrefetchesStream(ctx, pf, src, pathfinder.Budget)
-		return pfs, "Pathfinder-1tick", err
-	case "ensemble":
-		cfg := pathfinder.DefaultConfig()
-		cfg.Seed = seed
-		pf, err := pathfinder.New(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return online(pathfinder.NewEnsemble("PF+NL+SISB", pf, pathfinder.NewSISB(), pathfinder.NewNextLine(0)))
-	case "deltalstm":
-		cfg := pathfinder.DefaultDeltaLSTMConfig()
-		cfg.Seed = seed
-		accs, err := collect()
-		if err != nil {
-			return nil, "", err
-		}
-		pfs, err := pathfinder.GenerateDeltaLSTM(cfg, accs, pathfinder.Budget)
-		return pfs, "DeltaLSTM", err
-	case "voyager":
-		cfg := pathfinder.DefaultVoyagerConfig()
-		cfg.Seed = seed
-		accs, err := collect()
-		if err != nil {
-			return nil, "", err
-		}
-		pfs, err := pathfinder.GenerateVoyager(cfg, accs, pathfinder.Budget)
-		return pfs, "Voyager", err
+	src, err := open(ctx)
+	if err != nil {
+		return nil, "", err
 	}
-	return nil, "", fmt.Errorf("unknown prefetcher %q", name)
+	if job.GenFile != nil {
+		accs, err := pathfinder.CollectTrace(src)
+		if err != nil {
+			return nil, "", err
+		}
+		pfs, err := job.GenFile(ctx, accs)
+		return pfs, job.Label, err
+	}
+	label := job.Label
+	if label == "" {
+		label = p.Name()
+	}
+	pfs, err := pathfinder.GeneratePrefetchesStream(ctx, p, src, pathfinder.Budget)
+	return pfs, label, err
 }
 
 // setupTelemetry wires the -metrics family of flags: it enables telemetry

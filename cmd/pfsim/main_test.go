@@ -128,3 +128,23 @@ func TestGenerateStream(t *testing.T) {
 		t.Fatal("streamed generation differs from slice generation")
 	}
 }
+
+// TestGenerateRegistryName pins that pfsim resolves technique names
+// through the shared registry: pf+nl, which pfsweep grids and pfserved
+// accept, builds here too under its registry label.
+func TestGenerateRegistryName(t *testing.T) {
+	accs := collectTrace(t, "cc-5", 1000, 5)
+	open := func(context.Context) (pathfinder.TraceSource, error) {
+		return pathfinder.NewSliceTraceSource(accs), nil
+	}
+	pfs, label, err := generate(context.Background(), "pf+nl", open, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if label != "PF+NL" {
+		t.Fatalf("label = %q, want PF+NL", label)
+	}
+	if len(pfs) == 0 {
+		t.Fatal("pf+nl generated no prefetches")
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"pathfinder/internal/snn"
@@ -835,7 +836,7 @@ func TestEncoderReorderWithMiddleShift(t *testing.T) {
 // p and records every suggestion list, so two prefetchers can be compared
 // advise-for-advise. Accesses are a pure function of the step index:
 // identical calls on identical state must produce identical output.
-func driveDeterministic(t *testing.T, p *Pathfinder, start, n int) [][]uint64 {
+func driveDeterministic(t testing.TB, p *Pathfinder, start, n int) [][]uint64 {
 	t.Helper()
 	out := make([][]uint64, 0, n)
 	for i := start; i < start+n; i++ {
@@ -882,6 +883,59 @@ func TestSaveSessionExactContinuation(t *testing.T) {
 				t.Fatalf("advise %d addr %d: %#x vs %#x", i, j, got[i][j], want[i][j])
 			}
 		}
+	}
+}
+
+// trainedSession returns the SaveSession blob of a small PATHFINDER (a
+// 10-neuron network keeps the blob at a few KB, fast to fuzz) driven
+// through 200 deterministic accesses, and the length of its Save prefix
+// (where the PFX1 extension starts).
+func trainedSession(tb testing.TB) (blob []byte, saveLen int) {
+	tb.Helper()
+	cfg := DefaultConfig()
+	cfg.DeltaRange = 15
+	cfg.History = 3
+	cfg.Neurons = 10
+	cfg.LabelsPerNeuron = 2
+	cfg.Ticks = 8
+	p, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	driveDeterministic(tb, p, 0, 200)
+	var plain, buf bytes.Buffer
+	if err := p.Save(&plain); err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.SaveSession(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), plain.Len()
+}
+
+// TestLoadSessionRejectsDuplicateStamps pins that a snapshot whose
+// training entries share a lastUse stamp is refused: save never writes
+// one, and restoring it would leave the next save's byte order and the
+// LRU victim to map iteration order.
+func TestLoadSessionRejectsDuplicateStamps(t *testing.T) {
+	blob, saveLen := trainedSession(t)
+	if _, err := LoadSession(bytes.NewReader(blob)); err != nil {
+		t.Fatalf("LoadSession on an unmodified blob: %v", err)
+	}
+	// PFX1 section: magic, RNG state, table clock, entry count, entries.
+	// An entry is pc, page, footprint, lastUse, then offset, broken,
+	// neuron, delta count, then the deltas, all 8 bytes each.
+	le := binary.LittleEndian
+	tab := saveLen + 4 + 8
+	if n := le.Uint64(blob[tab+8:]); n < 2 {
+		t.Fatalf("trained table holds %d entries, need 2", n)
+	}
+	e0 := tab + 16
+	e1 := e0 + 64 + 8*int(le.Uint64(blob[e0+56:]))
+	bad := append([]byte(nil), blob...)
+	copy(bad[e1+24:e1+32], blob[e0+24:e0+32])
+	if _, err := LoadSession(bytes.NewReader(bad)); err == nil {
+		t.Fatal("LoadSession accepted two training entries with one lastUse stamp")
 	}
 }
 

@@ -193,7 +193,10 @@ func (t *TrainingTable) save(w io.Writer) error {
 // load replaces the table's contents with a stream written by save,
 // validating every field against the table's own geometry before any
 // allocation (a corrupt snapshot must fail loudly, never OOM or corrupt
-// the restored stream state).
+// the restored stream state). save writes unique lastUse stamps in
+// ascending order, and load requires exactly that: with duplicate stamps
+// both the next save's byte order and evictLRU's victim would depend on
+// map iteration order.
 func (t *TrainingTable) load(r io.Reader) error {
 	var clock uint64
 	if err := binary.Read(r, binary.LittleEndian, &clock); err != nil {
@@ -207,6 +210,7 @@ func (t *TrainingTable) load(r io.Reader) error {
 		return fmt.Errorf("core: training table holds %d entries, capacity %d", count, t.cap)
 	}
 	entries := make(map[trainingKey]*TrainingEntry, count)
+	var prevUse uint64
 	for i := int64(0); i < count; i++ {
 		var hdr [4]uint64
 		for j := range hdr {
@@ -229,7 +233,10 @@ func (t *TrainingTable) load(r io.Reader) error {
 			hdr[3] > clock:
 			return fmt.Errorf("core: implausible training table entry (offset %d, broken %d, neuron %d, %d deltas, lastUse %d)",
 				lastOffset, broken, lastNeuron, nd, hdr[3])
+		case i > 0 && hdr[3] <= prevUse:
+			return fmt.Errorf("core: training table lastUse %d not above the previous entry's %d (duplicate or out of order)", hdr[3], prevUse)
 		}
+		prevUse = hdr[3]
 		e := &TrainingEntry{
 			pc: hdr[0], page: hdr[1], footprint: hdr[2], lastUse: hdr[3],
 			lastOffset: int(lastOffset), broken: int(broken), lastNeuron: int(lastNeuron),

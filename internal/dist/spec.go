@@ -10,11 +10,10 @@ import (
 )
 
 // CellSpec is one serializable grid cell: a workload, a technique name
-// from the wire-facing registry (serve.NewPrefetcherByName, plus the
-// offline Delta-LSTM/Voyager generators), and the effective knobs. A
-// coordinator and its workers each expand the same spec list into the
-// same []runner.Job, which is what lets a grant carry only a grid index
-// and a key.
+// from the registry in internal/serve (any name serve.JobFor accepts,
+// online or offline), and the effective knobs. A coordinator and its
+// workers each expand the same spec list into the same []runner.Job,
+// which is what lets a grant carry only a grid index and a key.
 type CellSpec struct {
 	// Trace names the workload (see pathfinder.Workloads).
 	Trace string `json:"trace"`
@@ -26,26 +25,17 @@ type CellSpec struct {
 	Budget int   `json:"budget,omitempty"`
 }
 
-// Job builds the runner job for one spec. The technique name is
-// validated eagerly — a sweep should refuse a misspelled grid before any
-// cell is granted, not fail every grant at evaluation time.
+// Job builds the runner job for one spec. The registry rejects an unknown
+// technique name here, so a sweep refuses a misspelled grid before any
+// cell is granted rather than failing every grant at evaluation time.
 func (s CellSpec) Job() (runner.Job, error) {
-	job, err := serve.JobFor(serve.EvalRequest{
+	return serve.JobFor(serve.EvalRequest{
 		Trace:      s.Trace,
 		Prefetcher: s.Prefetcher,
 		Loads:      s.Loads,
 		Seed:       s.Seed,
 		Budget:     s.Budget,
 	})
-	if err != nil {
-		return runner.Job{}, err
-	}
-	if job.New != nil {
-		if _, err := job.New(); err != nil {
-			return runner.Job{}, err
-		}
-	}
-	return job, nil
 }
 
 // Jobs expands a spec list into the grid, in order.

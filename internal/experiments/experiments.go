@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -23,6 +24,7 @@ import (
 	"pathfinder/internal/core"
 	"pathfinder/internal/dist"
 	"pathfinder/internal/runner"
+	"pathfinder/internal/serve"
 	"pathfinder/internal/sim"
 	"pathfinder/internal/workload"
 )
@@ -191,6 +193,17 @@ func (o options) run(jobs []runner.Job) ([]runner.Result, error) {
 		return nil, rerr
 	}
 	return results, nil
+}
+
+// job resolves a technique of the registry (serve.JobFor) into one grid
+// cell on trace tr, shown and journaled under label.
+func (o options) job(tr, label, technique string) (runner.Job, error) {
+	job, err := serve.JobFor(serve.EvalRequest{Trace: tr, Prefetcher: technique, Seed: o.seed})
+	if err != nil {
+		return runner.Job{}, fmt.Errorf("experiments: %w", err)
+	}
+	job.Label = label
+	return job, nil
 }
 
 // newPathfinder builds a fresh PATHFINDER with the experiment seed.

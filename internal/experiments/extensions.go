@@ -7,6 +7,7 @@ import (
 	"pathfinder/internal/core"
 	"pathfinder/internal/prefetch"
 	"pathfinder/internal/runner"
+	"pathfinder/internal/serve"
 	"pathfinder/internal/sim"
 	"pathfinder/internal/snn"
 	"pathfinder/internal/trace"
@@ -21,48 +22,26 @@ import (
 func Extended(w io.Writer, opts ...Option) (SweepResult, error) {
 	o := newOptions(opts)
 	res := SweepResult{Rows: make(map[string]map[string]Metrics)}
-	lineup := []string{"Stride", "VLDP", "SMS", "Pathfinder", "PF+SISB+NL (fixed)", "PF+SISB+NL (dynamic)"}
-	res.Configs = lineup
-
-	build := func(name string) (prefetch.Prefetcher, error) {
-		switch name {
-		case "Stride":
-			return prefetch.NewStride(), nil
-		case "VLDP":
-			return prefetch.NewVLDP(), nil
-		case "SMS":
-			return prefetch.NewSMS(), nil
-		case "Pathfinder":
-			return newPathfinder(core.DefaultConfig(), o.seed)
-		case "PF+SISB+NL (fixed)":
-			pf, err := newPathfinder(core.DefaultConfig(), o.seed)
-			if err != nil {
-				return nil, err
-			}
-			e := prefetch.NewEnsemble(pf, prefetch.NewSISB(), &prefetch.NextLine{})
-			e.Label = name
-			return e, nil
-		case "PF+SISB+NL (dynamic)":
-			pf, err := newPathfinder(core.DefaultConfig(), o.seed)
-			if err != nil {
-				return nil, err
-			}
-			d := prefetch.NewDynamicEnsemble(pf, prefetch.NewSISB(), &prefetch.NextLine{})
-			d.Label = name
-			return d, nil
-		}
-		return nil, fmt.Errorf("experiments: unknown lineup member %q", name)
+	// lineup pairs each display label with its registry technique.
+	lineup := []struct{ label, technique string }{
+		{"Stride", "stride"},
+		{"VLDP", "vldp"},
+		{"SMS", "sms"},
+		{"Pathfinder", "pathfinder"},
+		{"PF+SISB+NL (fixed)", "pf+nl+sisb"},
+		{"PF+SISB+NL (dynamic)", "dynamic-ensemble"},
 	}
-
+	for _, m := range lineup {
+		res.Configs = append(res.Configs, m.label)
+	}
 	jobs := make([]runner.Job, 0, len(o.traces)*len(lineup))
 	for _, tr := range o.traces {
-		for _, name := range lineup {
-			name := name
-			jobs = append(jobs, runner.Job{
-				Trace: tr,
-				Label: name,
-				New:   func() (prefetch.Prefetcher, error) { return build(name) },
-			})
+		for _, m := range lineup {
+			job, err := o.job(tr, m.label, m.technique)
+			if err != nil {
+				return SweepResult{}, err
+			}
+			jobs = append(jobs, job)
 		}
 	}
 	results, err := o.run(jobs)
@@ -81,7 +60,8 @@ type NoiseRow struct {
 	Coverage map[string]float64
 }
 
-// noisePrefetchers is the noise-tolerance lineup, in print order.
+// noisePrefetchers is the noise-tolerance lineup, in print order; each
+// label is also its registry name.
 var noisePrefetchers = []string{"Pathfinder", "SPP", "VLDP", "BO"}
 
 // NoiseTolerance tests §2.3's motivation for neural prefetchers — that
@@ -95,20 +75,6 @@ var noisePrefetchers = []string{"Pathfinder", "SPP", "VLDP", "BO"}
 func NoiseTolerance(w io.Writer, opts ...Option) ([]NoiseRow, error) {
 	o := newOptions(opts)
 	levels := []float64{0, 0.05, 0.10, 0.20, 0.30}
-
-	build := func(name string) (prefetch.Prefetcher, error) {
-		switch name {
-		case "Pathfinder":
-			return newPathfinder(core.DefaultConfig(), o.seed)
-		case "SPP":
-			return prefetch.NewSPP(), nil
-		case "VLDP":
-			return prefetch.NewVLDP(), nil
-		case "BO":
-			return prefetch.NewBestOffset(), nil
-		}
-		return nil, fmt.Errorf("experiments: unknown prefetcher %q", name)
-	}
 
 	var jobs []runner.Job
 	for _, noise := range levels {
@@ -126,13 +92,12 @@ func NoiseTolerance(w io.Writer, opts ...Option) ([]NoiseRow, error) {
 			return nil, err
 		}
 		for _, name := range noisePrefetchers {
-			name := name
-			jobs = append(jobs, runner.Job{
-				Trace: spec.Name,
-				Accs:  accs,
-				Label: name,
-				New:   func() (prefetch.Prefetcher, error) { return build(name) },
-			})
+			job, err := o.job(spec.Name, name, name)
+			if err != nil {
+				return nil, err
+			}
+			job.Accs = accs
+			jobs = append(jobs, job)
 		}
 	}
 	results, err := o.run(jobs)
@@ -210,22 +175,10 @@ func Interference(w io.Writer, opts ...Option) ([]InterferenceRow, error) {
 	cfg := o.sim
 	cfg.Warmup = o.loads / 10
 
-	build := func(name string) (prefetch.Prefetcher, error) {
-		switch name {
-		case "BO":
-			return prefetch.NewBestOffset(), nil
-		case "SPP":
-			return prefetch.NewSPP(), nil
-		case "Pathfinder":
-			return newPathfinder(core.DefaultConfig(), o.seed)
-		}
-		return nil, fmt.Errorf("experiments: unknown prefetcher %q", name)
-	}
-
 	names := []string{"BO", "SPP", "Pathfinder"}
 	rows := make([]InterferenceRow, len(names))
 	err = runner.ForEach(o.ctx, o.parallelism, len(names), func(i int) error {
-		p, err := build(names[i])
+		p, err := serve.NewPrefetcherByName(names[i], o.seed)
 		if err != nil {
 			return err
 		}

@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
-	"pathfinder/internal/core"
-	"pathfinder/internal/lstm"
-	"pathfinder/internal/prefetch"
 	"pathfinder/internal/runner"
-	"pathfinder/internal/trace"
 )
 
 // Fig4Result holds the Figure 4 comparison: per-trace, per-prefetcher IPC,
@@ -23,7 +18,8 @@ type Fig4Result struct {
 	BaselineIPC map[string]float64
 }
 
-// Fig4Prefetchers is the Figure 4 lineup, in the paper's order.
+// Fig4Prefetchers is the Figure 4 lineup, in the paper's order. Each label
+// is also its technique's registry name (names are case-insensitive).
 var Fig4Prefetchers = []string{
 	"NoPF", "BO", "SISB", "Voyager", "DeltaLSTM", "SPP", "Pythia",
 	"Pathfinder", "PF+NL", "PF+NL+SISB",
@@ -51,7 +47,7 @@ func Fig4(w io.Writer, opts ...Option) (Fig4Result, error) {
 			if name == "NoPF" {
 				continue
 			}
-			job, err := fig4Job(name, tr, o)
+			job, err := o.job(tr, name, name)
 			if err != nil {
 				return Fig4Result{}, err
 			}
@@ -80,64 +76,6 @@ func Fig4(w io.Writer, opts ...Option) (Fig4Result, error) {
 
 	res.print(w, o)
 	return res, nil
-}
-
-// fig4Job builds the evaluation job for one lineup member on one trace.
-func fig4Job(name, tr string, o options) (runner.Job, error) {
-	job := runner.Job{Trace: tr, Label: name}
-	mk := func() (*core.Pathfinder, error) {
-		return newPathfinder(core.DefaultConfig(), o.seed)
-	}
-	ensemble := func(label string, members ...prefetch.Prefetcher) *prefetch.Ensemble {
-		e := prefetch.NewEnsemble(members...)
-		e.Label = label
-		return e
-	}
-	switch name {
-	case "BO":
-		job.New = func() (prefetch.Prefetcher, error) { return prefetch.NewBestOffset(), nil }
-	case "SISB":
-		job.New = func() (prefetch.Prefetcher, error) { return prefetch.NewSISB(), nil }
-	case "SPP":
-		job.New = func() (prefetch.Prefetcher, error) { return prefetch.NewSPP(), nil }
-	case "Pythia":
-		job.New = func() (prefetch.Prefetcher, error) { return prefetch.NewPythia(o.seed), nil }
-	case "Pathfinder":
-		job.New = func() (prefetch.Prefetcher, error) { return mk() }
-	case "PF+NL":
-		job.New = func() (prefetch.Prefetcher, error) {
-			pf, err := mk()
-			if err != nil {
-				return nil, err
-			}
-			return ensemble("PF+NL", pf, &prefetch.NextLine{}), nil
-		}
-	case "PF+NL+SISB":
-		job.New = func() (prefetch.Prefetcher, error) {
-			pf, err := mk()
-			if err != nil {
-				return nil, err
-			}
-			// Fixed priority per §5: PATHFINDER first, temporal replay next,
-			// next-line as last-resort filler.
-			return ensemble("PF+NL+SISB", pf, prefetch.NewSISB(), &prefetch.NextLine{}), nil
-		}
-	case "DeltaLSTM":
-		job.GenFile = func(ctx context.Context, accs []trace.Access) ([]trace.Prefetch, error) {
-			cfg := lstm.DefaultDeltaLSTMConfig()
-			cfg.Seed = o.seed
-			return lstm.GenerateDeltaLSTM(cfg, accs, prefetch.Budget)
-		}
-	case "Voyager":
-		job.GenFile = func(ctx context.Context, accs []trace.Access) ([]trace.Prefetch, error) {
-			cfg := lstm.DefaultVoyagerConfig()
-			cfg.Seed = o.seed
-			return lstm.GenerateVoyager(cfg, accs, prefetch.Budget)
-		}
-	default:
-		return runner.Job{}, fmt.Errorf("experiments: unknown prefetcher %q", name)
-	}
-	return job, nil
 }
 
 func (r Fig4Result) print(w io.Writer, o options) {

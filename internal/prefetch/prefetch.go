@@ -50,18 +50,17 @@ func GenerateFileCtx(ctx context.Context, p Prefetcher, accs []trace.Access, bud
 // access at a time, collecting its suggestions into a prefetch file. Only
 // the prefetch file is materialized — it is what the simulator replays —
 // so generation over an arbitrarily long trace holds one Access at a time
-// plus the file itself. Sources exposing Remaining() (uint64, bool) get a
-// pre-sized output; the per-access advice slice is truncated in place
-// rather than copied.
+// plus the file itself. Sources exposing Remaining() (uint64, bool) get
+// an output pre-sized for their declared count, capped by trace.Presize
+// so a lying count cannot force a huge allocation; the per-access advice
+// slice is truncated in place rather than copied.
 func GenerateFileStreamCtx(ctx context.Context, p Prefetcher, src trace.Source, budget int) ([]trace.Prefetch, error) {
 	if budget <= 0 {
 		budget = Budget
 	}
 	var out []trace.Prefetch
-	if s, ok := src.(interface{ Remaining() (uint64, bool) }); ok {
-		if n, known := s.Remaining(); known {
-			out = make([]trace.Prefetch, 0, n*uint64(budget))
-		}
+	if n, ok := trace.Presize(src); ok {
+		out = make([]trace.Prefetch, 0, n*uint64(budget))
 	}
 	// Telemetry accumulators: per-access degrees land in a small local
 	// bucket array (degree is budget-bounded) flushed once at the end.

@@ -353,3 +353,28 @@ func TestGenerateFileStreamPropagatesError(t *testing.T) {
 		t.Fatal("generation swallowed a truncated stream")
 	}
 }
+
+// lyingSource declares far more records than it yields, as a corrupt or
+// hostile trace header can.
+type lyingSource struct {
+	trace.Source
+	declared uint64
+}
+
+func (s lyingSource) Remaining() (uint64, bool) { return s.declared, true }
+
+// TestGenerateFileStreamCapsPresize checks the output pre-size: a source
+// declaring 4 Mi records but yielding 3 must reserve at most 1 Mi records
+// × budget up front, the cap trace.Collect applies, not the declared
+// count.
+func TestGenerateFileStreamCapsPresize(t *testing.T) {
+	accs := []trace.Access{acc(1, 1, 10), acc(2, 1, 20), acc(3, 1, 30)}
+	src := lyingSource{Source: trace.NewSliceSource(accs), declared: 4 << 20}
+	out, err := GenerateFileStreamCtx(context.Background(), &NextLine{}, src, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := 2 << 20; cap(out) > limit {
+		t.Fatalf("pre-sized %d prefetch slots for 3 records, want at most %d", cap(out), limit)
+	}
+}

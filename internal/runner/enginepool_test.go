@@ -47,7 +47,7 @@ func TestEnginePoolReuseAfterPanic(t *testing.T) {
 	// Dirty a pooled engine: panic 2000 records into a replay, recover, and
 	// let the deferred release put the abandoned engine back.
 	func() {
-		eng, release := acquireEngine(cfg)
+		eng, release := sim.AcquireEngine(cfg)
 		defer release()
 		defer func() {
 			if recover() == nil {
@@ -59,7 +59,7 @@ func TestEnginePoolReuseAfterPanic(t *testing.T) {
 
 	// Single goroutine, same config: the next acquisition is the abandoned
 	// engine (sync.Pool returns the per-P victim first).
-	eng, release := acquireEngine(cfg)
+	eng, release := sim.AcquireEngine(cfg)
 	defer release()
 	got, err := eng.Run(accs, nil)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestEnginePoolWarmupIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, release := acquireEngine(cfg)
+		eng, release := sim.AcquireEngine(cfg)
 		got, err := eng.Run(accs, nil)
 		release()
 		if err != nil {

@@ -754,7 +754,7 @@ func (r *Runner) eval(ctx context.Context, job Job, c cell) (Result, error) {
 		counter = &countingSource{src: timed}
 		timed = counter
 	}
-	eng, release := acquireEngine(cfg)
+	eng, release := sim.AcquireEngine(cfg)
 	defer release()
 	res, err := eng.RunStreamCtx(ctx, timed, pfs)
 	if err != nil {
@@ -798,7 +798,7 @@ func (r *Runner) baseline(ctx context.Context, job Job, cfg sim.Config, in *inpu
 		if m := runnerTele.Load(); m != nil {
 			m.baselineSims.Inc()
 		}
-		eng, release := acquireEngine(cfg)
+		eng, release := sim.AcquireEngine(cfg)
 		defer release()
 		res, err := eng.RunStreamCtx(ctx, src, nil)
 		if err != nil {

@@ -39,102 +39,172 @@ type EvalResponse struct {
 	WallNanos   int64          `json:"wall_nanos,omitempty"`
 }
 
-// NewPrefetcherByName builds the named online prefetching technique — the
-// wire-facing registry of every baseline the facade exposes plus
-// PATHFINDER itself and the paper's ensembles. Names are case-insensitive.
+// NewPrefetcherByName builds the named online technique. It and JobFor
+// are the technique registry: every front end (pfsim, pfserved sessions,
+// eval requests, pfsweep grids, the experiments) resolves technique names
+// through them, and this is the authoritative list. Names are
+// case-insensitive; seed 0 selects each technique's default seed. Each
+// name is followed by the label its results carry:
+//
+//	none, nopf, ""               NoPF
+//	nextline, nl                 NextLine
+//	bo, bestoffset, best-offset  BO
+//	bo-throttled                 BO+FDP            Best-Offset under FDP throttling
+//	spp                          SPP
+//	sisb                         SISB              idealized ISB
+//	isb                          ISB
+//	pythia                       Pythia
+//	stride                       Stride
+//	vldp                         VLDP
+//	sms                          SMS
+//	nextpage                     NextPage
+//	pathfinder, pf               Pathfinder
+//	pathfinder-1tick             Pathfinder-1tick  1-tick inference (§3.4)
+//	pf+nl                        PF+NL             fixed-priority ensembles (§5)
+//	pf+nl+sisb, ensemble         PF+NL+SISB
+//	dynamic-ensemble             DynPF+SISB+NL     usefulness-scored ensemble
+//	deltalstm, delta-lstm        DeltaLSTM         offline; JobFor only
+//	voyager                      Voyager           offline; JobFor only
+//
+// The offline generators produce prefetch files, not online prefetchers,
+// so only JobFor builds them.
 func NewPrefetcherByName(name string, seed int64) (prefetch.Prefetcher, error) {
-	mkPF := func() (prefetch.Prefetcher, error) {
-		cfg := core.DefaultConfig()
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return core.New(cfg)
+	t, err := lookup(name, seed)
+	if err != nil {
+		return nil, err
 	}
-	ensemble := func(label string, members ...prefetch.Prefetcher) prefetch.Prefetcher {
-		e := prefetch.NewEnsemble(members...)
-		e.Label = label
-		return e
+	if t.online == nil {
+		return nil, fmt.Errorf("serve: %q is an offline technique with no online prefetcher; evaluate it as a job", name)
 	}
-	switch strings.ToLower(name) {
-	case "", "nopf", "none":
-		return prefetch.NoPrefetch{}, nil
-	case "nextline", "nl":
-		return &prefetch.NextLine{}, nil
-	case "bo", "bestoffset", "best-offset":
-		return prefetch.NewBestOffset(), nil
-	case "spp":
-		return prefetch.NewSPP(), nil
-	case "sisb":
-		return prefetch.NewSISB(), nil
-	case "isb":
-		return prefetch.NewISB(), nil
-	case "pythia":
-		return prefetch.NewPythia(seed), nil
-	case "stride":
-		return prefetch.NewStride(), nil
-	case "vldp":
-		return prefetch.NewVLDP(), nil
-	case "sms":
-		return prefetch.NewSMS(), nil
-	case "nextpage":
-		return prefetch.NewNextPage(), nil
-	case "pathfinder", "pf":
-		return mkPF()
-	case "pf+nl":
-		pf, err := mkPF()
-		if err != nil {
-			return nil, err
-		}
-		return ensemble("PF+NL", pf, &prefetch.NextLine{}), nil
-	case "pf+nl+sisb":
-		pf, err := mkPF()
-		if err != nil {
-			return nil, err
-		}
-		return ensemble("PF+NL+SISB", pf, prefetch.NewSISB(), &prefetch.NextLine{}), nil
-	}
-	return nil, fmt.Errorf("serve: unknown prefetcher %q", name)
+	return t.online()
 }
 
-// JobFor translates an EvalRequest into a runner job — the wire-facing
-// registry shared by the serving daemon and the distributed sweep
-// (internal/dist), whose workers rebuild coordinator-granted cells from
-// serializable specs through it. The offline
-// generators (Delta-LSTM / Voyager) are reachable too, via the runner's
-// GenFile path.
+// JobFor translates an EvalRequest into a runner job through the
+// technique registry (see NewPrefetcherByName for the names). The serving
+// daemon, the distributed sweep (internal/dist, whose workers rebuild
+// coordinator-granted cells from serializable specs through it) and the
+// experiments build their jobs here. An online technique becomes a
+// job.New factory, an offline one (Delta-LSTM / Voyager) a job.GenFile;
+// an unknown name fails here, before any cell runs.
 func JobFor(req EvalRequest) (runner.Job, error) {
+	t, err := lookup(req.Prefetcher, req.Seed)
+	if err != nil {
+		return runner.Job{}, err
+	}
 	job := runner.Job{
-		Trace: req.Trace,
-		Loads: req.Loads,
-		Seed:  req.Seed,
+		Trace:   req.Trace,
+		Loads:   req.Loads,
+		Seed:    req.Seed,
+		Label:   t.label,
+		New:     t.online,
+		GenFile: t.offline,
 	}
 	if req.Budget > 0 {
 		job.Budget = req.Budget
 	}
-	name, seed := req.Prefetcher, req.Seed
+	return job, nil
+}
+
+// technique is one resolved registry entry: exactly one of online and
+// offline is set. label names the technique where its prefetcher's Name()
+// does not; it becomes the job label, which is part of the runner's
+// journal cell key, so it is empty wherever Name() suffices.
+type technique struct {
+	label   string
+	online  func() (prefetch.Prefetcher, error)
+	offline func(ctx context.Context, accs []trace.Access) ([]trace.Prefetch, error)
+}
+
+// lookup resolves one registry name for a seed; it is the only place a
+// technique name is decoded.
+func lookup(name string, seed int64) (technique, error) {
+	withPF := func(label string, oneTick bool, wrap func(pf prefetch.Prefetcher) prefetch.Prefetcher) technique {
+		return technique{label: label, online: func() (prefetch.Prefetcher, error) {
+			cfg := core.DefaultConfig()
+			if seed != 0 {
+				cfg.Seed = seed
+			}
+			cfg.OneTick = oneTick
+			pf, err := core.New(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return wrap(pf), nil
+		}}
+	}
+	alone := func(pf prefetch.Prefetcher) prefetch.Prefetcher { return pf }
 	switch strings.ToLower(name) {
+	case "", "nopf", "none":
+		return tableTech(func() prefetch.NoPrefetch { return prefetch.NoPrefetch{} }), nil
+	case "nextline", "nl":
+		return tableTech(func() *prefetch.NextLine { return &prefetch.NextLine{} }), nil
+	case "bo", "bestoffset", "best-offset":
+		return tableTech(prefetch.NewBestOffset), nil
+	case "bo-throttled":
+		return tableTech(func() *prefetch.Throttle { return prefetch.NewThrottle(prefetch.NewBestOffset()) }), nil
+	case "spp":
+		return tableTech(prefetch.NewSPP), nil
+	case "sisb":
+		return tableTech(prefetch.NewSISB), nil
+	case "isb":
+		return tableTech(prefetch.NewISB), nil
+	case "pythia":
+		return tableTech(func() *prefetch.Pythia { return prefetch.NewPythia(seed) }), nil
+	case "stride":
+		return tableTech(prefetch.NewStride), nil
+	case "vldp":
+		return tableTech(prefetch.NewVLDP), nil
+	case "sms":
+		return tableTech(prefetch.NewSMS), nil
+	case "nextpage":
+		return tableTech(prefetch.NewNextPage), nil
+	case "pathfinder", "pf":
+		return withPF("", false, alone), nil
+	case "pathfinder-1tick":
+		return withPF("Pathfinder-1tick", true, alone), nil
+	case "pf+nl":
+		return withPF("", false, func(pf prefetch.Prefetcher) prefetch.Prefetcher {
+			e := prefetch.NewEnsemble(pf, &prefetch.NextLine{})
+			e.Label = "PF+NL"
+			return e
+		}), nil
+	case "pf+nl+sisb", "ensemble":
+		// Fixed priority per §5: PATHFINDER first, temporal replay next,
+		// next-line as last-resort filler.
+		return withPF("", false, func(pf prefetch.Prefetcher) prefetch.Prefetcher {
+			e := prefetch.NewEnsemble(pf, prefetch.NewSISB(), &prefetch.NextLine{})
+			e.Label = "PF+NL+SISB"
+			return e
+		}), nil
+	case "dynamic-ensemble":
+		return withPF("", false, func(pf prefetch.Prefetcher) prefetch.Prefetcher {
+			d := prefetch.NewDynamicEnsemble(pf, prefetch.NewSISB(), &prefetch.NextLine{})
+			d.Label = "DynPF+SISB+NL"
+			return d
+		}), nil
 	case "deltalstm", "delta-lstm":
-		job.Label = "DeltaLSTM"
-		job.GenFile = func(ctx context.Context, accs []trace.Access) ([]trace.Prefetch, error) {
+		return technique{label: "DeltaLSTM", offline: func(ctx context.Context, accs []trace.Access) ([]trace.Prefetch, error) {
 			cfg := lstm.DefaultDeltaLSTMConfig()
 			if seed != 0 {
 				cfg.Seed = seed
 			}
 			return lstm.GenerateDeltaLSTM(cfg, accs, prefetch.Budget)
-		}
+		}}, nil
 	case "voyager":
-		job.Label = "Voyager"
-		job.GenFile = func(ctx context.Context, accs []trace.Access) ([]trace.Prefetch, error) {
+		return technique{label: "Voyager", offline: func(ctx context.Context, accs []trace.Access) ([]trace.Prefetch, error) {
 			cfg := lstm.DefaultVoyagerConfig()
 			if seed != 0 {
 				cfg.Seed = seed
 			}
 			return lstm.GenerateVoyager(cfg, accs, prefetch.Budget)
-		}
-	default:
-		job.New = func() (prefetch.Prefetcher, error) { return NewPrefetcherByName(name, seed) }
+		}}, nil
 	}
-	return job, nil
+	return technique{}, fmt.Errorf("serve: unknown prefetcher %q", name)
+}
+
+// tableTech wraps a table prefetcher's constructor as a registry entry.
+func tableTech[P prefetch.Prefetcher](mk func() P) technique {
+	return technique{online: func() (prefetch.Prefetcher, error) { return mk(), nil }}
 }
 
 // handleEval parses and launches one evaluation job; the reply is

@@ -306,10 +306,10 @@ func TestGracefulDrainFlushesEveryAcceptedEventExactlyOnce(t *testing.T) {
 			c := dialBinary(t, srv.Addr())
 			defer c.close()
 
-			// Fire a burst and immediately start the drain: whatever was
-			// accepted before the draining flag landed must come back as
-			// exactly one prediction each; the rest must be rejected, not
-			// buffered and not lost.
+			// Fire a burst and start the drain as soon as the first event
+			// is accepted: whatever was accepted before the draining flag
+			// landed must come back as exactly one prediction each; the
+			// rest must be rejected, not buffered and not lost.
 			const total = 300
 			sent := make(chan struct{})
 			go func() {
@@ -320,7 +320,9 @@ func TestGracefulDrainFlushesEveryAcceptedEventExactlyOnce(t *testing.T) {
 					}
 				}
 			}()
-			time.Sleep(2 * time.Millisecond)
+			waitFor(t, 10*time.Second, func() bool {
+				return reg.Snapshot().Counters["serve.events_accepted"] >= 1
+			})
 			drained := make(chan error, 1)
 			go func() {
 				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

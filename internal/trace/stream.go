@@ -68,13 +68,11 @@ func (s *SliceSource) Reset() { s.i = 0 }
 // Collect drains a Source into a slice — the bridge back from the
 // streaming world for consumers that genuinely need random access (offline
 // trainers, delta statistics). Sources exposing Remaining() (uint64, bool)
-// get a pre-sized destination, up to presizeMax records.
+// get a pre-sized destination (see Presize).
 func Collect(src Source) ([]Access, error) {
 	var accs []Access
-	if s, ok := src.(interface{ Remaining() (uint64, bool) }); ok {
-		if n, known := s.Remaining(); known {
-			accs = make([]Access, 0, min(n, presizeMax))
-		}
+	if n, ok := Presize(src); ok {
+		accs = make([]Access, 0, n)
 	}
 	for {
 		var a Access
@@ -130,6 +128,18 @@ const sanityMaxRecords = 1 << 30
 // declaring a billion records must not cost gigabytes before the first
 // record decodes, so longer traces grow as their records arrive.
 const presizeMax = 1 << 20
+
+// Presize reports how many records a consumer draining src should
+// allocate for up front: the count src declares through Remaining,
+// capped at presizeMax. ok is false when src declares no count.
+func Presize(src Source) (n uint64, ok bool) {
+	s, ok := src.(interface{ Remaining() (uint64, bool) })
+	if !ok {
+		return 0, false
+	}
+	n, ok = s.Remaining()
+	return min(n, presizeMax), ok
+}
 
 // Reader is the streaming binary trace decoder: it accepts both the
 // counted PFT2 container and the unbounded PFT3 stream container and

@@ -32,10 +32,10 @@ type (
 // ServeConfig.DrainTimeout) or Shutdown (caller-bounded drain).
 func NewPrefetchServer(cfg ServeConfig) (*PrefetchServer, error) { return serve.New(cfg) }
 
-// NewPrefetcherByName builds the named online prefetching technique (the
-// registry the daemon's evaluation jobs use): "pathfinder", "pf+nl",
-// "pf+nl+sisb", "nextline", "bo", "spp", "sisb", "isb", "pythia",
-// "stride", "vldp", "sms", "nextpage", or "nopf".
+// NewPrefetcherByName builds the named online prefetching technique from
+// the technique registry that pfsim, pfsweep grids and the daemon's
+// sessions and evaluation jobs share; the names are listed on
+// NewPrefetcherByName in internal/serve (eval.go).
 func NewPrefetcherByName(name string, seed int64) (OnlinePrefetcher, error) {
 	return serve.NewPrefetcherByName(name, seed)
 }
