@@ -63,6 +63,7 @@ fuzz-short:
 	$(GO) test -tags pfdebug ./internal/trace/ -run '^$$' -fuzz FuzzReadPrefetches -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/serve/ -run '^$$' -fuzz FuzzServeFrame -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/core/ -run '^$$' -fuzz FuzzLoadSession -fuzztime $(FUZZTIME)
+	$(GO) test -tags pfdebug ./internal/runner/ -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./ -run '^$$' -fuzz FuzzLoadPrefetcher -fuzztime $(FUZZTIME)
 
 # The serving-daemon integration harness: concurrent client sessions over

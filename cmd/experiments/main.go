@@ -53,50 +53,6 @@ func writeJSON(dir, name string, v any) error {
 	return os.WriteFile(filepath.Join(dir, name+".json"), data, 0o644)
 }
 
-// setupTelemetry wires the -metrics family of flags: it enables telemetry
-// across the stack, optionally serves the live endpoints and streams JSONL
-// samples, and returns a cleanup that stops the sinks and (with -metrics)
-// prints the final snapshot on stderr.
-func setupTelemetry(print bool, addr, jsonl string) (func(), error) {
-	if !print && addr == "" && jsonl == "" {
-		return func() {}, nil
-	}
-	pathfinder.EnableTelemetry()
-	cleanup := []func(){}
-	if addr != "" {
-		bound, shutdown, err := pathfinder.ServeTelemetry(addr)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "experiments: serving telemetry on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof)\n", bound)
-		cleanup = append(cleanup, shutdown)
-	}
-	if jsonl != "" {
-		f, err := os.Create(jsonl)
-		if err != nil {
-			return nil, err
-		}
-		s := pathfinder.StartTelemetrySampler(f, time.Second)
-		cleanup = append(cleanup, func() {
-			s.Stop()
-			f.Close()
-		})
-	}
-	return func() {
-		for i := len(cleanup) - 1; i >= 0; i-- {
-			cleanup[i]()
-		}
-		if print {
-			if snap := pathfinder.TelemetrySnapshotNow(); snap != nil {
-				data, err := json.MarshalIndent(snap, "", "  ")
-				if err == nil {
-					fmt.Fprintf(os.Stderr, "experiments: telemetry:\n%s\n", data)
-				}
-			}
-		}
-	}, nil
-}
-
 // stderrIsTerminal reports whether stderr is a character device, i.e. a
 // live terminal rather than a pipe or file.
 func stderrIsTerminal() bool {
@@ -151,7 +107,7 @@ func main() {
 	}
 	defer stopProfiles()
 
-	stopMetrics, err := setupTelemetry(*metrics, *metrAddr, *metrJSONL)
+	stopMetrics, err := profiling.SetupTelemetry("experiments", *metrics, *metrAddr, *metrJSONL)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

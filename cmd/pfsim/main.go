@@ -22,13 +22,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"time"
 
 	"pathfinder"
 	"pathfinder/internal/profiling"
@@ -75,7 +73,7 @@ func main() {
 	stopProfiles = sp
 	defer stopProfiles()
 
-	stopMetrics, err := setupTelemetry(*metrics, *metrAddr, *metrJSONL)
+	stopMetrics, err := profiling.SetupTelemetry("pfsim", *metrics, *metrAddr, *metrJSONL)
 	if err != nil {
 		fatal(err)
 	}
@@ -355,50 +353,6 @@ func generate(ctx context.Context, name string, open func(context.Context) (path
 	}
 	pfs, err := pathfinder.GeneratePrefetchesStream(ctx, p, src, pathfinder.Budget)
 	return pfs, label, err
-}
-
-// setupTelemetry wires the -metrics family of flags: it enables telemetry
-// across the stack, optionally serves the live endpoints and streams JSONL
-// samples, and returns a cleanup that stops the sinks and (with -metrics)
-// prints the final snapshot on stderr.
-func setupTelemetry(print bool, addr, jsonl string) (func(), error) {
-	if !print && addr == "" && jsonl == "" {
-		return func() {}, nil
-	}
-	pathfinder.EnableTelemetry()
-	cleanup := []func(){}
-	if addr != "" {
-		bound, shutdown, err := pathfinder.ServeTelemetry(addr)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "pfsim: serving telemetry on http://%s/metrics (expvar at /debug/vars, pprof at /debug/pprof)\n", bound)
-		cleanup = append(cleanup, shutdown)
-	}
-	if jsonl != "" {
-		f, err := os.Create(jsonl)
-		if err != nil {
-			return nil, err
-		}
-		s := pathfinder.StartTelemetrySampler(f, time.Second)
-		cleanup = append(cleanup, func() {
-			s.Stop()
-			f.Close()
-		})
-	}
-	return func() {
-		for i := len(cleanup) - 1; i >= 0; i-- {
-			cleanup[i]()
-		}
-		if print {
-			if snap := pathfinder.TelemetrySnapshotNow(); snap != nil {
-				data, err := json.MarshalIndent(snap, "", "  ")
-				if err == nil {
-					fmt.Fprintf(os.Stderr, "pfsim: telemetry:\n%s\n", data)
-				}
-			}
-		}
-	}, nil
 }
 
 func fatal(err error) {

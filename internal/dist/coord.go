@@ -440,6 +440,13 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 	cc := &coordConn{name: hello.Worker, conn: conn, mw: &msgWriter{w: conn, inj: c.cfg.Fault}}
 	c.mu.Lock()
+	if c.ctx.Err() != nil {
+		// shutdown cancels before it closes the registered connections, so
+		// a connection registered now would never be closed and its read
+		// loop would block shutdown's join forever.
+		c.mu.Unlock()
+		return
+	}
 	c.conns[cc] = struct{}{}
 	c.mu.Unlock()
 	m := distTele.Load()

@@ -1,6 +1,9 @@
 package prefetch
 
-import "pathfinder/internal/trace"
+import (
+	"pathfinder/internal/flat"
+	"pathfinder/internal/trace"
+)
 
 // DynamicEnsemble implements the "dynamic ensemble priority policies" the
 // paper names as future work (§5): instead of a fixed member order, it
@@ -26,7 +29,7 @@ type DynamicEnsemble struct {
 	scores []float64
 	// pending maps a suggested block to the head of its suggestion chain
 	// in the nodes arena; nodes are recycled through a free list.
-	pending *Table[int32]
+	pending *flat.Table[int32]
 	nodes   []dynPendingNode
 	free    int32 // free-list head, -1 when empty
 	n       uint64
@@ -50,7 +53,7 @@ func NewDynamicEnsemble(members ...Prefetcher) *DynamicEnsemble {
 		Window:  256,
 		Epsilon: 1.0 / 16,
 		scores:  make([]float64, len(members)),
-		pending: NewTable[int32](1024),
+		pending: flat.NewTable[int32](1024),
 		free:    -1,
 		sugg:    make([][]uint64, len(members)),
 		order:   make([]int, len(members)),

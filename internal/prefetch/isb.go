@@ -1,6 +1,9 @@
 package prefetch
 
-import "pathfinder/internal/trace"
+import (
+	"pathfinder/internal/flat"
+	"pathfinder/internal/trace"
+)
 
 // ISB is the realistic (bounded-metadata) Irregular Stream Buffer of Jain
 // & Lin (MICRO 2013), complementing the competition's idealized SISB
@@ -12,14 +15,14 @@ import "pathfinder/internal/trace"
 // (PS) and structural → physical (SP). The idealized SISB corresponds to
 // unbounded mappings.
 type ISB struct {
-	ps *Table[isbMapping] // physical block -> structural address + LRU stamp
-	sp *Table[uint64]     // structural address -> physical block
+	ps *flat.Table[isbMapping] // physical block -> structural address + LRU stamp
+	sp *flat.Table[uint64]     // structural address -> physical block
 
-	last *Table[uint64] // pc -> previous physical block
+	last *flat.Table[uint64] // pc -> previous physical block
 
 	// cursor is each PC stream's next free structural address; chunks
 	// counts allocated structural chunks.
-	cursor *Table[uint64]
+	cursor *flat.Table[uint64]
 	chunks uint64
 
 	// Cap bounds the PS/SP mappings (on-chip metadata).
@@ -41,10 +44,10 @@ type isbMapping struct {
 // metadata budget).
 func NewISB() *ISB {
 	return &ISB{
-		ps:                NewTable[isbMapping](8192),
-		sp:                NewTable[uint64](8192),
-		last:              NewTable[uint64](256),
-		cursor:            NewTable[uint64](256),
+		ps:                flat.NewTable[isbMapping](8192),
+		sp:                flat.NewTable[uint64](8192),
+		last:              flat.NewTable[uint64](256),
+		cursor:            flat.NewTable[uint64](256),
 		Cap:               8192,
 		StreamGranularity: 256,
 	}

@@ -1,6 +1,9 @@
 package prefetch
 
-import "pathfinder/internal/trace"
+import (
+	"pathfinder/internal/flat"
+	"pathfinder/internal/trace"
+)
 
 // NextPage addresses the limitation the paper leaves as future work in
 // §3.4: "Predicting the first access to a page that has not been touched in
@@ -10,7 +13,7 @@ import "pathfinder/internal/trace"
 // the next page — bridging exactly the gap PATHFINDER's within-page model
 // cannot cover. It is designed to be ensembled with PATHFINDER.
 type NextPage struct {
-	table *Table[nextPageEntry]
+	table *flat.Table[nextPageEntry]
 	cap   int
 	clock uint64
 
@@ -35,7 +38,7 @@ type nextPageEntry struct {
 // NewNextPage returns a cold-page first-access predictor.
 func NewNextPage() *NextPage {
 	return &NextPage{
-		table:         NewTable[nextPageEntry](256),
+		table:         flat.NewTable[nextPageEntry](256),
 		cap:           256,
 		MinConfidence: 2,
 		Lookahead:     1,

@@ -3,6 +3,7 @@ package prefetch
 import (
 	"math/rand"
 
+	"pathfinder/internal/flat"
 	"pathfinder/internal/trace"
 )
 
@@ -81,10 +82,10 @@ type Pythia struct {
 	eqLen  int
 	// pending maps a target block to its chain of EQ entries, linked
 	// through pythiaEQEntry.next in FIFO (enqueue) order.
-	pending *Table[int32]
+	pending *flat.Table[int32]
 
-	lastOffset *Table[int]    // page -> last offset
-	deltaPath  *Table[[3]int] // page -> last three deltas
+	lastOffset *flat.Table[int]    // page -> last offset
+	deltaPath  *flat.Table[[3]int] // page -> last three deltas
 	rng        *rand.Rand
 
 	curStates []int        // scratch: feature states of the current access
@@ -125,9 +126,9 @@ func NewPythiaWithConfig(cfg PythiaConfig) *Pythia {
 	p := &Pythia{
 		cfg:        cfg,
 		eq:         make([]pythiaEQEntry, cfg.EQSize),
-		pending:    NewTable[int32](cfg.EQSize),
-		lastOffset: NewTable[int](4096),
-		deltaPath:  NewTable[[3]int](4096),
+		pending:    flat.NewTable[int32](cfg.EQSize),
+		lastOffset: flat.NewTable[int](4096),
+		deltaPath:  flat.NewTable[[3]int](4096),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		curStates:  make([]int, len(cfg.Features)),
 		cands:      make([]pythiaCand, len(cfg.Actions)),

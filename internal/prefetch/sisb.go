@@ -1,6 +1,9 @@
 package prefetch
 
-import "pathfinder/internal/trace"
+import (
+	"pathfinder/internal/flat"
+	"pathfinder/internal/trace"
+)
 
 // SISB is the idealized version of the Irregular Stream Buffer (Jain & Lin,
 // MICRO 2013) provided by the ML Prefetching Competition and used as the
@@ -15,9 +18,9 @@ type SISB struct {
 	// The two-level shape keeps the unbounded-metadata semantics exact
 	// (no 128-bit key is squeezed into 64 bits) while staying flat: the
 	// inner tables are Table values stored inline in the outer one.
-	succ *Table[Table[uint64]]
+	succ *flat.Table[flat.Table[uint64]]
 	// last maps pc -> the previous block touched by that PC.
-	last *Table[uint64]
+	last *flat.Table[uint64]
 
 	advBuf []uint64
 }
@@ -25,8 +28,8 @@ type SISB struct {
 // NewSISB returns an idealized ISB with unbounded metadata.
 func NewSISB() *SISB {
 	return &SISB{
-		succ: NewTable[Table[uint64]](256),
-		last: NewTable[uint64](256),
+		succ: flat.NewTable[flat.Table[uint64]](256),
+		last: flat.NewTable[uint64](256),
 	}
 }
 

@@ -1,6 +1,9 @@
 package prefetch
 
-import "pathfinder/internal/trace"
+import (
+	"pathfinder/internal/flat"
+	"pathfinder/internal/trace"
+)
 
 // SMS is Spatial Memory Streaming (Somogyi et al., ISCA 2006), the spatial
 // prefetcher family of §2.1: it learns which blocks of a spatial region are
@@ -10,10 +13,10 @@ import "pathfinder/internal/trace"
 type SMS struct {
 	// active tracks regions currently accumulating footprints
 	// (accumulation generation table).
-	active *Table[smsGeneration]
+	active *flat.Table[smsGeneration]
 	// patterns is the pattern history table: trigger signature ->
 	// footprint bitmask.
-	patterns *Table[uint64]
+	patterns *flat.Table[uint64]
 	// ActiveCap and PatternCap bound the two tables.
 	ActiveCap, PatternCap int
 	clock                 uint64
@@ -31,8 +34,8 @@ type smsGeneration struct {
 // table.
 func NewSMS() *SMS {
 	return &SMS{
-		active:     NewTable[smsGeneration](64),
-		patterns:   NewTable[uint64](4096),
+		active:     flat.NewTable[smsGeneration](64),
+		patterns:   flat.NewTable[uint64](4096),
 		ActiveCap:  64,
 		PatternCap: 4096,
 	}

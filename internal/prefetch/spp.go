@@ -1,6 +1,9 @@
 package prefetch
 
-import "pathfinder/internal/trace"
+import (
+	"pathfinder/internal/flat"
+	"pathfinder/internal/trace"
+)
 
 // SPP is the Signature Path Prefetcher (Kim et al., MICRO 2016), the
 // history-based delta baseline of §4.3. Per page it compresses the recent
@@ -11,7 +14,7 @@ import "pathfinder/internal/trace"
 // threshold — the adaptive selectivity that gives it the highest accuracy
 // but lowest coverage in Figure 4/Table 6.
 type SPP struct {
-	sig *Table[sppPage] // page -> tracking entry
+	sig *flat.Table[sppPage] // page -> tracking entry
 	// pattern is indexed directly by the 12-bit signature — the table is
 	// exactly the 4096-entry SRAM structure of the paper, and a zero entry
 	// (total == 0) behaves identically to an absent one.
@@ -47,7 +50,7 @@ type sppEntry struct {
 // NewSPP returns an SPP with the standard configuration.
 func NewSPP() *SPP {
 	return &SPP{
-		sig:                 NewTable[sppPage](4096),
+		sig:                 flat.NewTable[sppPage](4096),
 		pattern:             make([]sppEntry, 1<<12),
 		sigCap:              4096,
 		ConfidenceThreshold: 0.5,

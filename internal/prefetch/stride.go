@@ -1,6 +1,9 @@
 package prefetch
 
-import "pathfinder/internal/trace"
+import (
+	"pathfinder/internal/flat"
+	"pathfinder/internal/trace"
+)
 
 // Stride is the classic per-PC (instruction-pointer) stride prefetcher of
 // Baer & Chen (§2.1's strided-prefetcher family): a reference-prediction
@@ -8,7 +11,7 @@ import "pathfinder/internal/trace"
 // ahead once the same stride repeats. It complements NextLine (which is
 // PC-blind) and Best-Offset (which learns one global offset).
 type Stride struct {
-	table *Table[strideEntry]
+	table *flat.Table[strideEntry]
 	cap   int
 	clock uint64
 
@@ -29,7 +32,7 @@ type strideEntry struct {
 // NewStride returns a stride prefetcher with a 256-entry table.
 func NewStride() *Stride {
 	return &Stride{
-		table:         NewTable[strideEntry](256),
+		table:         flat.NewTable[strideEntry](256),
 		cap:           256,
 		MinConfidence: 2,
 	}

@@ -1,6 +1,9 @@
 package prefetch
 
-import "pathfinder/internal/trace"
+import (
+	"pathfinder/internal/flat"
+	"pathfinder/internal/trace"
+)
 
 // Throttle wraps any prefetcher with feedback-directed aggressiveness
 // control after Srinath et al. (HPCA 2007). The §4.3 Best-Offset baseline
@@ -22,7 +25,7 @@ type Throttle struct {
 	// count as accurate.
 	Window int
 
-	pending  *Table[uint64] // suggested block -> access count when suggested
+	pending  *flat.Table[uint64] // suggested block -> access count when suggested
 	n        uint64
 	hits     int
 	issued   int
@@ -38,7 +41,7 @@ func NewThrottle(inner Prefetcher) *Throttle {
 		HighWater: 0.40,
 		LowWater:  0.10,
 		Window:    256,
-		pending:   NewTable[uint64](1024),
+		pending:   flat.NewTable[uint64](1024),
 	}
 }
 

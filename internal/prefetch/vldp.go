@@ -1,6 +1,9 @@
 package prefetch
 
-import "pathfinder/internal/trace"
+import (
+	"pathfinder/internal/flat"
+	"pathfinder/internal/trace"
+)
 
 // VLDP is the Variable Length Delta Prefetcher (Shevgoor et al., MICRO
 // 2015), cited in §2.1 as the complex end of the delta-correlation
@@ -10,7 +13,7 @@ import "pathfinder/internal/trace"
 // TAGE-like structure the paper mentions). Predictions chain for
 // multi-degree prefetching.
 type VLDP struct {
-	dhb    *Table[vldpPage] // delta history buffer: page -> history
+	dhb    *flat.Table[vldpPage] // delta history buffer: page -> history
 	dhbCap int
 	clock  uint64
 
@@ -18,7 +21,7 @@ type VLDP struct {
 
 	// dpt[k] maps a key of (k+1) recent deltas to the predicted next
 	// delta with a 2-bit confidence.
-	dpt [3]*Table[vldpPred]
+	dpt [3]*flat.Table[vldpPred]
 }
 
 type vldpPage struct {
@@ -36,9 +39,9 @@ type vldpPred struct {
 // NewVLDP returns a VLDP with a 128-page history buffer and three
 // prediction tables.
 func NewVLDP() *VLDP {
-	v := &VLDP{dhb: NewTable[vldpPage](128), dhbCap: 128}
+	v := &VLDP{dhb: flat.NewTable[vldpPage](128), dhbCap: 128}
 	for i := range v.dpt {
-		v.dpt[i] = NewTable[vldpPred](1024)
+		v.dpt[i] = flat.NewTable[vldpPred](1024)
 	}
 	return v
 }

@@ -1,7 +1,8 @@
-// Package profiling wires runtime/pprof into the command-line tools: the
-// -cpuprofile/-memprofile flags of cmd/experiments and cmd/pfsim funnel
-// through Start. docs/performance.md shows how to analyze the output with
-// `go tool pprof`.
+// Package profiling wires runtime/pprof and telemetry into the
+// command-line tools: the -cpuprofile/-memprofile flags of cmd/experiments
+// and cmd/pfsim funnel through Start, and their -metrics, -metrics-addr and
+// -metrics-jsonl flags through SetupTelemetry. docs/performance.md shows
+// how to analyze the profiles with `go tool pprof`.
 package profiling
 
 import (

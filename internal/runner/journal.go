@@ -38,9 +38,11 @@ type journalEntry struct {
 // process; it is not a lock file and must not be shared between
 // simultaneously running sweeps.
 //
-// Crash safety: entries are written as whole lines and the loader ignores
-// (and truncates away) a torn final line, so a run killed mid-write
-// resumes from the last fully recorded cell.
+// Crash safety: each entry is written whole with one Write, so only the
+// final line can be torn. The loader ignores (and truncates away) a torn
+// or unparsable final line, so a run killed mid-write resumes from the
+// last fully recorded cell; an unparsable line with data after it is
+// corruption, and the load fails with its line number instead.
 //
 // Ledger semantics: a journal doubles as the authoritative result ledger
 // of a distributed sweep (internal/dist). Duplicate entries for the same
@@ -74,11 +76,13 @@ func OpenJournal(path string) (*Journal, error) {
 }
 
 // load parses the existing file, records complete entries, and truncates
-// any torn tail so appends continue from a clean line boundary. Replay
-// validates duplicates: a key recorded twice with the same payload is the
-// legal idempotent-duplicate case, but a key recorded twice with
-// conflicting payloads is corruption and fails with the offending line
-// number rather than silently keeping the last entry.
+// a torn final line so appends continue from a clean line boundary. Any
+// other unparsable line is corruption: load fails with its line number and
+// leaves the file untouched rather than truncating away the valid entries
+// after it. Replay validates duplicates: a key recorded twice with the
+// same payload is the legal idempotent-duplicate case, but a key recorded
+// twice with conflicting payloads is corruption and fails with the
+// offending line number rather than silently keeping the last entry.
 func (j *Journal) load() error {
 	br := bufio.NewReader(j.f)
 	var good int64 // offset just past the last fully parsed line
@@ -120,7 +124,14 @@ func (j *Journal) load() error {
 		}
 		var e journalEntry
 		if !complete || json.Unmarshal(line, &e) != nil || e.Key == "" {
-			// Torn or corrupt tail: resume from the last good entry.
+			// Only the final line can be torn: resume from the last good
+			// entry. Data after the line means it is corrupt, not torn.
+			if _, perr := br.Peek(1); perr != io.EOF {
+				if perr != nil {
+					return fmt.Errorf("journal %s: %w", j.path, perr)
+				}
+				return fmt.Errorf("journal %s: line %d: corrupt entry followed by more data", j.path, lineNo)
+			}
 			break
 		}
 		if prev, ok := j.seen[e.Key]; ok && !PayloadEqual(prev, e.Result) {

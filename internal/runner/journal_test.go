@@ -117,6 +117,49 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalCorruptMiddleLine checks that only the final line is treated
+// as a torn tail: an unparsable line with entries after it fails the load
+// with its line number and leaves the file untouched, instead of
+// truncating away the valid entries that follow it.
+func TestJournalCorruptMiddleLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if err := j.Record(k, testResult("cc-5", k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if !strings.HasPrefix(lines[2], `{"key":"b"`) {
+		t.Fatalf("line 3 = %q, want entry b", lines[2])
+	}
+	lines[2] = "X" + lines[2][1:]
+	corrupt := []byte(strings.Join(lines, ""))
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := OpenJournal(path); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("OpenJournal with a corrupt middle line: err = %v, want a line 3 error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(corrupt) {
+		t.Fatalf("failed load modified the file:\n got %q\nwant %q", after, corrupt)
+	}
+}
+
 // TestJournalRejectsForeignFile checks that a non-journal file errors
 // instead of being silently truncated or treated as empty.
 func TestJournalRejectsForeignFile(t *testing.T) {
@@ -287,4 +330,73 @@ func TestJournalRecordAfterClose(t *testing.T) {
 	if err := j.Record("k", Result{}); err == nil {
 		t.Error("record on a closed journal succeeded")
 	}
+}
+
+// FuzzOpenJournal feeds arbitrary bytes to the journal loader. It must
+// never panic; a journal that opens must reopen to the same cells, and a
+// cell recorded after the load must survive a further reopen.
+func FuzzOpenJournal(f *testing.F) {
+	hdr, _ := json.Marshal(journalHeader{Format: journalFormat, Version: journalVersion})
+	entry := func(key string) string {
+		b, _ := json.Marshal(journalEntry{Key: key, Result: testResult("cc-5", key)})
+		return string(b) + "\n"
+	}
+	valid := string(hdr) + "\n" + entry("a") + entry("b")
+	f.Add([]byte(valid))
+	f.Add([]byte(valid + `{"key":"c","result":{"IPC":1.`))
+	f.Add([]byte(string(hdr) + "\n" + entry("a") + "X" + entry("b")[1:] + entry("c")))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path)
+		if err != nil {
+			return
+		}
+		want := make(map[string]Result, len(j.seen))
+		for k, v := range j.seen {
+			want[k] = v
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check := func(j *Journal) {
+			t.Helper()
+			if j.Completed() != len(want) {
+				t.Fatalf("reopened Completed = %d, want %d", j.Completed(), len(want))
+			}
+			for k, res := range want {
+				if got, ok := j.Lookup(k); !ok || got != res {
+					t.Fatalf("reopened Lookup(%q) = %+v, %v; want %+v", k, got, ok, res)
+				}
+			}
+		}
+
+		j2, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("reopening a journal that opened: %v", err)
+		}
+		check(j2)
+		key := "fuzz-new"
+		for _, taken := want[key]; taken; _, taken = want[key] {
+			key += "+"
+		}
+		res := testResult("fuzz", key)
+		if err := j2.Record(key, res); err != nil {
+			t.Fatal(err)
+		}
+		if err := j2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want[key] = res
+
+		j3, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("reopening after Record: %v", err)
+		}
+		defer j3.Close()
+		check(j3)
+	})
 }

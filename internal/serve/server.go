@@ -53,20 +53,15 @@ type Config struct {
 	MaxInFlight int
 	// SpillSessions caps the server-wide ring of evicted-session
 	// snapshots (default 64; negative disables spilling). When LRU
-	// pressure evicts an idle session whose prefetcher can serialize
-	// itself (exposes Save(io.Writer) error, as PATHFINDER does), its
-	// learned weights and duplicate-detection watermark are spilled into
+	// pressure evicts an idle session whose prefetcher is a PATHFINDER
+	// (*core.Pathfinder, whichever factory built it), its learned weights,
+	// transient state and duplicate-detection watermark are spilled into
 	// the ring; if the same session id returns while the snapshot is
-	// still resident, RestorePrefetcher rebuilds it and the session
+	// still resident, core.LoadSession rebuilds it and the session
 	// resumes exactly where it left off instead of relearning from
-	// scratch. When the ring overflows, the oldest snapshot is dropped.
+	// scratch. Sessions with any other prefetcher are discarded on
+	// eviction. When the ring overflows, the oldest snapshot is dropped.
 	SpillSessions int
-	// RestorePrefetcher rebuilds a session prefetcher from a snapshot
-	// written by its Save method. Defaults to the PATHFINDER loader when
-	// NewPrefetcher is defaulted; with a custom NewPrefetcher it must be
-	// supplied, or spilling stays disabled (the server cannot know the
-	// snapshot's concrete type).
-	RestorePrefetcher func(session uint64, r io.Reader) (prefetch.Prefetcher, error)
 	// RetryHintMillis is the retry-after hint attached to queue-full and
 	// overloaded rejects (default 5).
 	RetryHintMillis int
@@ -91,11 +86,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.NewPrefetcher == nil {
 		cfg.NewPrefetcher = DefaultSessionPrefetcher
-		if cfg.RestorePrefetcher == nil {
-			cfg.RestorePrefetcher = func(_ uint64, r io.Reader) (prefetch.Prefetcher, error) {
-				return core.LoadSession(r)
-			}
-		}
 	}
 	if cfg.SpillSessions == 0 {
 		cfg.SpillSessions = 64
@@ -209,7 +199,7 @@ func New(cfg Config) (*Server, error) {
 		perShard = 1
 	}
 	s.table = newTable(s, cfg.Shards, perShard)
-	if cfg.SpillSessions > 0 && cfg.RestorePrefetcher != nil {
+	if cfg.SpillSessions > 0 {
 		s.spill = newSpillStore(cfg.SpillSessions)
 	}
 	s.acceptWG.Add(1)
@@ -446,16 +436,19 @@ func (c *conn) readLoop() {
 	}
 }
 
-// readJSON is the newline-JSON debug loop.
+// readJSON is the newline-JSON debug loop. Lines are read in place from a
+// buffer one byte larger than the frame cap, so an over-long line is
+// rejected once the buffer fills instead of being accumulated first.
 func (c *conn) readJSON(br *bufio.Reader) {
 	m := serveTele.Load()
+	lr := bufio.NewReaderSize(br, MaxFrameBytes+1)
 	var f Frame
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := lr.ReadSlice('\n')
 		if len(line) == 0 && err != nil {
 			return
 		}
-		if len(line) > MaxFrameBytes {
+		if errors.Is(err, bufio.ErrBufferFull) || len(line) > MaxFrameBytes {
 			if m != nil {
 				m.frameErrors.Inc()
 			}

@@ -555,6 +555,45 @@ func TestJSONDebugMode(t *testing.T) {
 	}
 }
 
+// TestJSONLineCapBoundsAllocation sends one 64 MiB JSON-mode line with no
+// newline. The server must reject it once the line passes MaxFrameBytes,
+// not buffer the whole line before checking the cap.
+func TestJSONLineCapBoundsAllocation(t *testing.T) {
+	srv := newTestServer(t, Config{NewPrefetcher: nextLineFactory})
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(30 * time.Second))
+	chunk := make([]byte, 1<<20)
+	for i := range chunk {
+		chunk[i] = ' '
+	}
+	chunk[0] = '{'
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 64; i++ {
+		if _, err := nc.Write(chunk); err != nil {
+			break // the server rejected the line and hung up
+		}
+		chunk[0] = ' '
+	}
+	nc.(*net.TCPConn).CloseWrite()
+	buf := make([]byte, 512)
+	for {
+		if _, err := nc.Read(buf); err != nil {
+			break
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Fatalf("a 64 MiB JSON line allocated %d MiB; want the read bounded near MaxFrameBytes", got>>20)
+	}
+}
+
 func TestBinaryProtocolViolationsCloseTheConnection(t *testing.T) {
 	reg := withRegistry(t)
 	srv := newTestServer(t, Config{NewPrefetcher: nextLineFactory})

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pathfinder/internal/core"
 	"pathfinder/internal/fault"
 	"pathfinder/internal/prefetch"
 	"pathfinder/internal/trace"
@@ -248,7 +249,7 @@ func (t *table) enqueue(c *conn, sid uint64, acc trace.Access, start int64) byte
 		)
 		if t.srv.spill != nil {
 			if e, ok := t.srv.spill.take(sid); ok {
-				if rpf, err := t.srv.cfg.RestorePrefetcher(sid, bytes.NewReader(e.blob)); err == nil {
+				if rpf, err := core.LoadSession(bytes.NewReader(e.blob)); err == nil {
 					pf, restored = rpf, e
 					if m != nil {
 						m.restored.Inc()

@@ -2,24 +2,10 @@ package serve
 
 import (
 	"bytes"
-	"io"
 	"sync"
+
+	"pathfinder/internal/core"
 )
-
-// saver is the capability an evicted session's prefetcher needs for its
-// learned state to survive eviction. core.Pathfinder implements it; any
-// custom prefetcher may opt in by exposing the same method.
-type saver interface {
-	Save(w io.Writer) error
-}
-
-// sessionSaver is the stronger capability: a snapshot that also captures
-// transient state (core.Pathfinder.SaveSession), so the restored session
-// continues bit-identically instead of re-warming. Preferred over saver
-// when both are present.
-type sessionSaver interface {
-	SaveSession(w io.Writer) error
-}
 
 // spillEntry is one evicted session's snapshot: the serialized prefetcher
 // plus the protocol watermarks (duplicate detection and go-back-N wedge),
@@ -113,19 +99,16 @@ func (st *spillStore) len() int {
 }
 
 // snapshot serializes a quiescent session into a spill entry, or nil when
-// its prefetcher cannot save itself.
+// its prefetcher is not a PATHFINDER. The snapshot is SaveSession's, which
+// also captures transient state, so the session restored by
+// core.LoadSession continues bit-identically instead of re-warming.
 func snapshot(s *session) *spillEntry {
+	pf, ok := s.pf.(*core.Pathfinder)
+	if !ok {
+		return nil
+	}
 	var buf bytes.Buffer
-	switch sv := s.pf.(type) {
-	case sessionSaver:
-		if sv.SaveSession(&buf) != nil {
-			return nil
-		}
-	case saver:
-		if sv.Save(&buf) != nil {
-			return nil
-		}
-	default:
+	if pf.SaveSession(&buf) != nil {
 		return nil
 	}
 	return &spillEntry{id: s.id, blob: buf.Bytes(), lastID: s.lastID, shedID: s.shedID}

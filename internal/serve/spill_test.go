@@ -78,6 +78,35 @@ func TestEvictedSessionRestoresLearnedState(t *testing.T) {
 	assertPredictionsMatch(t, 1, got, want)
 }
 
+// TestEvictedRegistrySessionRestoresLearnedState is the same regression
+// for a PATHFINDER built by a custom factory, as `pfserved
+// -session-prefetcher pathfinder-1tick` builds its sessions: spilling
+// follows the prefetcher, not which factory made it.
+func TestEvictedRegistrySessionRestoresLearnedState(t *testing.T) {
+	factory := func(sid uint64) (prefetch.Prefetcher, error) {
+		return NewPrefetcherByName("pathfinder-1tick", int64(sid)|1)
+	}
+	accs := genTrace(t, "cc-5", 400, 7)
+	want := expectedPredictions(t, factory, 1, accs, prefetch.Budget)
+
+	srv, err := New(Config{Shards: 1, MaxSessions: 1, NewPrefetcher: factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := dialBinary(t, srv.Addr())
+	defer c.close()
+
+	half := len(accs) / 2
+	got := sendAndCollect(t, c, 1, accs[:half])
+	sendAndCollect(t, c, 2, genTrace(t, "cc-5", 1, 9)) // evicts session 1
+	if srv.spill == nil || srv.spill.len() != 1 {
+		t.Fatal("evicted pathfinder-1tick session was not spilled")
+	}
+	got = append(got, sendAndCollect(t, c, 1, accs[half:])...)
+	assertPredictionsMatch(t, 1, got, want)
+}
+
 // TestSpillDisabled pins the opt-out: with SpillSessions negative an
 // evicted session's state is discarded and nothing is retained.
 func TestSpillDisabled(t *testing.T) {

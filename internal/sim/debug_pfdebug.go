@@ -124,13 +124,14 @@ func (s *sharedMemory) debugCheck() {
 	for _, f := range s.fills {
 		have[key{f.block, f.ready}] = true
 	}
-	s.inflight.forEach(func(block, ready uint64) {
-		if !have[key{block, ready}] {
-			panic(fmt.Sprintf("sim pfdebug: inflight block %d (ready %d) has no matching fill-heap entry", block, ready))
+	s.inflight.Range(func(block uint64, ready *uint64) bool {
+		if !have[key{block, *ready}] {
+			panic(fmt.Sprintf("sim pfdebug: inflight block %d (ready %d) has no matching fill-heap entry", block, *ready))
 		}
+		return true
 	})
-	if s.inflight.len() > len(s.fills) {
-		panic(fmt.Sprintf("sim pfdebug: %d inflight entries exceed %d heap fills", s.inflight.len(), len(s.fills)))
+	if s.inflight.Len() > len(s.fills) {
+		panic(fmt.Sprintf("sim pfdebug: %d inflight entries exceed %d heap fills", s.inflight.Len(), len(s.fills)))
 	}
 	for i := range s.fills {
 		for _, k := range [2]int{2*i + 1, 2*i + 2} {

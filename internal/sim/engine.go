@@ -188,7 +188,6 @@ func (e *Engine) RunMultiStreamCtx(ctx context.Context, srcs []trace.Source, pfs
 			m.l1Misses.Add(p.l1.Misses)
 			m.l2Hits.Add(p.l2.Hits)
 			m.l2Misses.Add(p.l2.Misses)
-			m.replayWindowPeak.SetMax(int64(p.win.peak))
 		}
 		m.llcHits.Add(mem.llc.Hits)
 		m.llcMisses.Add(mem.llc.Misses)

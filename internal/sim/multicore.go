@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"pathfinder/internal/flat"
 	"pathfinder/internal/trace"
 )
 
@@ -14,7 +15,7 @@ import (
 type sharedMemory struct {
 	llc      *Cache
 	dram     *DRAM
-	inflight *inflightMap // block -> fill-ready cycle
+	inflight *flat.Table[uint64] // block -> fill-ready cycle
 	fills    inflightHeap
 	fillSeq  uint64 // issue counter for FCFS tie-breaking of fills
 
@@ -27,7 +28,7 @@ func newSharedMemory(cfg Config) *sharedMemory {
 	return &sharedMemory{
 		llc:      NewCacheWithPolicy(cfg.LLCSets, cfg.LLCWays, cfg.LLCPolicy),
 		dram:     NewDRAM(cfg.DRAM),
-		inflight: newInflightMap(cfg.DRAM.ReadQueue),
+		inflight: flat.NewTable[uint64](cfg.DRAM.ReadQueue),
 		fills:    make(inflightHeap, 0, cfg.DRAM.ReadQueue+1),
 	}
 }
@@ -37,7 +38,7 @@ func newSharedMemory(cfg Config) *sharedMemory {
 func (s *sharedMemory) reset() {
 	s.llc.Reset()
 	s.dram.Reset()
-	s.inflight.reset()
+	s.inflight.Reset()
 	s.fills = s.fills[:0]
 	s.fillSeq = 0
 	s.fillsPeak = 0
@@ -48,9 +49,9 @@ func (s *sharedMemory) drainFills(now uint64) {
 		f := s.fills.pop()
 		// The map entry may have been superseded (a demand consumed the
 		// in-flight fill); only fill if it still matches.
-		if r, ok := s.inflight.get(f.block); ok && r == f.ready {
+		if r := s.inflight.Get(f.block); r != nil && *r == f.ready {
 			s.llc.Fill(f.block, true)
-			s.inflight.del(f.block)
+			s.inflight.Delete(f.block)
 		}
 	}
 }
@@ -61,8 +62,8 @@ const ringSize = 512
 
 // corePipeline is one core's private state: L1/L2, the retire/dispatch
 // model, its dependence chains, and its share of the prefetch file. It
-// pulls accesses from a bounded replayWindow over a trace.Source, so a
-// core's heap footprint is independent of its trace length.
+// pulls accesses through a one-record replayWindow over a trace.Source,
+// so a core's heap footprint is independent of its trace length.
 type corePipeline struct {
 	cfg Config
 	l1  *Cache
@@ -200,16 +201,16 @@ func (c *corePipeline) step(mem *sharedMemory) error {
 					c.res.PrefUseful++
 				}
 			}
-		} else if ready, ok := mem.inflight.get(block); ok {
+		} else if ready := mem.inflight.Get(block); ready != nil {
 			// Late prefetch: the line is on its way; the demand waits for
 			// the fill instead of issuing its own DRAM read.
 			tagLat := uint64(cfg.L1Lat + cfg.L2Lat + cfg.LLCLat)
-			if ready > now+tagLat {
-				lat = ready - now
+			if *ready > now+tagLat {
+				lat = *ready - now
 			} else {
 				lat = tagLat
 			}
-			mem.inflight.del(block)
+			mem.inflight.Delete(block)
 			mem.llc.Fill(block, false)
 			if c.measuring {
 				c.res.LLCLoadHits++
@@ -259,7 +260,7 @@ func (c *corePipeline) step(mem *sharedMemory) error {
 		if mem.llc.Contains(pb) {
 			continue
 		}
-		if _, ok := mem.inflight.get(pb); ok {
+		if mem.inflight.Get(pb) != nil {
 			continue
 		}
 		if mem.dram.QueueDepth(now) >= dropDepth {
@@ -269,7 +270,8 @@ func (c *corePipeline) step(mem *sharedMemory) error {
 			continue
 		}
 		done := mem.dram.Access(pb, now+uint64(cfg.L1Lat+cfg.L2Lat+cfg.LLCLat))
-		mem.inflight.put(pb, done)
+		r, _ := mem.inflight.Insert(pb)
+		*r = done
 		mem.fills.push(inflightFill{ready: done, block: pb, seq: mem.fillSeq})
 		if len(mem.fills) > mem.fillsPeak {
 			mem.fillsPeak = len(mem.fills)

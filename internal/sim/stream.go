@@ -6,78 +6,45 @@ import (
 	"pathfinder/internal/trace"
 )
 
-// replayWindowSize is the capacity of each core's lookahead buffer between
-// its trace.Source and the pipeline. The pipeline consumes accesses
-// strictly in order, so correctness needs no lookahead at all; the window
-// exists to batch decoder pulls (amortizing the Source indirection) while
-// keeping replay heap usage bounded regardless of trace length.
-const replayWindowSize = 256
-
-// replayWindow is the bounded lookahead buffer feeding one core pipeline
-// from a trace.Source. It refills in whole batches when it runs dry and
-// hands records out in order. The source's terminal state (io.EOF or a
-// decode error) is latched and delivered only after every buffered record
-// has been replayed, so a stream that fails mid-decode still replays its
-// valid prefix before the run reports the error.
+// replayWindow feeds one core pipeline from a trace.Source with a
+// one-record lookahead: the pipeline consumes accesses strictly in order,
+// so peek/pop need only the next record, and replay holds no trace beyond
+// it whatever the trace length. The source's terminal state (io.EOF or a
+// decode error) is latched and delivered only after every record decoded
+// before it has been replayed, so a stream that fails mid-decode still
+// replays its valid prefix before the run reports the error.
 type replayWindow struct {
 	src  trace.Source
-	buf  [replayWindowSize]trace.Access
-	head int
-	n    int
+	next trace.Access
+	has  bool  // next holds a decoded, not yet consumed record
 	err  error // terminal source state; nil while the source is live
-	peak int   // occupancy high-water mark, flushed to telemetry
 }
 
 func newReplayWindow(src trace.Source) *replayWindow {
 	return &replayWindow{src: src}
 }
 
-// rearm points the window at a new source and clears all buffered state, so
-// an Engine can reuse the window (and its buffer) across runs.
+// rearm points the window at a new source and clears its state, so an
+// Engine can reuse the window across runs.
 func (w *replayWindow) rearm(src trace.Source) {
-	w.src = src
-	w.head = 0
-	w.n = 0
-	w.err = nil
-	w.peak = 0
+	*w = replayWindow{src: src}
 }
 
-// refill tops the window up from the source until it is full or the source
-// reaches its terminal state.
-func (w *replayWindow) refill() {
-	for w.n < len(w.buf) && w.err == nil {
-		if err := w.src.Next(&w.buf[(w.head+w.n)%len(w.buf)]); err != nil {
-			w.err = err
-			break
-		}
-		w.n++
-	}
-	if w.n > w.peak {
-		w.peak = w.n
-	}
-}
-
-// peek returns the next record without consuming it, refilling from the
-// source if the window ran dry. ok is false once the window is drained and
-// the source terminal.
+// peek returns the next record without consuming it, pulling it from the
+// source if needed. ok is false once the source is terminal.
 func (w *replayWindow) peek() (trace.Access, bool) {
-	if w.n == 0 {
-		if w.err != nil {
-			return trace.Access{}, false
-		}
-		w.refill()
-		if w.n == 0 {
-			return trace.Access{}, false
+	if !w.has && w.err == nil {
+		if err := w.src.Next(&w.next); err != nil {
+			w.err = err
+		} else {
+			w.has = true
 		}
 	}
-	return w.buf[w.head], true
+	return w.next, w.has
 }
 
 // pop consumes the record peek returned.
-func (w *replayWindow) pop() {
-	w.head = (w.head + 1) % len(w.buf)
-	w.n--
-}
+func (w *replayWindow) pop() { w.has = false }
 
 // drained reports whether every record has been replayed and the source is
 // terminal.
@@ -91,8 +58,8 @@ func (w *replayWindow) drained() bool {
 func (w *replayWindow) srcErr() error { return w.err }
 
 // RunStream is Run fed by a trace.Source instead of a materialized slice:
-// the replay holds at most replayWindowSize accesses at a time, so heap
-// usage is bounded regardless of trace length. Results are bit-identical
+// the replay holds one access of lookahead per core, so heap usage is
+// bounded regardless of trace length. Results are bit-identical
 // to Run over the same records — Run is implemented on this path.
 //
 // A Source has no length, so Warmup semantics shift at one edge: a warmup

@@ -28,7 +28,6 @@ type simMetrics struct {
 	dramQueueDepth    *telemetry.Histogram // read-queue occupancy seen by each access
 
 	inflightPeak     *telemetry.Gauge   // high-water mark of the in-flight fill heap
-	replayWindowPeak *telemetry.Gauge   // high-water mark of per-core replay-window occupancy
 	warmupBoundaries *telemetry.Counter // cores that crossed their warmup boundary
 }
 
@@ -56,7 +55,6 @@ func EnableTelemetry(r *telemetry.Registry) {
 		dramQueueStalls:   r.Counter("sim.dram.queue_stalls"),
 		dramQueueDepth:    r.Histogram("sim.dram.queue_depth"),
 		inflightPeak:      r.Gauge("sim.inflight_fills_peak"),
-		replayWindowPeak:  r.Gauge("sim.replay_window_peak"),
 		warmupBoundaries:  r.Counter("sim.warmup_boundaries"),
 	})
 }
