@@ -12,14 +12,15 @@
 # docs/testing.md), and `make fuzz-short` gives each native fuzz target a
 # brief budget. `make chaos` runs the fault-injection suite under the race
 # detector (see docs/resilience.md). `make bench-micro` records the SNN,
-# simulator, evaluation-engine, prefetcher and trace-codec benchmarks into
-# BENCH_snn.json, BENCH_sim.json, BENCH_runner.json, BENCH_prefetch.json
-# and BENCH_trace.json (see docs/performance.md; the streaming-replay
+# simulator, evaluation-engine, prefetcher, PATHFINDER-advise and
+# trace-codec benchmarks into BENCH_snn.json, BENCH_sim.json,
+# BENCH_runner.json, BENCH_prefetch.json, BENCH_core.json and
+# BENCH_trace.json (see docs/performance.md; the streaming-replay
 # benchmark lands in BENCH_sim.json, the decoder/encoder ones in
 # BENCH_trace.json). `make bench-check` re-runs the simulator, runner,
-# prefetcher and SNN-kernel benchmarks and compares them against the
-# committed records, failing on >25% ns/op or allocs/op regressions
-# (cmd/benchdiff; the SNN gate passes -allow-missing because
+# prefetcher, PATHFINDER-advise and SNN-kernel benchmarks and compares
+# them against the committed records, failing on >25% ns/op or allocs/op
+# regressions (cmd/benchdiff; the SNN gate passes -allow-missing because
 # BENCH_snn.json also records the root package's BenchmarkSimulate).
 
 GO ?= go
@@ -63,6 +64,7 @@ fuzz-short:
 	$(GO) test -tags pfdebug ./internal/trace/ -run '^$$' -fuzz FuzzReadPrefetches -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/serve/ -run '^$$' -fuzz FuzzServeFrame -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/core/ -run '^$$' -fuzz FuzzLoadSession -fuzztime $(FUZZTIME)
+	$(GO) test -tags pfdebug ./internal/flat/ -run '^$$' -fuzz FuzzLRU -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/runner/ -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./ -run '^$$' -fuzz FuzzLoadPrefetcher -fuzztime $(FUZZTIME)
 
@@ -97,9 +99,11 @@ bench-micro:
 	  $(GO) run ./cmd/benchjson -by-pkg .
 	$(GO) test ./internal/prefetch -run '^$$' -bench 'BenchmarkAdvise' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
 	  $(GO) run ./cmd/benchjson -o BENCH_prefetch.json
+	$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkPathfinderAdvise$$/^ManyPC$$' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
+	  $(GO) run ./cmd/benchjson -o BENCH_core.json
 	$(GO) test ./internal/trace -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkRead$$|BenchmarkStreamEncode' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
 	  $(GO) run ./cmd/benchjson -o BENCH_trace.json
-	@cat BENCH_snn.json BENCH_sim.json BENCH_runner.json BENCH_prefetch.json BENCH_trace.json
+	@cat BENCH_snn.json BENCH_sim.json BENCH_runner.json BENCH_prefetch.json BENCH_core.json BENCH_trace.json
 
 # Regression gate: rerun the hot-path benchmarks and diff against the
 # committed BENCH_*.json. A >25% ns/op slowdown (min of BENCHCOUNT runs)
@@ -109,6 +113,8 @@ bench-check:
 	  $(GO) run ./cmd/benchdiff -pkg internal/sim=BENCH_sim.json -pkg internal/runner=BENCH_runner.json
 	$(GO) test ./internal/prefetch -run '^$$' -bench 'BenchmarkAdvise' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
 	  $(GO) run ./cmd/benchdiff -pkg internal/prefetch=BENCH_prefetch.json
+	$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkPathfinderAdvise$$/^ManyPC$$' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
+	  $(GO) run ./cmd/benchdiff -pkg internal/core=BENCH_core.json
 	$(GO) test ./internal/snn -run '^$$' -bench 'BenchmarkPresent' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
 	  $(GO) run ./cmd/benchdiff -allow-missing -pkg internal/snn=BENCH_snn.json
 

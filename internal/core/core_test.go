@@ -7,6 +7,7 @@ import (
 
 	"pathfinder/internal/snn"
 	"pathfinder/internal/trace"
+	"pathfinder/internal/workload"
 )
 
 func TestNewEncoderValidation(t *testing.T) {
@@ -494,22 +495,89 @@ func TestPathfinderDeterministic(t *testing.T) {
 	}
 }
 
+// BenchmarkPathfinderAdvise measures the default configuration's
+// per-access cost in two regimes. OnePC walks one PC through consecutive
+// pages, so nearly every access is an SNN query and the Training Table
+// inserts once per page. ManyPC replays manyPCAccesses, whose (PC, page)
+// pairs overflow the Training Table, so it also pays for inserts and LRU
+// evictions; BENCH_core.json records it.
 func BenchmarkPathfinderAdvise(b *testing.B) {
+	b.Run("OnePC", func(b *testing.B) {
+		p, err := New(DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		off, page := 0, uint64(0)
+		pat := []int{1, 2, 3}
+		for i := 0; i < b.N; i++ {
+			d := pat[i%3]
+			if off+d >= trace.BlocksPerPage {
+				page++
+				off = 0
+			} else {
+				off += d
+			}
+			p.Advise(trace.Access{ID: uint64(i + 1), PC: 1, Addr: page*trace.PageBytes + uint64(off)*trace.BlockBytes}, 2)
+		}
+	})
+	b.Run("ManyPC", func(b *testing.B) {
+		accs := manyPCAccesses(b)
+		p, err := New(DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, a := range accs {
+			p.Advise(a, 2)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Advise(accs[i%len(accs)], 2)
+		}
+	})
+}
+
+// manyPCAccesses is a 10K-load prefix of the 605-mcf-s1 trace: 10 PCs
+// over enough pages that its (PC, page) pairs overflow the default
+// 1,024-row Training Table on every pass, so replaying it keeps the table
+// full and evicting.
+func manyPCAccesses(tb testing.TB) []trace.Access {
+	tb.Helper()
+	accs, err := workload.Generate("605-mcf-s1", 10_000, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return accs
+}
+
+// TestPathfinderAdviseSteadyStateZeroAlloc pins the zero-alloc Advise
+// contract the table prefetchers already keep: once the Training Table is
+// full and its slabs have grown, an access — insert, eviction, SNN query
+// and issue included — allocates nothing.
+func TestPathfinderAdviseSteadyStateZeroAlloc(t *testing.T) {
+	accs := manyPCAccesses(t)
 	p, err := New(DefaultConfig())
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	off, page := 0, uint64(0)
-	pat := []int{1, 2, 3}
-	for i := 0; i < b.N; i++ {
-		d := pat[i%3]
-		if off+d >= trace.BlocksPerPage {
-			page++
-			off = 0
-		} else {
-			off += d
-		}
-		p.Advise(trace.Access{ID: uint64(i + 1), PC: 1, Addr: page*trace.PageBytes + uint64(off)*trace.BlockBytes}, 2)
+	for _, a := range accs {
+		p.Advise(a, 2)
+	}
+	if p.tt.Len() != p.cfg.TrainingTableSize {
+		t.Fatalf("warm-up left the Training Table at %d of %d rows", p.tt.Len(), p.cfg.TrainingTableSize)
+	}
+	before := p.Stats()
+	i := 0
+	avg := testing.AllocsPerRun(2000, func() {
+		p.Advise(accs[i%len(accs)], 2)
+		i++
+	})
+	if avg != 0 {
+		t.Errorf("Advise allocates %.2f/op in steady state, want 0", avg)
+	}
+	if st := p.Stats(); st.Queries == before.Queries || st.Issued == before.Issued {
+		t.Fatalf("measured accesses made %d queries and issued %d; the regime must exercise both",
+			st.Queries-before.Queries, st.Issued-before.Issued)
 	}
 }
 
@@ -936,6 +1004,140 @@ func TestLoadSessionRejectsDuplicateStamps(t *testing.T) {
 	copy(bad[e1+24:e1+32], blob[e0+24:e0+32])
 	if _, err := LoadSession(bytes.NewReader(bad)); err == nil {
 		t.Fatal("LoadSession accepted two training entries with one lastUse stamp")
+	}
+}
+
+// TestLoadSessionRejectsNeuronOutsideNetwork pins that a Training Table
+// entry naming a neuron past the network is refused at load: accepted, it
+// would make the next access to that stream index the Inference Table out
+// of range and panic.
+func TestLoadSessionRejectsNeuronOutsideNetwork(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Neurons = 10
+	cfg.Ticks = 8
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pc, page = 0x400, 7
+	p.Advise(trace.Access{ID: 1, PC: pc, Addr: page * trace.PageBytes}, 2)
+	e, ok := p.tt.Lookup(pc, page)
+	if !ok {
+		t.Fatal("no Training Table entry after the first access")
+	}
+	e.SetLastNeuron(500)
+	var buf bytes.Buffer
+	if err := p.SaveSession(&buf); err != nil {
+		t.Fatal(err)
+	}
+	q, err := LoadSession(bytes.NewReader(buf.Bytes()))
+	if err == nil {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("LoadSession accepted neuron 500 of 10, and the next access panicked: %v", r)
+			}
+		}()
+		q.Advise(trace.Access{ID: 2, PC: pc, Addr: page*trace.PageBytes + trace.BlockBytes}, 2)
+		t.Fatal("LoadSession accepted a training entry naming neuron 500 of a 10-neuron network")
+	}
+}
+
+// TestLoadRejectsNetworkShapeMismatch pins that a file whose SNN section
+// has more neurons than its configuration declares is refused: accepted,
+// a winner past the declared count would index the Inference Table out
+// of range on the next access.
+func TestLoadRejectsNetworkShapeMismatch(t *testing.T) {
+	build := func(neurons int) *Pathfinder {
+		cfg := DefaultConfig()
+		cfg.Neurons = neurons
+		cfg.Ticks = 8
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	small, large := build(10), build(20)
+	var whole, smallNet, largeNet bytes.Buffer
+	if err := small.Save(&whole); err != nil {
+		t.Fatal(err)
+	}
+	if err := small.Network().Save(&smallNet); err != nil {
+		t.Fatal(err)
+	}
+	if err := large.Network().Save(&largeNet); err != nil {
+		t.Fatal(err)
+	}
+	blob := append(whole.Bytes()[:whole.Len()-smallNet.Len():whole.Len()-smallNet.Len()], largeNet.Bytes()...)
+	if _, err := Load(bytes.NewReader(blob)); err == nil {
+		t.Fatal("Load accepted a 10-neuron configuration carrying a 20-neuron network")
+	}
+	if _, err := LoadSession(bytes.NewReader(blob)); err == nil {
+		t.Fatal("LoadSession accepted a 10-neuron configuration carrying a 20-neuron network")
+	}
+}
+
+// TestSaveSessionContinuesAfterEviction extends the exact-continuation
+// contract past the Training Table's first evictions: the restored
+// recency order must pick the same victims as the uninterrupted run, so
+// both the predictions and the next snapshot match it byte for byte.
+func TestSaveSessionContinuesAfterEviction(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Ticks = 8
+	cfg.TrainingTableSize = 64
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 16 PCs walking their own pages: far more (PC, page) pairs than rows.
+	drive := func(p *Pathfinder, start, n int) [][]uint64 {
+		out := make([][]uint64, 0, n)
+		for i := start; i < start+n; i++ {
+			pc := uint64(0x400 + 4*(i%16))
+			page := uint64(i%16*1000 + i/16/8)
+			off := (i / 16 % 8) * 3
+			got := p.Advise(trace.Access{ID: uint64(i + 1), PC: pc, Addr: page*trace.PageBytes + uint64(off)*trace.BlockBytes}, 2)
+			out = append(out, append([]uint64(nil), got...))
+		}
+		return out
+	}
+	drive(p, 0, 3000)
+	if p.tt.Len() != cfg.TrainingTableSize {
+		t.Fatalf("Training Table holds %d of %d rows; the run must reach eviction", p.tt.Len(), cfg.TrainingTableSize)
+	}
+	var buf bytes.Buffer
+	if err := p.SaveSession(&buf); err != nil {
+		t.Fatal(err)
+	}
+	q, err := LoadSession(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := drive(p, 3000, 2000), drive(q, 3000, 2000)
+	issued := 0
+	for i := range want {
+		issued += len(want[i])
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("advise %d: %v vs %v", i, got[i], want[i])
+		}
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("advise %d addr %d: %#x vs %#x", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	if issued == 0 {
+		t.Fatal("the continued run issued nothing; it compares no predictions")
+	}
+	var pb, qb bytes.Buffer
+	if err := p.SaveSession(&pb); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.SaveSession(&qb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pb.Bytes(), qb.Bytes()) {
+		t.Fatal("the restored session's next snapshot differs from the uninterrupted run's")
 	}
 }
 

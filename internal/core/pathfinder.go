@@ -142,8 +142,8 @@ const (
 // QueryHook observes one SNN query: the delta history presented, the neuron
 // that won (or -1), and the prefetch addresses issued for it. Hooks serve
 // observability — the §3.6 walkthrough, experiment instrumentation, tests.
-// hist may point into per-access scratch that the next Advise overwrites;
-// hooks that retain it must copy.
+// hist and prefetches may point into per-access scratch that the next
+// Advise overwrites; hooks that retain either must copy.
 type QueryHook func(hist []int, winner int, prefetches []uint64)
 
 // Pathfinder is the SNN/STDP prefetcher of §3. It implements the
@@ -161,13 +161,15 @@ type Pathfinder struct {
 	pixels []float64
 	stats  Stats
 
-	// Per-access scratch, reused so the miss path performs no steady-state
-	// heap allocations beyond the returned suggestion slice (which stays
-	// freshly allocated: callers such as Throttle and the examples retain
-	// it across later Advise calls).
+	// Per-access scratch, reused so that Advise allocates nothing at
+	// steady state. The returned suggestion slice is one of these buffers:
+	// like every table prefetcher's, it is valid only until the next
+	// Advise, and callers consume or copy it before then.
 	histBuf  []int      // synthetic histories (cold-page, partial)
 	res      snn.Result // SNN query result, reused via PresentInto
 	firedBuf []int      // multi-fire neuron list scratch
+	labelBuf []Label    // one neuron's live labels
+	outBuf   []uint64   // the returned suggestions
 }
 
 // New builds a PATHFINDER instance from the configuration.
@@ -264,7 +266,8 @@ func (p *Pathfinder) Labels() [][]Label {
 // Advise implements prefetch.Prefetcher: observe one access, learn, and
 // suggest up to budget block-aligned byte addresses to prefetch within the
 // same page (§3.2: PATHFINDER predicts the next blocks touched within the
-// current page).
+// current page). The returned slice is reused across calls and valid only
+// until the next Advise.
 func (p *Pathfinder) Advise(a trace.Access, budget int) []uint64 {
 	p.stats.Accesses++
 	page := a.Page()
@@ -381,9 +384,11 @@ func (p *Pathfinder) issue(e *TrainingEntry, res *snn.Result, off int, page uint
 	if budget < limit {
 		limit = budget
 	}
-	var out []uint64
+	out := p.outBuf[:0]
+fill:
 	for _, n := range fired {
-		for _, l := range p.it.Labels(n) {
+		p.labelBuf = p.it.AppendLabels(p.labelBuf[:0], n)
+		for _, l := range p.labelBuf {
 			if l.Conf < p.cfg.ConfThreshold {
 				continue
 			}
@@ -395,9 +400,13 @@ func (p *Pathfinder) issue(e *TrainingEntry, res *snn.Result, off int, page uint
 			out = append(out, trace.BlockAddr(block))
 			p.stats.Issued++
 			if len(out) == limit {
-				return out
+				break fill
 			}
 		}
+	}
+	p.outBuf = out
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }

@@ -157,6 +157,12 @@ func load(br *bufio.Reader) (*Pathfinder, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The network must have the shape the configuration built: a winner
+	// past cfg.Neurons would index the Inference Table out of range.
+	if got, want := net.Config(), p.net.Config(); got.InputSize != want.InputSize || got.Neurons != want.Neurons {
+		return nil, fmt.Errorf("core: network in file is %d inputs x %d neurons, configuration needs %d x %d",
+			got.InputSize, got.Neurons, want.InputSize, want.Neurons)
+	}
 	p.net = net
 	return p, nil
 }
@@ -223,7 +229,7 @@ func LoadSession(r io.Reader) (*Pathfinder, error) {
 		return nil, fmt.Errorf("core: reading session extension: %w", err)
 	}
 	p.net.SetRNGState(rngState)
-	if err := p.tt.load(br); err != nil {
+	if err := p.tt.load(br, p.cfg.Neurons); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -16,7 +16,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+
+	"pathfinder/internal/flat"
 )
 
 // TrainingEntry is one (PC, page) stream tracked by the Training Table.
@@ -25,7 +26,8 @@ type TrainingEntry struct {
 	// lastOffset is the most recent block offset touched in the page.
 	lastOffset int
 	// deltas is the most recent delta history, oldest first; len grows
-	// up to the configured H.
+	// up to the configured H. It is a window of the table's delta slab
+	// with capacity H, so pushes never allocate.
 	deltas []int
 	// broken is set when an unencodable (out-of-range) delta interrupted
 	// the history; the history must refill before the SNN is queried.
@@ -36,21 +38,33 @@ type TrainingEntry struct {
 	// footprint is the touched-offset bitmap of the page (for the
 	// InputFootprint encoding).
 	footprint uint64
-	// lastUse orders entries for LRU replacement.
+	// lastUse is the table clock at the entry's last touch. The recency
+	// list already orders entries for replacement; the stamps persist the
+	// clock into PFX1 snapshots.
 	lastUse uint64
+	// chain is the next entry whose (pc, page) hashes to the same index
+	// key, or 0.
+	chain int32
 }
 
 // TrainingTable is the (PC, page)-indexed CAM of §3.3, with LRU
 // replacement. The paper sizes it at 1K 120-bit rows.
+//
+// Entries live in one slab indexed by recency-list node, their delta
+// histories in a second slab of H ints per node, and a flat table maps a
+// hash of (pc, page) to the first node of its collision chain. The LRU
+// victim is the list's oldest node, so no operation scans the table, and
+// once the slabs reach capacity neither Lookup nor Insert allocates. The
+// slabs grow on demand, so a large configured capacity costs nothing
+// until it fills.
 type TrainingTable struct {
-	entries map[trainingKey]*TrainingEntry
-	cap     int
-	h       int
-	clock   uint64
-}
-
-type trainingKey struct {
-	pc, page uint64
+	index flat.Table[int32] // trainingHash(pc, page) -> first node of its chain
+	ents  []TrainingEntry   // ents[i] is node i's entry; ents[0] is unused
+	hist  []int             // node i's delta history is hist[i*h : (i+1)*h]
+	order flat.List
+	cap   int
+	h     int
+	clock uint64
 }
 
 // NewTrainingTable returns a table with the given capacity (entries) and
@@ -59,57 +73,111 @@ func NewTrainingTable(capacity, h int) *TrainingTable {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &TrainingTable{
-		entries: make(map[trainingKey]*TrainingEntry, capacity),
-		cap:     capacity,
-		h:       h,
-	}
+	return &TrainingTable{cap: capacity, h: h}
+}
+
+// trainingHash folds a (pc, page) key into the index's one-word key.
+// Distinct keys may collide; the chains resolve them.
+func trainingHash(pc, page uint64) uint64 {
+	return pc*0x9E3779B97F4A7C15 ^ page
 }
 
 // Len returns the number of live entries.
-func (t *TrainingTable) Len() int { return len(t.entries) }
+func (t *TrainingTable) Len() int { return t.order.Len() }
 
-// Lookup finds the entry for (pc, page), if present, refreshing its LRU
-// position.
-func (t *TrainingTable) Lookup(pc, page uint64) (*TrainingEntry, bool) {
-	t.clock++
-	e, ok := t.entries[trainingKey{pc, page}]
-	if ok {
-		e.lastUse = t.clock
+// find returns the node holding (pc, page), or 0.
+func (t *TrainingTable) find(pc, page uint64) int32 {
+	head := t.index.Get(trainingHash(pc, page))
+	if head == nil {
+		return 0
 	}
-	return e, ok
+	i := *head
+	for i != 0 && (t.ents[i].pc != pc || t.ents[i].page != page) {
+		i = t.ents[i].chain
+	}
+	return i
 }
 
-// Insert allocates an entry for (pc, page) with the given first offset,
-// evicting the LRU entry if the table is full.
+// Lookup finds the entry for (pc, page), if present, refreshing its LRU
+// position. The entry is valid until the next Insert.
+func (t *TrainingTable) Lookup(pc, page uint64) (*TrainingEntry, bool) {
+	t.clock++
+	i := t.find(pc, page)
+	if i == 0 {
+		return nil, false
+	}
+	t.order.Touch(i)
+	e := &t.ents[i]
+	e.lastUse = t.clock
+	return e, true
+}
+
+// Insert allocates an entry for (pc, page), which must be absent, with the
+// given first offset, evicting the LRU entry if the table is full. The
+// entry is valid until the next Insert.
 func (t *TrainingTable) Insert(pc, page uint64, offset int) *TrainingEntry {
 	t.clock++
-	if len(t.entries) >= t.cap {
-		t.evictLRU()
+	if t.order.Len() >= t.cap {
+		t.remove(t.order.Oldest())
 	}
-	e := &TrainingEntry{
+	i := t.order.PushFront()
+	if int(i) >= len(t.ents) {
+		t.grow(int(i) + 1)
+	}
+	head, existed := t.index.Insert(trainingHash(pc, page))
+	var chain int32
+	if existed {
+		chain = *head
+	}
+	*head = i
+	base := int(i) * t.h
+	t.ents[i] = TrainingEntry{
 		pc:         pc,
 		page:       page,
 		lastOffset: offset,
 		footprint:  1 << uint(offset),
-		deltas:     make([]int, 0, t.h),
+		deltas:     t.hist[base : base : base+t.h],
 		lastNeuron: -1,
 		lastUse:    t.clock,
+		chain:      chain,
 	}
-	t.entries[trainingKey{pc, page}] = e
-	return e
+	return &t.ents[i]
 }
 
-func (t *TrainingTable) evictLRU() {
-	var victim trainingKey
-	var oldest uint64 = ^uint64(0)
-	for k, e := range t.entries {
-		if e.lastUse < oldest {
-			oldest = e.lastUse
-			victim = k
+// remove unlinks node i from its hash chain and the recency list.
+func (t *TrainingTable) remove(i int32) {
+	e := &t.ents[i]
+	key := trainingHash(e.pc, e.page)
+	head := t.index.Get(key)
+	switch {
+	case *head != i:
+		j := *head
+		for t.ents[j].chain != i {
+			j = t.ents[j].chain
 		}
+		t.ents[j].chain = e.chain
+	case e.chain != 0:
+		*head = e.chain
+	default:
+		t.index.Delete(key)
 	}
-	delete(t.entries, victim)
+	t.order.Remove(i)
+}
+
+// grow enlarges both slabs to hold at least n nodes (node 0 included),
+// doubling up to the capacity, and re-points every entry's history at the
+// new delta slab.
+func (t *TrainingTable) grow(n int) {
+	size := max(n, min(2*len(t.ents), t.cap+1), 16)
+	ents := make([]TrainingEntry, size)
+	copy(ents, t.ents)
+	hist := make([]int, size*t.h)
+	copy(hist, t.hist)
+	for i := range t.ents {
+		base := i * t.h
+		ents[i].deltas = hist[base : base+len(t.ents[i].deltas) : base+t.h]
+	}
+	t.ents, t.hist = ents, hist
 }
 
 // PushDelta appends a delta to the entry's history, dropping the oldest
@@ -152,23 +220,19 @@ func (e *TrainingEntry) Ready(h int) bool {
 // owned by the entry; callers must not modify it.
 func (e *TrainingEntry) Deltas() []int { return e.deltas }
 
-// save writes the table's live entries in LRU order (lastUse stamps are
-// unique — the clock advances on every touch — so the order, and with it
-// the byte stream, is deterministic). Part of the SaveSession extension;
+// save writes the table's live entries in LRU order, oldest first. The
+// clock advances on every touch, so that is ascending lastUse order and
+// the byte stream is deterministic. Part of the SaveSession extension;
 // see serialize.go.
 func (t *TrainingTable) save(w io.Writer) error {
-	ents := make([]*TrainingEntry, 0, len(t.entries))
-	for _, e := range t.entries {
-		ents = append(ents, e)
-	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].lastUse < ents[j].lastUse })
 	if err := binary.Write(w, binary.LittleEndian, t.clock); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, int64(len(ents))); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, int64(t.order.Len())); err != nil {
 		return err
 	}
-	for _, e := range ents {
+	for i := t.order.Oldest(); i != 0; i = t.order.Newer(i) {
+		e := &t.ents[i]
 		hdr := []uint64{e.pc, e.page, e.footprint, e.lastUse}
 		for _, v := range hdr {
 			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
@@ -191,13 +255,13 @@ func (t *TrainingTable) save(w io.Writer) error {
 }
 
 // load replaces the table's contents with a stream written by save,
-// validating every field against the table's own geometry before any
-// allocation (a corrupt snapshot must fail loudly, never OOM or corrupt
-// the restored stream state). save writes unique lastUse stamps in
-// ascending order, and load requires exactly that: with duplicate stamps
-// both the next save's byte order and evictLRU's victim would depend on
-// map iteration order.
-func (t *TrainingTable) load(r io.Reader) error {
+// validating every field against the table's own geometry and the
+// network's neuron count before any allocation (a corrupt snapshot must
+// fail loudly, never OOM, corrupt the restored stream state or make a
+// later Advise index past the network). save writes unique lastUse stamps
+// in ascending order, and load requires exactly that, inserting the
+// entries in that order so the recency list matches the stamps.
+func (t *TrainingTable) load(r io.Reader, neurons int) error {
 	var clock uint64
 	if err := binary.Read(r, binary.LittleEndian, &clock); err != nil {
 		return fmt.Errorf("core: reading training table: %w", err)
@@ -209,7 +273,7 @@ func (t *TrainingTable) load(r io.Reader) error {
 	if count < 0 || count > int64(t.cap) {
 		return fmt.Errorf("core: training table holds %d entries, capacity %d", count, t.cap)
 	}
-	entries := make(map[trainingKey]*TrainingEntry, count)
+	fresh := NewTrainingTable(t.cap, t.h)
 	var prevUse uint64
 	for i := int64(0); i < count; i++ {
 		var hdr [4]uint64
@@ -228,7 +292,7 @@ func (t *TrainingTable) load(r io.Reader) error {
 		switch {
 		case lastOffset < 0 || lastOffset > 63,
 			broken < 0 || broken > int64(t.h),
-			lastNeuron < -1 || lastNeuron >= maxLoadNeurons,
+			lastNeuron < -1 || lastNeuron >= int64(neurons),
 			nd < 0 || nd > int64(t.h),
 			hdr[3] > clock:
 			return fmt.Errorf("core: implausible training table entry (offset %d, broken %d, neuron %d, %d deltas, lastUse %d)",
@@ -237,11 +301,13 @@ func (t *TrainingTable) load(r io.Reader) error {
 			return fmt.Errorf("core: training table lastUse %d not above the previous entry's %d (duplicate or out of order)", hdr[3], prevUse)
 		}
 		prevUse = hdr[3]
-		e := &TrainingEntry{
-			pc: hdr[0], page: hdr[1], footprint: hdr[2], lastUse: hdr[3],
-			lastOffset: int(lastOffset), broken: int(broken), lastNeuron: int(lastNeuron),
-			deltas: make([]int, nd, t.h),
+		if fresh.find(hdr[0], hdr[1]) != 0 {
+			return fmt.Errorf("core: duplicate training table entry (pc %#x, page %#x)", hdr[0], hdr[1])
 		}
+		e := fresh.Insert(hdr[0], hdr[1], int(lastOffset))
+		e.footprint, e.lastUse = hdr[2], hdr[3]
+		e.broken, e.lastNeuron = int(broken), int(lastNeuron)
+		e.deltas = e.deltas[:nd]
 		for j := range e.deltas {
 			var d int64
 			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
@@ -249,13 +315,9 @@ func (t *TrainingTable) load(r io.Reader) error {
 			}
 			e.deltas[j] = int(d)
 		}
-		k := trainingKey{e.pc, e.page}
-		if _, dup := entries[k]; dup {
-			return fmt.Errorf("core: duplicate training table entry (pc %#x, page %#x)", e.pc, e.page)
-		}
-		entries[k] = e
 	}
-	t.entries, t.clock = entries, clock
+	fresh.clock = clock
+	*t = *fresh
 	return nil
 }
 
@@ -301,19 +363,24 @@ func (t *InferenceTable) Neurons() int { return len(t.labels) }
 
 // Labels returns the live labels (Conf > 0) of a neuron, highest
 // confidence first.
-func (t *InferenceTable) Labels(neuron int) []Label {
-	var out []Label
+func (t *InferenceTable) Labels(neuron int) []Label { return t.AppendLabels(nil, neuron) }
+
+// AppendLabels appends Labels(neuron) to dst and returns the extended
+// slice, so a caller with a scratch buffer allocates nothing.
+func (t *InferenceTable) AppendLabels(dst []Label, neuron int) []Label {
+	start := len(dst)
 	for _, l := range t.labels[neuron] {
 		if l.Conf > 0 {
-			out = append(out, l)
+			dst = append(dst, l)
 		}
 	}
+	out := dst[start:]
 	for i := 1; i < len(out); i++ {
 		for k := i; k > 0 && out[k].Conf > out[k-1].Conf; k-- {
 			out[k], out[k-1] = out[k-1], out[k]
 		}
 	}
-	return out
+	return dst
 }
 
 // Observe reconciles a neuron's labels with the actually observed next

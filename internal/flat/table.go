@@ -1,7 +1,9 @@
 // Package flat holds the open-addressed hash table shared by the
 // prefetchers (internal/prefetch) and the simulator's in-flight prefetch
-// map (internal/sim). It imports nothing, so the simulator can use it
-// without depending on the prefetchers that sit above it.
+// map (internal/sim), and the recency list behind every bounded LRU table
+// (List, and LRU, a Table whose entries sit on one). It imports nothing,
+// so the simulator can use it without depending on the prefetchers that
+// sit above it.
 package flat
 
 // Table is the flat, open-addressed hash table behind every bounded
@@ -25,9 +27,9 @@ package flat
 //     counter; the backing arrays are reused (this replaces the
 //     delete-everything / re-make idiom).
 //   - Range visits entries in slot order — deterministic for a given
-//     insertion history, unlike map iteration. LRU eviction scans
-//     (min-stamp with strict <), which the prefetchers already did over
-//     their maps; unique stamps make the victim identical.
+//     insertion history, unlike map iteration. Nothing picks an LRU victim
+//     by scanning: the bounded tables are LRUs, whose List yields the
+//     oldest entry in O(1).
 //
 // The zero value is an empty, growable table; NewTable pre-sizes one.
 type Table[V any] struct {

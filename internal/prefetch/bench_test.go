@@ -58,12 +58,40 @@ func benchAccesses(n int) []trace.Access {
 	return accs
 }
 
+// evictAccesses is the eviction regime: a fixed cycle over 16K pages, four
+// accesses per page at offsets 0, 2, 5 and 9, each page under one of 512
+// PCs. Its working set overflows every bounded LRU table — SPP's 4,096
+// pages, VLDP's 128, SMS's 64 generations, Stride's and NextPage's 256
+// PCs, ISB's 8,192 mappings — so each of them evicts on every new page
+// or PC, while the unbounded tables (SISB, VLDP's predictions) stop
+// growing after one cycle.
+func evictAccesses() []trace.Access {
+	const pages, pcs = 16384, 512
+	offsets := [4]uint64{0, 2, 5, 9}
+	accs := make([]trace.Access, 0, pages*len(offsets))
+	for k := uint64(0); k < pages; k++ {
+		page := 1<<20 + k*7919%pages
+		for _, off := range offsets {
+			accs = append(accs, trace.Access{
+				ID:   uint64(len(accs)+1) * 8,
+				PC:   0x500000 + k%pcs*4,
+				Addr: page*trace.PageBytes + off*trace.BlockBytes,
+			})
+		}
+	}
+	return accs
+}
+
 // BenchmarkAdvise measures each prefetcher's per-access Advise cost over
 // the shared workload, after one full pass of warmup so growable tables
-// are at steady state. Recorded into BENCH_prefetch.json by
-// `make bench-micro`.
+// are at steady state, and again (Evict/...) over evictAccesses. Recorded
+// into BENCH_prefetch.json by `make bench-micro`.
 func BenchmarkAdvise(b *testing.B) {
-	accs := benchAccesses(4096)
+	benchAdvise(b, benchAccesses(4096))
+	b.Run("Evict", func(b *testing.B) { benchAdvise(b, evictAccesses()) })
+}
+
+func benchAdvise(b *testing.B, accs []trace.Access) {
 	for _, bp := range benchPrefetchers() {
 		b.Run(bp.name, func(b *testing.B) {
 			p := bp.make()
@@ -81,9 +109,14 @@ func BenchmarkAdvise(b *testing.B) {
 
 // TestAdviseSteadyStateZeroAlloc pins the flat-table contract: once a
 // prefetcher has seen its working set, Advise allocates nothing — no
-// per-call result slices, no map growth, no scratch rebuilds.
+// per-call result slices, no map growth, no scratch rebuilds — on the
+// shared workload and (Evict/...) while every bounded table evicts.
 func TestAdviseSteadyStateZeroAlloc(t *testing.T) {
-	accs := benchAccesses(4096)
+	checkZeroAlloc(t, benchAccesses(4096))
+	t.Run("Evict", func(t *testing.T) { checkZeroAlloc(t, evictAccesses()) })
+}
+
+func checkZeroAlloc(t *testing.T, accs []trace.Access) {
 	for _, bp := range benchPrefetchers() {
 		t.Run(bp.name, func(t *testing.T) {
 			p := bp.make()
@@ -106,21 +139,27 @@ func TestAdviseSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBenchAccessesDeterministic keeps the shared workload stable: the
-// benchmark numbers in BENCH_prefetch.json are only comparable across
-// commits if the workload never drifts.
+// TestBenchAccessesDeterministic keeps the benchmark workloads stable: the
+// numbers in BENCH_prefetch.json are only comparable across commits if the
+// workloads never drift.
 func TestBenchAccessesDeterministic(t *testing.T) {
-	const h0 = 14695981039346656037
-	const prime = 1099511628211
-	h := uint64(h0)
-	for _, a := range benchAccesses(4096) {
+	if got := fmt.Sprintf("%016x", accessHash(benchAccesses(4096))); got != "4b8dc562aea58cbe" {
+		t.Errorf("benchAccesses drifted: fnv64 %s", got)
+	}
+	if got := fmt.Sprintf("%016x", accessHash(evictAccesses())); got != "6bfd4cb05c94816d" {
+		t.Errorf("evictAccesses drifted: fnv64 %s", got)
+	}
+}
+
+// accessHash folds every access's ID, PC and address into one FNV-1a hash.
+func accessHash(accs []trace.Access) uint64 {
+	h := uint64(14695981039346656037)
+	for _, a := range accs {
 		for _, v := range [3]uint64{a.ID, a.PC, a.Addr} {
 			for s := 0; s < 64; s += 8 {
-				h = (h ^ (v >> s & 0xff)) * prime
+				h = (h ^ (v >> s & 0xff)) * 1099511628211
 			}
 		}
 	}
-	if got := fmt.Sprintf("%016x", h); got != "4b8dc562aea58cbe" {
-		t.Errorf("benchAccesses drifted: fnv64 %s", got)
-	}
+	return h
 }

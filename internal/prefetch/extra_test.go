@@ -47,6 +47,27 @@ func TestStrideSilentOnNoise(t *testing.T) {
 	}
 }
 
+// TestLRUCapsNeverPanic pins that no bound on an LRU table panics, even
+// one at or below zero: the bounded-table idiom then evicts whatever is
+// oldest, possibly nothing, before every insert.
+func TestLRUCapsNeverPanic(t *testing.T) {
+	for _, bound := range []int{0, -1, 1} {
+		spp, vldp, sms := NewSPP(), NewVLDP(), NewSMS()
+		stride, np, isb := NewStride(), NewNextPage(), NewISB()
+		spp.sigCap, vldp.dhbCap, sms.ActiveCap = bound, bound, bound
+		stride.cap, np.cap, isb.Cap = bound, bound, bound
+		for i := uint64(0); i < 200; i++ {
+			a := acc(i+1, i%3, i*i%97*trace.BlocksPerPage+i%7)
+			for _, p := range []Prefetcher{spp, vldp, sms, stride, np, isb} {
+				p.Advise(a, 2)
+			}
+		}
+		if bound == 1 && (spp.sig.Len() != 1 || sms.active.Len() != 1 || isb.ps.Len() != 1) {
+			t.Errorf("bound 1: tables hold %d/%d/%d entries", spp.sig.Len(), sms.active.Len(), isb.ps.Len())
+		}
+	}
+}
+
 func TestStrideTableEviction(t *testing.T) {
 	p := NewStride()
 	p.cap = 4
@@ -88,10 +109,11 @@ func TestVLDPPrefersLongerHistory(t *testing.T) {
 	p := NewVLDP()
 	// Two contexts ending in delta 2: {1,2}->5 and {3,2}->7. A
 	// single-delta table cannot separate them; the two-delta table can.
-	page := uint64(0)
+	page, id := uint64(0), uint64(0)
 	feed := func(offs ...int) {
-		for i, o := range offs {
-			p.Advise(trace.Access{ID: p.clock + uint64(i) + 1, PC: 1, Addr: page*trace.PageBytes + uint64(o)*trace.BlockBytes}, 2)
+		for _, o := range offs {
+			id++
+			p.Advise(trace.Access{ID: id, PC: 1, Addr: page*trace.PageBytes + uint64(o)*trace.BlockBytes}, 2)
 		}
 		page++
 	}
@@ -102,8 +124,9 @@ func TestVLDPPrefersLongerHistory(t *testing.T) {
 	// Query context {1,2}: expect +5 to be the top suggestion.
 	got := func() []uint64 {
 		var out []uint64
-		for i, o := range []int{0, 1, 3} {
-			out = p.Advise(trace.Access{ID: p.clock + uint64(i) + 1, PC: 1, Addr: page*trace.PageBytes + uint64(o)*trace.BlockBytes}, 2)
+		for _, o := range []int{0, 1, 3} {
+			id++
+			out = p.Advise(trace.Access{ID: id, PC: 1, Addr: page*trace.PageBytes + uint64(o)*trace.BlockBytes}, 2)
 		}
 		return out
 	}()
@@ -119,8 +142,10 @@ func TestSMSLearnsFootprint(t *testing.T) {
 	p := NewSMS()
 	p.ActiveCap = 1 // force generations to end as soon as a new page triggers
 	// Region footprint: trigger at offset 4 (PC 9), then touches at 6, 10, 20.
+	id := uint64(0)
 	touch := func(page uint64, off int) []uint64 {
-		return p.Advise(trace.Access{ID: p.clock + 1, PC: 9, Addr: page*trace.PageBytes + uint64(off)*trace.BlockBytes}, 4)
+		id++
+		return p.Advise(trace.Access{ID: id, PC: 9, Addr: page*trace.PageBytes + uint64(off)*trace.BlockBytes}, 4)
 	}
 	for page := uint64(0); page < 4; page++ {
 		touch(page, 4)
@@ -148,8 +173,10 @@ func TestSMSLearnsFootprint(t *testing.T) {
 func TestSMSNearestFirst(t *testing.T) {
 	p := NewSMS()
 	p.ActiveCap = 1
+	id := uint64(0)
 	touch := func(page uint64, off int, budget int) []uint64 {
-		return p.Advise(trace.Access{ID: p.clock + 1, PC: 9, Addr: page*trace.PageBytes + uint64(off)*trace.BlockBytes}, budget)
+		id++
+		return p.Advise(trace.Access{ID: id, PC: 9, Addr: page*trace.PageBytes + uint64(off)*trace.BlockBytes}, budget)
 	}
 	for page := uint64(0); page < 3; page++ {
 		touch(page, 10, 4)
@@ -295,16 +322,16 @@ func TestISBStructuralConsistency(t *testing.T) {
 	for i := uint64(0); i < 3000; i++ {
 		p.Advise(acc(i+1, i%4, (i*2654435761)%(1<<16)), 2)
 	}
-	p.ps.Range(func(phys uint64, e *isbMapping) bool {
-		back := p.sp.Get(e.str)
+	p.ps.Range(func(phys uint64, str *uint64) bool {
+		back := p.sp.Get(*str)
 		if back == nil || *back != phys {
-			t.Fatalf("ps/sp inconsistent: phys %d -> str %d -> %v", phys, e.str, back)
+			t.Fatalf("ps/sp inconsistent: phys %d -> str %d -> %v", phys, *str, back)
 		}
 		return true
 	})
 	p.sp.Range(func(str uint64, physp *uint64) bool {
-		fwd := p.ps.Get(*physp)
-		if fwd == nil || fwd.str != str {
+		fwd := p.ps.Peek(*physp)
+		if fwd == nil || *fwd != str {
 			t.Fatalf("sp/ps inconsistent: str %d -> phys %d -> %v", str, *physp, fwd)
 		}
 		return true

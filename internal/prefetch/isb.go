@@ -15,8 +15,8 @@ import (
 // (PS) and structural → physical (SP). The idealized SISB corresponds to
 // unbounded mappings.
 type ISB struct {
-	ps *flat.Table[isbMapping] // physical block -> structural address + LRU stamp
-	sp *flat.Table[uint64]     // structural address -> physical block
+	ps *flat.LRU[uint64]   // physical block -> structural address, in recency order
+	sp *flat.Table[uint64] // structural address -> physical block
 
 	last *flat.Table[uint64] // pc -> previous physical block
 
@@ -31,20 +31,14 @@ type ISB struct {
 	// uses 256-entry structural pages).
 	StreamGranularity uint64
 
-	clock  uint64
 	advBuf []uint64
-}
-
-type isbMapping struct {
-	str uint64
-	use uint64
 }
 
 // NewISB returns an ISB with 8K mapping entries (a realistic on-chip
 // metadata budget).
 func NewISB() *ISB {
 	return &ISB{
-		ps:                flat.NewTable[isbMapping](8192),
+		ps:                flat.NewLRU[uint64](8192),
 		sp:                flat.NewTable[uint64](8192),
 		last:              flat.NewTable[uint64](256),
 		cursor:            flat.NewTable[uint64](256),
@@ -59,23 +53,24 @@ func (b *ISB) Name() string { return "ISB" }
 // Advise implements Prefetcher. The returned slice is reused across calls
 // and valid only until the next Advise.
 func (b *ISB) Advise(a trace.Access, budget int) []uint64 {
-	b.clock++
 	block := a.Block()
 
 	// Training: give this block the structural address after its temporal
 	// predecessor in the same PC stream. Linearisation is sticky: blocks
 	// that already have a structural home keep it (re-linearising on
 	// every revisit would tear down the stream a loop just built); stale
-	// mappings leave through LRU eviction instead.
+	// mappings leave through LRU eviction instead. Only a mapping's
+	// write and the access to its own block refresh its recency, so the
+	// lookups here peek.
 	if prevp := b.last.Get(a.PC); prevp != nil && *prevp != block {
 		prev := *prevp
 		var prevStr, curStr uint64
 		hasPrev, hasCur := false, false
-		if e := b.ps.Get(prev); e != nil {
-			prevStr, hasPrev = e.str, true
+		if s := b.ps.Peek(prev); s != nil {
+			prevStr, hasPrev = *s, true
 		}
-		if e := b.ps.Get(block); e != nil {
-			curStr, hasCur = e.str, true
+		if s := b.ps.Peek(block); s != nil {
+			curStr, hasCur = *s, true
 		}
 		switch {
 		case hasPrev && !hasCur && (prevStr+1)%b.StreamGranularity != 0:
@@ -97,14 +92,14 @@ func (b *ISB) Advise(a trace.Access, budget int) []uint64 {
 	}
 	lastp, _ := b.last.Insert(a.PC)
 	*lastp = block
-	b.touch(block)
 
-	// Prediction: walk forward in structural space from this block.
-	e := b.ps.Get(block)
-	if e == nil {
+	// Prediction: walk forward in structural space from this block, whose
+	// mapping the access refreshes.
+	s := b.ps.Get(block)
+	if s == nil {
 		return nil
 	}
-	str := e.str
+	str := *s
 	out := b.advBuf[:0]
 	for i := uint64(1); len(out) < budget; i++ {
 		phys := b.sp.Get(str + i)
@@ -135,8 +130,8 @@ func (b *ISB) alloc(pc uint64) uint64 {
 
 // assign records the physical<->structural pair, displacing stale mappings.
 func (b *ISB) assign(phys, str uint64) {
-	if old := b.ps.Get(phys); old != nil {
-		b.sp.Delete(old.str)
+	if old := b.ps.Peek(phys); old != nil {
+		b.sp.Delete(*old)
 	}
 	if oldPhys := b.sp.Get(str); oldPhys != nil {
 		b.ps.Delete(*oldPhys)
@@ -144,31 +139,18 @@ func (b *ISB) assign(phys, str uint64) {
 	if b.ps.Len() >= b.Cap {
 		b.evict()
 	}
-	e, _ := b.ps.Insert(phys)
-	*e = isbMapping{str: str, use: b.clock}
+	s, _ := b.ps.Insert(phys)
+	*s = str
 	sp, _ := b.sp.Insert(str)
 	*sp = phys
 }
 
-func (b *ISB) touch(phys uint64) {
-	if e := b.ps.Get(phys); e != nil {
-		e.use = b.clock
-	}
-}
-
 // evict removes the least-recently-used mapping pair.
 func (b *ISB) evict() {
-	var victim uint64
-	var oldest uint64 = ^uint64(0)
-	b.ps.Range(func(phys uint64, e *isbMapping) bool {
-		if e.use < oldest {
-			oldest = e.use
-			victim = phys
-		}
-		return true
-	})
-	if e := b.ps.Get(victim); e != nil {
-		b.sp.Delete(e.str)
+	victim, str := b.ps.Oldest()
+	if str == nil {
+		return
 	}
+	b.sp.Delete(*str)
 	b.ps.Delete(victim)
 }

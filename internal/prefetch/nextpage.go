@@ -13,9 +13,8 @@ import (
 // the next page — bridging exactly the gap PATHFINDER's within-page model
 // cannot cover. It is designed to be ensembled with PATHFINDER.
 type NextPage struct {
-	table *flat.Table[nextPageEntry]
+	table *flat.LRU[nextPageEntry] // pc -> entry, in recency order
 	cap   int
-	clock uint64
 
 	advBuf []uint64
 
@@ -32,13 +31,12 @@ type nextPageEntry struct {
 	conf       int
 	// firstOffset is the page offset this PC's page entries start at.
 	firstOffset int
-	lastUse     uint64
 }
 
 // NewNextPage returns a cold-page first-access predictor.
 func NewNextPage() *NextPage {
 	return &NextPage{
-		table:         flat.NewTable[nextPageEntry](256),
+		table:         flat.NewLRU[nextPageEntry](256),
 		cap:           256,
 		MinConfidence: 2,
 		Lookahead:     1,
@@ -53,18 +51,17 @@ func (n *NextPage) Name() string { return "NextPage" }
 // leaving them to within-page prefetchers. The returned slice is reused
 // across calls and valid only until the next Advise.
 func (n *NextPage) Advise(a trace.Access, budget int) []uint64 {
-	n.clock++
 	page := a.Page()
 	e := n.table.Get(a.PC)
 	if e == nil {
 		if n.table.Len() >= n.cap {
-			n.evictLRU()
+			victim, _ := n.table.Oldest()
+			n.table.Delete(victim)
 		}
 		e, _ = n.table.Insert(a.PC)
-		*e = nextPageEntry{lastPage: page, firstOffset: a.Offset(), lastUse: n.clock}
+		*e = nextPageEntry{lastPage: page, firstOffset: a.Offset()}
 		return nil
 	}
-	e.lastUse = n.clock
 	if page == e.lastPage {
 		return nil // within-page access: not our department
 	}
@@ -93,17 +90,4 @@ func (n *NextPage) Advise(a trace.Access, budget int) []uint64 {
 	}
 	n.advBuf = out
 	return out
-}
-
-func (n *NextPage) evictLRU() {
-	var victim uint64
-	var oldest uint64 = ^uint64(0)
-	n.table.Range(func(pc uint64, e *nextPageEntry) bool {
-		if e.lastUse < oldest {
-			oldest = e.lastUse
-			victim = pc
-		}
-		return true
-	})
-	n.table.Delete(victim)
 }

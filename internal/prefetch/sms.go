@@ -12,14 +12,13 @@ import (
 // pages here, matching the rest of the reproduction.
 type SMS struct {
 	// active tracks regions currently accumulating footprints
-	// (accumulation generation table).
-	active *flat.Table[smsGeneration]
+	// (accumulation generation table), in recency order.
+	active *flat.LRU[smsGeneration]
 	// patterns is the pattern history table: trigger signature ->
 	// footprint bitmask.
 	patterns *flat.Table[uint64]
 	// ActiveCap and PatternCap bound the two tables.
 	ActiveCap, PatternCap int
-	clock                 uint64
 
 	advBuf []uint64
 }
@@ -27,14 +26,13 @@ type SMS struct {
 type smsGeneration struct {
 	signature uint64
 	footprint uint64 // bit per block offset
-	lastUse   uint64
 }
 
 // NewSMS returns an SMS with 64 active generations and a 4K-entry pattern
 // table.
 func NewSMS() *SMS {
 	return &SMS{
-		active:     flat.NewTable[smsGeneration](64),
+		active:     flat.NewLRU[smsGeneration](64),
 		patterns:   flat.NewTable[uint64](4096),
 		ActiveCap:  64,
 		PatternCap: 4096,
@@ -51,13 +49,11 @@ func smsSignature(pc uint64, offset int) uint64 {
 // Advise implements Prefetcher. The returned slice is reused across calls
 // and valid only until the next Advise.
 func (s *SMS) Advise(a trace.Access, budget int) []uint64 {
-	s.clock++
 	page := a.Page()
 	off := a.Offset()
 
 	if gen := s.active.Get(page); gen != nil {
 		gen.footprint |= 1 << uint(off)
-		gen.lastUse = s.clock
 		return nil
 	}
 
@@ -71,7 +67,6 @@ func (s *SMS) Advise(a trace.Access, budget int) []uint64 {
 	*gen = smsGeneration{
 		signature: sig,
 		footprint: 1 << uint(off),
-		lastUse:   s.clock,
 	}
 
 	// Replay the learned footprint for this trigger, nearest blocks
@@ -99,16 +94,11 @@ func (s *SMS) Advise(a trace.Access, budget int) []uint64 {
 // endOldestGeneration commits the LRU active generation's footprint to the
 // pattern table.
 func (s *SMS) endOldestGeneration() {
-	var victim uint64
-	var oldest uint64 = ^uint64(0)
-	s.active.Range(func(pg uint64, g *smsGeneration) bool {
-		if g.lastUse < oldest {
-			oldest = g.lastUse
-			victim = pg
-		}
-		return true
-	})
-	g := *s.active.Get(victim)
+	victim, oldest := s.active.Oldest()
+	if oldest == nil {
+		return
+	}
+	g := *oldest
 	s.active.Delete(victim)
 	if s.patterns.Len() >= s.PatternCap {
 		// Cheap bound: clear rather than track LRU across 4K entries.

@@ -14,7 +14,7 @@ import (
 // threshold — the adaptive selectivity that gives it the highest accuracy
 // but lowest coverage in Figure 4/Table 6.
 type SPP struct {
-	sig *flat.Table[sppPage] // page -> tracking entry
+	sig *flat.LRU[sppPage] // page -> tracking entry, in recency order
 	// pattern is indexed directly by the 12-bit signature — the table is
 	// exactly the 4096-entry SRAM structure of the paper, and a zero entry
 	// (total == 0) behaves identically to an absent one.
@@ -31,14 +31,11 @@ type SPP struct {
 	ConfidenceThreshold float64
 	// MaxLookahead bounds the speculative path walk.
 	MaxLookahead int
-
-	clock uint64
 }
 
 type sppPage struct {
 	lastOffset int
 	signature  uint16
-	lastUse    uint64
 }
 
 type sppEntry struct {
@@ -50,7 +47,7 @@ type sppEntry struct {
 // NewSPP returns an SPP with the standard configuration.
 func NewSPP() *SPP {
 	return &SPP{
-		sig:                 flat.NewTable[sppPage](4096),
+		sig:                 flat.NewLRU[sppPage](4096),
 		pattern:             make([]sppEntry, 1<<12),
 		sigCap:              4096,
 		ConfidenceThreshold: 0.5,
@@ -110,20 +107,19 @@ func (e *sppEntry) bestDelta() (int, float64) {
 // Advise implements Prefetcher. The returned slice is reused across calls
 // and valid only until the next Advise.
 func (s *SPP) Advise(a trace.Access, budget int) []uint64 {
-	s.clock++
 	page := a.Page()
 	off := a.Offset()
 
 	st := s.sig.Get(page)
 	if st == nil {
 		if s.sig.Len() >= s.sigCap {
-			s.evictOldest()
+			victim, _ := s.sig.Oldest()
+			s.sig.Delete(victim)
 		}
 		st, _ = s.sig.Insert(page)
-		*st = sppPage{lastOffset: off, lastUse: s.clock}
+		*st = sppPage{lastOffset: off}
 		return nil
 	}
-	st.lastUse = s.clock
 	delta := off - st.lastOffset
 	if delta != 0 {
 		// Learn: the previous signature led to this delta.
@@ -159,17 +155,4 @@ func (s *SPP) Advise(a trace.Access, budget int) []uint64 {
 		return nil
 	}
 	return out
-}
-
-func (s *SPP) evictOldest() {
-	var oldestPage uint64
-	var oldest uint64 = ^uint64(0)
-	s.sig.Range(func(p uint64, st *sppPage) bool {
-		if st.lastUse < oldest {
-			oldest = st.lastUse
-			oldestPage = p
-		}
-		return true
-	})
-	s.sig.Delete(oldestPage)
 }

@@ -11,9 +11,8 @@ import (
 // ahead once the same stride repeats. It complements NextLine (which is
 // PC-blind) and Best-Offset (which learns one global offset).
 type Stride struct {
-	table *flat.Table[strideEntry]
+	table *flat.LRU[strideEntry] // pc -> entry, in recency order
 	cap   int
-	clock uint64
 
 	advBuf []uint64
 
@@ -26,13 +25,12 @@ type strideEntry struct {
 	lastBlock uint64
 	stride    int64
 	conf      int
-	lastUse   uint64
 }
 
 // NewStride returns a stride prefetcher with a 256-entry table.
 func NewStride() *Stride {
 	return &Stride{
-		table:         flat.NewTable[strideEntry](256),
+		table:         flat.NewLRU[strideEntry](256),
 		cap:           256,
 		MinConfidence: 2,
 	}
@@ -44,18 +42,17 @@ func (s *Stride) Name() string { return "Stride" }
 // Advise implements Prefetcher. The returned slice is reused across calls
 // and valid only until the next Advise.
 func (s *Stride) Advise(a trace.Access, budget int) []uint64 {
-	s.clock++
 	block := a.Block()
 	e := s.table.Get(a.PC)
 	if e == nil {
 		if s.table.Len() >= s.cap {
-			s.evictLRU()
+			victim, _ := s.table.Oldest()
+			s.table.Delete(victim)
 		}
 		e, _ = s.table.Insert(a.PC)
-		*e = strideEntry{lastBlock: block, lastUse: s.clock}
+		*e = strideEntry{lastBlock: block}
 		return nil
 	}
-	e.lastUse = s.clock
 	stride := int64(block) - int64(e.lastBlock)
 	e.lastBlock = block
 	if stride == 0 {
@@ -82,17 +79,4 @@ func (s *Stride) Advise(a trace.Access, budget int) []uint64 {
 	}
 	s.advBuf = out
 	return out
-}
-
-func (s *Stride) evictLRU() {
-	var victim uint64
-	var oldest uint64 = ^uint64(0)
-	s.table.Range(func(pc uint64, e *strideEntry) bool {
-		if e.lastUse < oldest {
-			oldest = e.lastUse
-			victim = pc
-		}
-		return true
-	})
-	s.table.Delete(victim)
 }

@@ -13,9 +13,8 @@ import (
 // TAGE-like structure the paper mentions). Predictions chain for
 // multi-degree prefetching.
 type VLDP struct {
-	dhb    *flat.Table[vldpPage] // delta history buffer: page -> history
+	dhb    *flat.LRU[vldpPage] // delta history buffer: page -> history
 	dhbCap int
-	clock  uint64
 
 	advBuf []uint64
 
@@ -28,7 +27,6 @@ type vldpPage struct {
 	lastOffset int
 	deltas     [3]int // most recent last
 	n          int
-	lastUse    uint64
 }
 
 type vldpPred struct {
@@ -39,7 +37,7 @@ type vldpPred struct {
 // NewVLDP returns a VLDP with a 128-page history buffer and three
 // prediction tables.
 func NewVLDP() *VLDP {
-	v := &VLDP{dhb: flat.NewTable[vldpPage](128), dhbCap: 128}
+	v := &VLDP{dhb: flat.NewLRU[vldpPage](128), dhbCap: 128}
 	for i := range v.dpt {
 		v.dpt[i] = flat.NewTable[vldpPred](1024)
 	}
@@ -62,19 +60,18 @@ func vldpKey(deltas [3]int, k int) uint64 {
 // Advise implements Prefetcher. The returned slice is reused across calls
 // and valid only until the next Advise.
 func (v *VLDP) Advise(a trace.Access, budget int) []uint64 {
-	v.clock++
 	page := a.Page()
 	off := a.Offset()
 	p := v.dhb.Get(page)
 	if p == nil {
 		if v.dhb.Len() >= v.dhbCap {
-			v.evictLRU()
+			victim, _ := v.dhb.Oldest()
+			v.dhb.Delete(victim)
 		}
 		p, _ = v.dhb.Insert(page)
-		*p = vldpPage{lastOffset: off, lastUse: v.clock}
+		*p = vldpPage{lastOffset: off}
 		return nil
 	}
-	p.lastUse = v.clock
 	delta := off - p.lastOffset
 	p.lastOffset = off
 	if delta == 0 {
@@ -153,17 +150,4 @@ func min3(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func (v *VLDP) evictLRU() {
-	var victim uint64
-	var oldest uint64 = ^uint64(0)
-	v.dhb.Range(func(pg uint64, e *vldpPage) bool {
-		if e.lastUse < oldest {
-			oldest = e.lastUse
-			victim = pg
-		}
-		return true
-	})
-	v.dhb.Delete(victim)
 }

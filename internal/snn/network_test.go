@@ -2,6 +2,7 @@ package snn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -474,6 +475,53 @@ func TestNetworkSaveLoadRoundTrip(t *testing.T) {
 	b, _ := m.OneTickWinner(pattern(1, 2, 4))
 	if a != b {
 		t.Errorf("winners differ after reload: %d vs %d", a, b)
+	}
+}
+
+// TestLoadNetworkRejectsImplausibleValues pins the float checks of
+// LoadNetwork: a snapshot whose parameters or learned state lie where no
+// configuration puts them is refused, since under pfdebug the engine's
+// invariant checks would panic on it and in release builds it computes
+// with infinities.
+func TestLoadNetworkRejectsImplausibleValues(t *testing.T) {
+	cfg := testConfig()
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	if _, err := LoadNetwork(bytes.NewReader(blob)); err != nil {
+		t.Fatalf("LoadNetwork on an unmodified blob: %v", err)
+	}
+	// Layout: magic, 9 ints, 19 floats (Norm is float 2, TCTheta 4, WMax
+	// 9), the weights, then the thresholds; 8 bytes each.
+	const floats = 4 + 9*8
+	weights := floats + 19*8
+	thetas := weights + 8*cfg.InputSize*cfg.Neurons
+	for _, c := range []struct {
+		what string
+		at   int
+		v    float64
+	}{
+		{"infinite Norm", floats + 2*8, math.Inf(1)},
+		{"Norm of 1e300", floats + 2*8, -1e300},
+		{"negative TCTheta", floats + 4*8, -1},
+		{"negative WMax", floats + 9*8, -1e-250},
+		{"negative weight", weights + 8, -1},
+		{"NaN weight", weights + 16, math.NaN()},
+		{"weight above WMax", weights, cfg.WMax * 2},
+		{"infinite threshold", thetas, math.Inf(1)},
+		{"negative threshold", thetas + 8, -0.5},
+	} {
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint64(bad[c.at:], math.Float64bits(c.v))
+		if _, err := LoadNetwork(bytes.NewReader(bad)); err == nil {
+			t.Errorf("LoadNetwork accepted a snapshot with %s", c.what)
+		}
 	}
 }
 

@@ -29,6 +29,9 @@ const (
 	maxLoadNeurons   = 1 << 14
 	maxLoadInputSize = 1 << 18
 	maxLoadSynapses  = 1 << 24
+	// maxLoadMagnitude bounds every floating-point parameter (Table 4's
+	// largest is TCTheta = 1e4), so no product of a few of them overflows.
+	maxLoadMagnitude = 1e9
 )
 
 // Save writes the network's configuration and learned state to w.
@@ -116,6 +119,11 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 		return nil, fmt.Errorf("snn: implausible tick count %d in file", ints[3])
 	}
 	f := func(i int) float64 { return math.Float64frombits(fbits[i]) }
+	for i := range fbits {
+		if v := f(i); !(math.Abs(v) <= maxLoadMagnitude) {
+			return nil, fmt.Errorf("snn: implausible configuration value %v in file (field %d)", v, i)
+		}
+	}
 	cfg := Config{
 		InputSize: int(ints[0]), Neurons: int(ints[1]), InhHold: int(ints[2]),
 		Ticks: int(ints[3]), RefracE: int(ints[4]), RefracI: int(ints[5]),
@@ -126,23 +134,41 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 		RestE: f(11), ResetE: f(12), ThreshE: f(13), TCDecayE: f(14),
 		RestI: f(15), ResetI: f(16), ThreshI: f(17), TCDecayI: f(18),
 	}
+	// WMax must be positive (weights live in [0, WMax]) and the time
+	// constants non-negative: no configuration uses other values, and the
+	// invariants the engine keeps assume them.
+	if !(cfg.WMax > 0) || cfg.TCTheta < 0 || cfg.TraceTC < 0 || cfg.TCDecayE < 0 || cfg.TCDecayI < 0 {
+		return nil, fmt.Errorf("snn: implausible configuration in file (WMax %v, time constants %v/%v/%v/%v)",
+			cfg.WMax, cfg.TCTheta, cfg.TraceTC, cfg.TCDecayE, cfg.TCDecayI)
+	}
 	n, err := New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("snn: restoring: %w", err)
 	}
+	// The learned state must lie where the engine keeps it: weights in
+	// [0, WMax] unless a negative Norm scales them negative, thresholds
+	// finite and, with a non-negative ThetaPlus, non-negative.
 	for i := range n.w {
 		var bits uint64
 		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
 			return nil, fmt.Errorf("snn: reading weights: %w", err)
 		}
-		n.w[i] = math.Float64frombits(bits)
+		w := math.Float64frombits(bits)
+		if math.IsNaN(w) || math.IsInf(w, 0) || cfg.Norm >= 0 && (w < 0 || w > cfg.WMax) {
+			return nil, fmt.Errorf("snn: weight %d is %v, outside [0, %v]", i, w, cfg.WMax)
+		}
+		n.w[i] = w
 	}
 	for i := range n.theta {
 		var bits uint64
 		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
 			return nil, fmt.Errorf("snn: reading thetas: %w", err)
 		}
-		n.theta[i] = math.Float64frombits(bits)
+		th := math.Float64frombits(bits)
+		if math.IsNaN(th) || math.IsInf(th, 0) || cfg.ThetaPlus >= 0 && th < 0 {
+			return nil, fmt.Errorf("snn: threshold %d is %v", i, th)
+		}
+		n.theta[i] = th
 	}
 	return n, nil
 }

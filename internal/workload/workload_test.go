@@ -379,51 +379,6 @@ func TestChainsAreSerialInSim(t *testing.T) {
 	}
 }
 
-func TestFilterCacheDropsHits(t *testing.T) {
-	// Repeated accesses to one block: only the first survives filtering.
-	accs := make([]trace.Access, 10)
-	for i := range accs {
-		accs[i] = trace.Access{ID: uint64(i + 1), Addr: 4096}
-	}
-	got := FilterCache(accs, 4, 2)
-	if len(got) != 1 || got[0].ID != 1 {
-		t.Fatalf("filtered = %v, want only the first access", got)
-	}
-}
-
-func TestFilterCacheKeepsMisses(t *testing.T) {
-	// Distinct blocks exceed the cache: all survive (capacity misses or
-	// cold misses).
-	accs := make([]trace.Access, 100)
-	for i := range accs {
-		accs[i] = trace.Access{ID: uint64(i + 1), Addr: uint64(i) * trace.PageBytes}
-	}
-	got := FilterCache(accs, 2, 2)
-	if len(got) != 100 {
-		t.Fatalf("filtered kept %d of 100 cold misses", len(got))
-	}
-}
-
-func TestFilterCacheZeroGeometryIsIdentity(t *testing.T) {
-	accs, _ := Generate("cc-5", 2000, 1)
-	got := FilterCache(accs, 0, 0)
-	if len(got) != len(accs) {
-		t.Fatalf("identity filter changed length: %d vs %d", len(got), len(accs))
-	}
-}
-
-func TestFilterCacheReducesDeltaDensity(t *testing.T) {
-	// Filtering through an L1-sized cache must reduce same-page delta
-	// density (the Table 7/8 deviation note in EXPERIMENTS.md).
-	accs, _ := Generate("605-mcf-s1", 30000, 1)
-	raw := ComputeDeltaStats(accs)
-	filtered := ComputeDeltaStats(FilterCache(accs, 64, 8))
-	if filtered.PerWindow.AvgDeltas >= raw.PerWindow.AvgDeltas {
-		t.Errorf("filtering did not reduce delta density: %.0f vs %.0f",
-			filtered.PerWindow.AvgDeltas, raw.PerWindow.AvgDeltas)
-	}
-}
-
 func TestGenerateBFSShape(t *testing.T) {
 	accs := GenerateBFS(20_000, 1)
 	if len(accs) != 20_000 {
