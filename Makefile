@@ -12,16 +12,17 @@
 # docs/testing.md), and `make fuzz-short` gives each native fuzz target a
 # brief budget. `make chaos` runs the fault-injection suite under the race
 # detector (see docs/resilience.md). `make bench-micro` records the SNN,
-# simulator, evaluation-engine, prefetcher, PATHFINDER-advise and
-# trace-codec benchmarks into BENCH_snn.json, BENCH_sim.json,
-# BENCH_runner.json, BENCH_prefetch.json, BENCH_core.json and
-# BENCH_trace.json (see docs/performance.md; the streaming-replay
-# benchmark lands in BENCH_sim.json, the decoder/encoder ones in
-# BENCH_trace.json). `make bench-check` re-runs the simulator, runner,
-# prefetcher, PATHFINDER-advise and SNN-kernel benchmarks and compares
-# them against the committed records, failing on >25% ns/op or allocs/op
-# regressions (cmd/benchdiff; the SNN gate passes -allow-missing because
-# BENCH_snn.json also records the root package's BenchmarkSimulate).
+# simulator, evaluation-engine, prefetcher, PATHFINDER-advise,
+# trace-codec and Fig. 4-lineup grid benchmarks into BENCH_snn.json,
+# BENCH_sim.json, BENCH_runner.json, BENCH_prefetch.json, BENCH_core.json,
+# BENCH_trace.json and BENCH_experiments.json (see docs/performance.md;
+# the streaming-replay benchmark lands in BENCH_sim.json, the
+# decoder/encoder ones in BENCH_trace.json). `make bench-check` re-runs
+# the simulator, runner, prefetcher, PATHFINDER-advise, SNN-kernel and
+# Fig. 4-lineup grid benchmarks and compares them against the committed
+# records, failing on >25% ns/op or allocs/op regressions (cmd/benchdiff;
+# the SNN gate passes -allow-missing because BENCH_snn.json also records
+# the root package's BenchmarkSimulate).
 
 GO ?= go
 FUZZTIME ?= 15s
@@ -66,6 +67,8 @@ fuzz-short:
 	$(GO) test -tags pfdebug ./internal/core/ -run '^$$' -fuzz FuzzLoadSession -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/flat/ -run '^$$' -fuzz FuzzLRU -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/runner/ -run '^$$' -fuzz FuzzOpenJournal -fuzztime $(FUZZTIME)
+	$(GO) test -tags pfdebug ./internal/dist/ -run '^$$' -fuzz FuzzLoadGrid -fuzztime $(FUZZTIME)
+	$(GO) test -tags pfdebug ./internal/dist/ -run '^$$' -fuzz FuzzReadMsg -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./ -run '^$$' -fuzz FuzzLoadPrefetcher -fuzztime $(FUZZTIME)
 
 # The serving-daemon integration harness: concurrent client sessions over
@@ -103,7 +106,9 @@ bench-micro:
 	  $(GO) run ./cmd/benchjson -o BENCH_core.json
 	$(GO) test ./internal/trace -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkRead$$|BenchmarkStreamEncode' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
 	  $(GO) run ./cmd/benchjson -o BENCH_trace.json
-	@cat BENCH_snn.json BENCH_sim.json BENCH_runner.json BENCH_prefetch.json BENCH_core.json BENCH_trace.json
+	$(GO) test ./internal/experiments -run '^$$' -bench '^BenchmarkFig4Grid$$' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
+	  $(GO) run ./cmd/benchjson -o BENCH_experiments.json
+	@cat BENCH_snn.json BENCH_sim.json BENCH_runner.json BENCH_prefetch.json BENCH_core.json BENCH_trace.json BENCH_experiments.json
 
 # Regression gate: rerun the hot-path benchmarks and diff against the
 # committed BENCH_*.json. A >25% ns/op slowdown (min of BENCHCOUNT runs)
@@ -117,5 +122,7 @@ bench-check:
 	  $(GO) run ./cmd/benchdiff -pkg internal/core=BENCH_core.json
 	$(GO) test ./internal/snn -run '^$$' -bench 'BenchmarkPresent' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
 	  $(GO) run ./cmd/benchdiff -allow-missing -pkg internal/snn=BENCH_snn.json
+	$(GO) test ./internal/experiments -run '^$$' -bench '^BenchmarkFig4Grid$$' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
+	  $(GO) run ./cmd/benchdiff -pkg internal/experiments=BENCH_experiments.json
 
 verify: build test vet race pfdebug

@@ -70,6 +70,28 @@ type GridSpec struct {
 	Cells []CellSpec `json:"cells,omitempty"`
 }
 
+// MaxGridCells caps the cells LoadGrid expands a grid file to. A few
+// kilobytes of JSON can otherwise name a cross product of tens of millions
+// of cells: 100 traces × 100 prefetchers × 100 seeds, 1.5 KB, asks for a
+// million.
+const MaxGridCells = 100_000
+
+// size returns how many cells Expand yields, computed without overflow;
+// ok is false when that exceeds MaxGridCells.
+func (g GridSpec) size() (n int, ok bool) {
+	if len(g.Traces) > 0 && len(g.Prefetchers) > 0 {
+		n = 1
+		for _, k := range [...]int{len(g.Traces), len(g.Prefetchers), max(len(g.Seeds), 1)} {
+			if n > MaxGridCells/k {
+				return 0, false
+			}
+			n *= k
+		}
+	}
+	n += len(g.Cells)
+	return n, n <= MaxGridCells
+}
+
 // Expand materialises the spec list.
 func (g GridSpec) Expand() []CellSpec {
 	seeds := g.Seeds
@@ -77,6 +99,9 @@ func (g GridSpec) Expand() []CellSpec {
 		seeds = []int64{0}
 	}
 	var specs []CellSpec
+	if n, ok := g.size(); ok {
+		specs = make([]CellSpec, 0, n)
+	}
 	for _, tr := range g.Traces {
 		for _, pf := range g.Prefetchers {
 			for _, seed := range seeds {
@@ -90,19 +115,27 @@ func (g GridSpec) Expand() []CellSpec {
 	return append(specs, g.Cells...)
 }
 
-// LoadGrid reads and expands a GridSpec JSON file.
+// LoadGrid reads and expands a GridSpec JSON file. A grid of more than
+// MaxGridCells cells is refused before it is expanded.
 func LoadGrid(path string) ([]CellSpec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("dist: grid: %w", err)
 	}
+	return parseGrid(path, data)
+}
+
+// parseGrid decodes and expands the grid file named path.
+func parseGrid(path string, data []byte) ([]CellSpec, error) {
 	var g GridSpec
 	if err := json.Unmarshal(data, &g); err != nil {
 		return nil, fmt.Errorf("dist: grid %s: %w", path, err)
 	}
-	specs := g.Expand()
-	if len(specs) == 0 {
+	switch n, ok := g.size(); {
+	case !ok:
+		return nil, fmt.Errorf("dist: grid %s: more than %d cells", path, MaxGridCells)
+	case n == 0:
 		return nil, fmt.Errorf("dist: grid %s: no cells", path)
 	}
-	return specs, nil
+	return g.Expand(), nil
 }

@@ -1,14 +1,21 @@
 // Package runner is the parallel evaluation engine behind the experiment
 // harness: it fans a (trace × prefetcher) grid out across a worker pool,
-// computes each trace's no-prefetch baseline exactly once through a
-// sharded single-flight cache, and reports per-cell progress to an
-// optional sink.
+// computes each trace and its no-prefetch baseline exactly once through
+// sharded single-flight caches, and reports per-cell progress to an
+// optional sink. A third single-flight cache holds recordings: the advice
+// of a shareable member (a prefetch.Shared, which the registry builds
+// around every PATHFINDER of serve.JobFor) is recorded once per (input,
+// member configuration, budget), and every cell holding that member
+// replays the recording instead of advising its own copy.
 //
 // Determinism contract: every job is evaluated in isolation — its trace is
 // generated (or taken) read-only, its prefetcher is constructed fresh from
 // the job's deterministic seed, and the simulator shares no mutable state
 // between jobs — so Run returns bit-identical Metrics for any Parallelism,
-// in the submitted job order.
+// in the submitted job order. A replayed member is no exception: its
+// advice depends only on its configuration, the accesses it observes and
+// the budget, and the composites pass it every access unchanged, so the
+// recording holds exactly what a fresh copy would advise.
 //
 // Resilience: the engine converts per-job panics into typed JobErrors,
 // retries transient failures with exponential backoff and deterministic
@@ -146,21 +153,23 @@ type Job struct {
 	// Source, if non-nil, supplies the job's trace as a stream instead of
 	// a slice — the constant-memory path for traces too large to
 	// materialize. It is a factory, not a stream: the evaluation replays
-	// the trace up to three times (baseline, generation, timed run), so
-	// every call must return a fresh Source positioned at the first
-	// record with identical records. Source supersedes Accs and
-	// Trace-generation; Trace remains the result label. When the stream's
-	// length is unknown (no Remaining), the default 10%-of-trace warmup is
-	// resolved from a length the runner memoized for this SourceKey during
-	// an earlier full replay; with no memo either, the job fails loudly
-	// unless Job.Warmup or Sim.Warmup pins warmup explicitly (negative
-	// Job.Warmup disables it). Warmup never silently resolves to zero.
+	// the trace up to three times (baseline, generation, timed run), and
+	// once more to record a shareable member's advice, so every call must
+	// return a fresh Source positioned at the first record with identical
+	// records. Source supersedes Accs and Trace-generation; Trace remains
+	// the result label. When the stream's length is unknown (no
+	// Remaining), the default 10%-of-trace warmup is resolved from a
+	// length the runner memoized for this SourceKey during an earlier full
+	// replay; with no memo either, the job fails loudly unless Job.Warmup
+	// or Sim.Warmup pins warmup explicitly (negative Job.Warmup disables
+	// it). Warmup never silently resolves to zero.
 	Source func(ctx context.Context) (trace.Source, error)
 	// SourceKey is the cache identity of a Source or Accs job's records —
 	// a content digest (trace.HashSource), a file digest, or a generator
 	// spec string. It extends the journal cell key and keys the shared
-	// no-prefetch baseline cache; when empty the baseline is recomputed
-	// per cell and the journal key stays purely positional.
+	// no-prefetch baseline and recording caches; when empty the baseline
+	// is recomputed per cell, shareable members are advised live, and the
+	// journal key stays purely positional.
 	SourceKey string
 	// Label overrides the result's Prefetcher name.
 	Label string
@@ -169,7 +178,10 @@ type Job struct {
 	// because construction then happens inside the job with the job's
 	// deterministic seed. Exactly one of New, Prefetcher, GenFile, File
 	// must be set (File may be an explicitly empty file for a no-prefetch
-	// run via Prefetcher: prefetch.NoPrefetch{}).
+	// run via Prefetcher: prefetch.NoPrefetch{}). A prefetch.Shared that
+	// New returns, alone or as an Ensemble or DynamicEnsemble member, is
+	// bound to a replay of the runner's recording of it when the input has
+	// a cache identity; every other prefetcher is advised for real.
 	New func() (prefetch.Prefetcher, error)
 	// Prefetcher is a ready-made online prefetcher. It must not be shared
 	// with any other job: prefetchers are stateful.
@@ -198,12 +210,14 @@ type Job struct {
 }
 
 // Runner evaluates jobs across a worker pool, sharing per-trace work
-// (generation and the no-prefetch baseline) through single-flight caches.
-// A Runner is safe for concurrent use; caches persist across Run calls.
+// (generation, the no-prefetch baseline and the advice of shareable
+// prefetchers) through single-flight caches. A Runner is safe for
+// concurrent use; caches persist across Run calls.
 type Runner struct {
-	cfg       Config
-	traces    flight[[]trace.Access]
-	baselines flight[baselineInfo]
+	cfg        Config
+	traces     flight[[]trace.Access]
+	baselines  flight[baselineInfo]
+	recordings flight[*prefetch.Recording]
 
 	// srcLens memoizes input key → record count for streams that cannot
 	// report their own length, learned from a completed full replay. It
@@ -858,6 +872,15 @@ func (r *Runner) prefetchFile(ctx context.Context, job Job, in *input, c cell) (
 		if budget <= 0 {
 			budget = prefetch.Budget
 		}
+		var rep *prefetch.Replay
+		if s := prefetch.SharedMember(p); s != nil && in.key != "" && job.New != nil {
+			rec, err := r.recording(ctx, s, in, budget)
+			if err != nil {
+				return nil, "", err
+			}
+			rep = prefetch.NewReplay(s.Name(), rec)
+			s.Use(rep)
+		}
 		src, err := in.open(ctx)
 		if err != nil {
 			return nil, "", err
@@ -866,12 +889,38 @@ func (r *Runner) prefetchFile(ctx context.Context, job Job, in *input, c cell) (
 		if err != nil {
 			return nil, "", err
 		}
+		if rep != nil {
+			if err := rep.Finish(); err != nil {
+				return nil, "", err
+			}
+		}
 		if label == "" {
 			label = p.Name()
 		}
 		return pfs, label, nil
 	}
 	return nil, "", fmt.Errorf("job has no prefetcher, generator, or file")
+}
+
+// recording returns the advice of a shareable member's live copy over the
+// input at the budget. It is built once per (input identity, member key,
+// budget) through the single-flight recording cache: every cell holding a
+// member of that key on that input replays it instead of advising its own
+// copy, which gives the same advice because composites pass their members
+// every access unchanged.
+func (r *Runner) recording(ctx context.Context, s *prefetch.Shared, in *input, budget int) (*prefetch.Recording, error) {
+	key := in.key + "\x00" + s.Key() + "\x00" + strconv.Itoa(budget)
+	return r.recordings.Do(ctx, key, func() (*prefetch.Recording, error) {
+		p, err := s.Build()
+		if err != nil {
+			return nil, err
+		}
+		src, err := in.open(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return prefetch.Record(ctx, p, src, budget)
+	})
 }
 
 // ForEach runs fn(i) for every i in [0, n) across a worker pool of the

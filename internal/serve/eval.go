@@ -86,6 +86,13 @@ func NewPrefetcherByName(name string, seed int64) (prefetch.Prefetcher, error) {
 // experiments build their jobs here. An online technique becomes a
 // job.New factory, an offline one (Delta-LSTM / Voyager) a job.GenFile;
 // an unknown name fails here, before any cell runs.
+//
+// The PATHFINDER of pathfinder, pathfinder-1tick, pf+nl, pf+nl+sisb and
+// dynamic-ensemble is built as a prefetch.Shared keyed by its full
+// core.Config. Its advice depends only on that configuration and on the
+// accesses and budget it sees, so a runner records it once per trace and
+// budget and replays the recording to every cell holding it, with
+// bit-identical results; the network is built only for the recording.
 func JobFor(req EvalRequest) (runner.Job, error) {
 	t, err := lookup(req.Prefetcher, req.Seed)
 	if err != nil {
@@ -99,6 +106,15 @@ func JobFor(req EvalRequest) (runner.Job, error) {
 		New:     t.online,
 		GenFile: t.offline,
 	}
+	if t.pf != nil {
+		cfg, wrap := *t.pf, t.wrap
+		key := fmt.Sprintf("%#v", cfg)
+		job.New = func() (prefetch.Prefetcher, error) {
+			return wrap(prefetch.NewShared("Pathfinder", key, func() (prefetch.Prefetcher, error) {
+				return newPathfinder(cfg)
+			})), nil
+		}
+	}
 	if req.Budget > 0 {
 		job.Budget = req.Budget
 	}
@@ -108,24 +124,37 @@ func JobFor(req EvalRequest) (runner.Job, error) {
 // technique is one resolved registry entry: exactly one of online and
 // offline is set. label names the technique where its prefetcher's Name()
 // does not; it becomes the job label, which is part of the runner's
-// journal cell key, so it is empty wherever Name() suffices.
+// journal cell key, so it is empty wherever Name() suffices. pf, when set,
+// is the configuration of the PATHFINDER an online technique is built
+// around, and wrap builds the technique around that member.
 type technique struct {
 	label   string
 	online  func() (prefetch.Prefetcher, error)
 	offline func(ctx context.Context, accs []trace.Access) ([]trace.Prefetch, error)
+	pf      *core.Config
+	wrap    func(prefetch.Prefetcher) prefetch.Prefetcher
+}
+
+// newPathfinder builds a PATHFINDER as a prefetch.Prefetcher.
+func newPathfinder(cfg core.Config) (prefetch.Prefetcher, error) {
+	pf, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return pf, nil
 }
 
 // lookup resolves one registry name for a seed; it is the only place a
 // technique name is decoded.
 func lookup(name string, seed int64) (technique, error) {
 	withPF := func(label string, oneTick bool, wrap func(pf prefetch.Prefetcher) prefetch.Prefetcher) technique {
-		return technique{label: label, online: func() (prefetch.Prefetcher, error) {
-			cfg := core.DefaultConfig()
-			if seed != 0 {
-				cfg.Seed = seed
-			}
-			cfg.OneTick = oneTick
-			pf, err := core.New(cfg)
+		cfg := core.DefaultConfig()
+		if seed != 0 {
+			cfg.Seed = seed
+		}
+		cfg.OneTick = oneTick
+		return technique{label: label, pf: &cfg, wrap: wrap, online: func() (prefetch.Prefetcher, error) {
+			pf, err := newPathfinder(cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -74,8 +74,11 @@ func Collect(src Source) ([]Access, error) {
 	if n, ok := Presize(src); ok {
 		accs = make([]Access, 0, n)
 	}
+	// One record variable for the whole drain: declared per iteration, it
+	// escapes through the Source interface and costs a heap object per
+	// record.
+	var a Access
 	for {
-		var a Access
 		if err := src.Next(&a); err != nil {
 			if err == io.EOF {
 				return accs, nil

@@ -434,6 +434,24 @@ func TestReaderZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestCollectAllocations pins Collect's allocation count independent of
+// the record count: the pre-sized destination plus one record variable,
+// never a heap object per record.
+func TestCollectAllocations(t *testing.T) {
+	accs := genAccesses(4096, 9)
+	src := NewSliceSource(accs)
+	allocs := testing.AllocsPerRun(20, func() {
+		src.Reset()
+		got, err := Collect(src)
+		if err != nil || len(got) != len(accs) {
+			t.Fatalf("Collect = %d records, %v; want %d", len(got), err, len(accs))
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Collect of %d records allocates %v objects, want at most 2", len(accs), allocs)
+	}
+}
+
 func TestDecodeTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	EnableTelemetry(reg)
