@@ -11,7 +11,8 @@
 # `make pfdebug` re-runs the suite with the invariant assertions compiled in (see
 # docs/testing.md), and `make fuzz-short` gives each native fuzz target a
 # brief budget. `make chaos` runs the fault-injection suite under the race
-# detector (see docs/resilience.md). `make bench-micro` records the SNN,
+# detector (see docs/resilience.md). `make examples` runs every example
+# end to end. `make bench-micro` records the SNN,
 # simulator, evaluation-engine, prefetcher, PATHFINDER-advise,
 # trace-codec and Fig. 4-lineup grid benchmarks into BENCH_snn.json,
 # BENCH_sim.json, BENCH_runner.json, BENCH_prefetch.json, BENCH_core.json,
@@ -27,7 +28,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build test vet race pfdebug chaos fuzz-short serve-harness sweep-harness bench bench-micro bench-check verify
+.PHONY: build test vet race pfdebug chaos fuzz-short serve-harness sweep-harness examples bench bench-micro bench-check verify
 
 build:
 	$(GO) build ./...
@@ -84,6 +85,14 @@ serve-harness:
 # single-process sweep, all with the race detector on.
 sweep-harness:
 	$(GO) test -race -count=1 -run 'TestSweepHarness' ./internal/dist/
+
+# Run every example end to end. Their TestBuildGate tests only link them;
+# this catches an example whose main panics or exits non-zero.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"pathfinder/internal/experiments"
+	"pathfinder/internal/prefetch"
 )
 
 // benchOpts are the reduced-scale settings used by every benchmark.
@@ -52,10 +53,7 @@ func BenchmarkSimulate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pfs := generatePrefetches(b, pf, accs)
-		if _, err := Simulate(cfg, accs, pfs); err != nil {
-			b.Fatal(err)
-		}
+		simulate(b, cfg, accs, generatePrefetches(b, pf, accs))
 	}
 }
 
@@ -244,10 +242,7 @@ func BenchmarkAblationTwoPhaseVsInline(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pfs := generatePrefetches(b, pf, accs)
-			if _, err := Simulate(ScaledSimConfig(), accs, pfs); err != nil {
-				b.Fatal(err)
-			}
+			simulate(b, ScaledSimConfig(), accs, generatePrefetches(b, pf, accs))
 		}
 	})
 }
@@ -276,14 +271,10 @@ func BenchmarkAblationOneTickSpeed(b *testing.B) {
 // prefetcher: SRRIP should limit pollution.
 func BenchmarkAblationLLCReplacement(b *testing.B) {
 	accs := collectTrace(b, "cc-5", 20_000, 1)
-	pfs := generatePrefetches(b, NewNextLine(0), accs)
+	pfs := generatePrefetches(b, &prefetch.NextLine{}, accs)
 	run := func(b *testing.B, cfg SimConfig) {
 		for i := 0; i < b.N; i++ {
-			res, err := Simulate(cfg, accs, pfs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.IPC, "IPC")
+			b.ReportMetric(simulate(b, cfg, accs, pfs).IPC, "IPC")
 		}
 	}
 	b.Run("LRU", func(b *testing.B) { run(b, ScaledSimConfig()) })
@@ -300,10 +291,7 @@ func BenchmarkExtensionColdPageEnsemble(b *testing.B) {
 	accs := collectTrace(b, "bfs-10", 20_000, 1)
 	cfg := ScaledSimConfig()
 	cfg.Warmup = len(accs) / 10
-	base, err := Simulate(cfg, accs, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	base := simulate(b, cfg, accs, nil)
 	run := func(b *testing.B, withNP bool) {
 		for i := 0; i < b.N; i++ {
 			pf, err := New(DefaultConfig())
@@ -312,7 +300,7 @@ func BenchmarkExtensionColdPageEnsemble(b *testing.B) {
 			}
 			var p OnlinePrefetcher = pf
 			if withNP {
-				p = NewEnsemble("PF+NP", pf, NewNextPage())
+				p = NewEnsemble("PF+NP", pf, prefetch.NewNextPage())
 			}
 			m, err := Eval(context.Background(), EvalJob{
 				Prefetcher: p, Accs: accs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
@@ -333,10 +321,7 @@ func BenchmarkAblationSTDPRule(b *testing.B) {
 	accs := collectTrace(b, "cc-5", 15_000, 1)
 	cfg := ScaledSimConfig()
 	cfg.Warmup = len(accs) / 10
-	base, err := Simulate(cfg, accs, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
+	base := simulate(b, cfg, accs, nil)
 	run := func(b *testing.B, weightDependent bool) {
 		for i := 0; i < b.N; i++ {
 			pcfg := DefaultConfig()

@@ -148,10 +148,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		base, err := pathfinder.Simulate(cfg, accs, nil)
+		solo, err := pathfinder.Simulate(cfg, []pathfinder.TraceSource{pathfinder.NewSliceTraceSource(accs)}, nil)
 		if err != nil {
 			fatal(err)
 		}
+		base := solo[0]
 		coSrc, err := pathfinder.GenerateTraceSource(*coRunner, len(accs), *seed+7)
 		if err != nil {
 			fatal(err)
@@ -163,7 +164,8 @@ func main() {
 		for i := range co {
 			co[i].Addr += 1 << 42 // disjoint address space
 		}
-		res, err := pathfinder.SimulateMulti(cfg, [][]pathfinder.Access{accs, co},
+		res, err := pathfinder.Simulate(cfg,
+			[]pathfinder.TraceSource{pathfinder.NewSliceTraceSource(accs), pathfinder.NewSliceTraceSource(co)},
 			[][]pathfinder.PrefetchEntry{pfs, nil})
 		if err != nil {
 			fatal(err)

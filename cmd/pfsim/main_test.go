@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pathfinder"
+	"pathfinder/internal/prefetch"
 	"pathfinder/internal/trace"
 )
 
@@ -119,7 +120,7 @@ func TestGenerateStream(t *testing.T) {
 	if label != "BO" {
 		t.Fatalf("label = %q, want BO", label)
 	}
-	want, err := pathfinder.GeneratePrefetchesStream(context.Background(), pathfinder.NewBestOffset(),
+	want, err := pathfinder.GeneratePrefetchesStream(context.Background(), prefetch.NewBestOffset(),
 		pathfinder.NewSliceTraceSource(accs), pathfinder.Budget)
 	if err != nil {
 		t.Fatal(err)

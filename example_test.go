@@ -34,10 +34,14 @@ func ExampleNew() {
 // generates the named trace, simulates its no-prefetch baseline, and
 // replays the prefetcher's advice through the timing model.
 func ExampleEval() {
+	bo, err := pathfinder.NewPrefetcherByName("bo", 0)
+	if err != nil {
+		panic(err)
+	}
 	m, err := pathfinder.Eval(context.Background(), pathfinder.EvalJob{
 		Trace:      "bfs-10",
 		Loads:      10_000,
-		Prefetcher: pathfinder.NewBestOffset(),
+		Prefetcher: bo,
 	})
 	if err != nil {
 		panic(err)
@@ -53,8 +57,10 @@ func ExampleRunner() {
 	var jobs []pathfinder.EvalJob
 	for _, tr := range []string{"cc-5", "bfs-10"} {
 		jobs = append(jobs, pathfinder.EvalJob{
-			Trace:      tr,
-			Prefetcher: pathfinder.NewBestOffset(),
+			Trace: tr,
+			New: func() (pathfinder.OnlinePrefetcher, error) {
+				return pathfinder.NewPrefetcherByName("bo", 0)
+			},
 		})
 	}
 	results, err := r.Run(context.Background(), jobs)

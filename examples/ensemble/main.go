@@ -28,25 +28,25 @@ func main() {
 	}
 	cfg := pathfinder.ScaledSimConfig()
 	cfg.Warmup = loads / 10
-	base, err := pathfinder.Simulate(cfg, accs, nil)
+	res, err := pathfinder.Simulate(cfg, []pathfinder.TraceSource{pathfinder.NewSliceTraceSource(accs)}, nil)
 	if err != nil {
 		panic(err)
 	}
+	base := res[0]
 	fmt.Printf("471-omnetpp-s1, %d loads — no prefetching: IPC %.3f\n\n", loads, base.IPC)
 
-	newPF := func() *pathfinder.Prefetcher {
-		pf, err := pathfinder.New(pathfinder.DefaultConfig())
+	byName := func(name string) pathfinder.OnlinePrefetcher {
+		p, err := pathfinder.NewPrefetcherByName(name, 0)
 		if err != nil {
 			panic(err)
 		}
-		return pf
+		return p
 	}
-
 	members := []pathfinder.OnlinePrefetcher{
-		newPF(),
-		pathfinder.NewSISB(),
-		pathfinder.NewNextLine(0),
-		pathfinder.NewEnsemble("PF+SISB+NL", newPF(), pathfinder.NewSISB(), pathfinder.NewNextLine(0)),
+		byName("pathfinder"),
+		byName("sisb"),
+		byName("nextline"),
+		byName("pf+nl+sisb"), // PATHFINDER → SISB → NextLine
 	}
 
 	fmt.Println("prefetcher   IPC     speedup  accuracy  coverage  issued")

@@ -27,10 +27,11 @@ func main() {
 	cfg := pathfinder.ScaledSimConfig()
 	cfg.Warmup = loads / 10
 
-	base, err := pathfinder.Simulate(cfg, accs, nil)
+	res, err := pathfinder.Simulate(cfg, []pathfinder.TraceSource{pathfinder.NewSliceTraceSource(accs)}, nil)
 	if err != nil {
 		panic(err)
 	}
+	base := res[0]
 	fmt.Printf("bfs-10, %d loads — no prefetching: IPC %.3f, %d LLC misses\n\n",
 		loads, base.IPC, base.LLCLoadMisses)
 
@@ -46,7 +47,11 @@ func main() {
 			m.Prefetcher, m.IPC, 100*(m.IPC/base.IPC-1), m.Accuracy, m.Coverage)
 	}
 
-	show(pathfinder.NewBestOffset())
+	bo, err := pathfinder.NewPrefetcherByName("bo", 0)
+	if err != nil {
+		panic(err)
+	}
+	show(bo)
 
 	pf, err := pathfinder.New(pathfinder.DefaultConfig())
 	if err != nil {

@@ -49,12 +49,15 @@ func main() {
 		panic(err)
 	}
 
-	solo, err := pathfinder.Simulate(cfg, victim, file)
+	alone, err := pathfinder.Simulate(cfg,
+		[]pathfinder.TraceSource{pathfinder.NewSliceTraceSource(victim)},
+		[][]pathfinder.PrefetchEntry{file})
 	if err != nil {
 		panic(err)
 	}
-	shared, err := pathfinder.SimulateMulti(cfg,
-		[][]pathfinder.Access{victim, coRunner},
+	solo := alone[0]
+	shared, err := pathfinder.Simulate(cfg,
+		[]pathfinder.TraceSource{pathfinder.NewSliceTraceSource(victim), pathfinder.NewSliceTraceSource(coRunner)},
 		[][]pathfinder.PrefetchEntry{file, nil})
 	if err != nil {
 		panic(err)

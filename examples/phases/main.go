@@ -21,10 +21,11 @@ func main() {
 	cfg := pathfinder.ScaledSimConfig()
 	cfg.Warmup = n / 10
 
-	base, err := pathfinder.Simulate(cfg, accs, nil)
+	res, err := pathfinder.Simulate(cfg, []pathfinder.TraceSource{pathfinder.NewSliceTraceSource(accs)}, nil)
 	if err != nil {
 		panic(err)
 	}
+	base := res[0]
 
 	// Delta-LSTM: offline, trained on the leading 10% (phase 1 only).
 	dcfg := pathfinder.DefaultDeltaLSTMConfig()

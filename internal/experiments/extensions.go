@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -177,20 +178,24 @@ func Interference(w io.Writer, opts ...Option) ([]InterferenceRow, error) {
 
 	names := []string{"BO", "SPP", "Pathfinder"}
 	rows := make([]InterferenceRow, len(names))
-	err = runner.ForEach(o.ctx, o.parallelism, len(names), func(i int) error {
+	err = runner.ForEach(o.ctx, o.parallelism, len(names), func(ctx context.Context, i int) error {
 		p, err := serve.NewPrefetcherByName(names[i], o.seed)
 		if err != nil {
 			return err
 		}
-		file, err := prefetch.GenerateFileCtx(o.ctx, p, victim, prefetch.Budget)
+		file, err := prefetch.GenerateFileCtx(ctx, p, victim, prefetch.Budget)
 		if err != nil {
 			return err
 		}
-		solo, err := sim.RunCtx(o.ctx, cfg, victim, file)
+		eng, release := sim.AcquireEngine(cfg)
+		defer release()
+		solo, err := eng.RunCtx(ctx, victim, file)
 		if err != nil {
 			return err
 		}
-		shared, err := sim.RunMultiCtx(o.ctx, cfg, [][]trace.Access{victim, coRunner}, [][]trace.Prefetch{file, nil})
+		shared, err := eng.RunMultiStreamCtx(ctx,
+			[]trace.Source{trace.NewSliceSource(victim), trace.NewSliceSource(coRunner)},
+			[][]trace.Prefetch{file, nil})
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -26,9 +27,9 @@ type Table1Row struct {
 func Table1(w io.Writer, opts ...Option) ([]Table1Row, error) {
 	o := newOptions(opts)
 	rows := make([]Table1Row, len(o.traces))
-	err := runner.ForEach(o.ctx, o.parallelism, len(o.traces), func(i int) error {
+	err := runner.ForEach(o.ctx, o.parallelism, len(o.traces), func(ctx context.Context, i int) error {
 		tr := o.traces[i]
-		accs, err := workload.GenerateCtx(o.ctx, tr, o.loads, o.seed)
+		accs, err := workload.GenerateCtx(ctx, tr, o.loads, o.seed)
 		if err != nil {
 			return err
 		}
@@ -146,9 +147,9 @@ type Table7Row struct {
 func Table7(w io.Writer, opts ...Option) ([]Table7Row, error) {
 	o := newOptions(opts)
 	rows := make([]Table7Row, len(o.traces))
-	err := runner.ForEach(o.ctx, o.parallelism, len(o.traces), func(i int) error {
+	err := runner.ForEach(o.ctx, o.parallelism, len(o.traces), func(ctx context.Context, i int) error {
 		tr := o.traces[i]
-		accs, err := workload.GenerateCtx(o.ctx, tr, o.loads, o.seed)
+		accs, err := workload.GenerateCtx(ctx, tr, o.loads, o.seed)
 		if err != nil {
 			return err
 		}
@@ -188,9 +189,9 @@ type Table8Row struct {
 func Table8(w io.Writer, opts ...Option) ([]Table8Row, error) {
 	o := newOptions(opts)
 	rows := make([]Table8Row, len(o.traces))
-	err := runner.ForEach(o.ctx, o.parallelism, len(o.traces), func(i int) error {
+	err := runner.ForEach(o.ctx, o.parallelism, len(o.traces), func(ctx context.Context, i int) error {
 		tr := o.traces[i]
-		accs, err := workload.GenerateCtx(o.ctx, tr, o.loads, o.seed)
+		accs, err := workload.GenerateCtx(ctx, tr, o.loads, o.seed)
 		if err != nil {
 			return err
 		}

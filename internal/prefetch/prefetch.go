@@ -29,19 +29,14 @@ type Prefetcher interface {
 // prefetchers submit at most 2 prefetches for each memory access" (§4.5).
 const Budget = 2
 
-// GenerateFile drives a Prefetcher over a trace and collects its
-// suggestions into a prefetch file for sim.Run, enforcing the per-access
-// budget. This is the first phase of the two-phase flow of §4.1.
-func GenerateFile(p Prefetcher, accs []trace.Access, budget int) []trace.Prefetch {
-	out, _ := GenerateFileCtx(context.Background(), p, accs, budget)
-	return out
-}
-
-// GenerateFileCtx is GenerateFile with cancellation: it polls ctx every
-// few thousand accesses and returns ctx.Err() when cancelled. It is the
-// materialized entry to GenerateFileStreamCtx — the slice's known length
-// pre-sizes the output at the budget-implied capacity, and the streaming
-// path does all the work, so the two cannot drift.
+// GenerateFileCtx drives a Prefetcher over a trace and collects its
+// suggestions into a prefetch file for the simulator, enforcing the
+// per-access budget; it is the first phase of the two-phase flow of §4.1.
+// It polls ctx every few thousand accesses and returns ctx.Err() when
+// cancelled. It is the materialized entry to GenerateFileStreamCtx — the
+// slice's known length pre-sizes the output at the budget-implied
+// capacity, and the streaming path does all the work, so the two cannot
+// drift.
 func GenerateFileCtx(ctx context.Context, p Prefetcher, accs []trace.Access, budget int) ([]trace.Prefetch, error) {
 	return GenerateFileStreamCtx(ctx, p, trace.NewSliceSource(accs), budget)
 }

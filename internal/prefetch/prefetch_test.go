@@ -41,7 +41,10 @@ func TestNextLineDegreeOne(t *testing.T) {
 func TestGenerateFileEnforcesBudget(t *testing.T) {
 	p := &NextLine{} // would suggest `budget` blocks per access
 	accs := []trace.Access{acc(1, 1, 10), acc(2, 1, 20)}
-	pfs := GenerateFile(p, accs, 1)
+	pfs, err := GenerateFileCtx(context.Background(), p, accs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pfs) != 2 {
 		t.Fatalf("got %d prefetches, want 2 (budget 1 x 2 accesses)", len(pfs))
 	}
@@ -55,7 +58,10 @@ func TestGenerateFileEnforcesBudget(t *testing.T) {
 func TestGenerateFileIDsMatchTriggers(t *testing.T) {
 	p := &NextLine{}
 	accs := []trace.Access{acc(5, 1, 10), acc(9, 1, 20)}
-	pfs := GenerateFile(p, accs, 2)
+	pfs, err := GenerateFileCtx(context.Background(), p, accs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, pf := range pfs {
 		if pf.ID != 5 && pf.ID != 9 {
 			t.Errorf("prefetch ID %d not a trigger ID", pf.ID)

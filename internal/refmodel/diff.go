@@ -2,6 +2,7 @@ package refmodel
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 
@@ -206,37 +207,25 @@ func DiffDRAM(cfg sim.DRAMConfig, ops []DRAMOp) error {
 	return nil
 }
 
-// DiffRun replays the same multi-core workload through sim.RunMulti and the
-// reference RunMulti, requiring every field of every per-core Result —
-// cycle counts, the IPC bits, and all cache/prefetch/DRAM counters — to be
-// identical.
+// DiffRun replays the same multi-core workload through the simulator, one
+// trace.SliceSource per core, and the reference RunMulti, requiring every
+// field of every per-core Result — cycle counts, the IPC bits, and all
+// cache/prefetch/DRAM counters — to be identical.
 func DiffRun(cfg sim.Config, cores [][]trace.Access, pfs [][]trace.Prefetch) error {
-	r1, e1 := sim.RunMulti(cfg, cores, pfs)
-	r2, e2 := RunMulti(cfg, cores, pfs)
-	if (e1 == nil) != (e2 == nil) {
-		return fmt.Errorf("error divergence: sim %v, refmodel %v", e1, e2)
+	srcs := make([]trace.Source, len(cores))
+	for i, accs := range cores {
+		srcs[i] = trace.NewSliceSource(accs)
 	}
-	if e1 != nil {
-		return nil
-	}
-	if len(r1) != len(r2) {
-		return fmt.Errorf("%d results, reference %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			return fmt.Errorf("core %d: result %+v, reference %+v", i, r1[i], r2[i])
-		}
-	}
-	return nil
+	return diffReplay(cfg, srcs, cores, pfs)
 }
 
 // DiffRunStream is DiffRun over the streaming replay pipeline end to end:
 // each core's trace is encoded to the unbounded binary container, decoded
-// back through the streaming trace.Reader, and replayed by
-// sim.RunMultiStream, with the reference model still fed the slices. Any
-// divergence anywhere in encode → stream-decode → windowed replay — a
-// record mangled by the codec, a window-boundary artifact in the
-// scheduler — shows up as a Result mismatch.
+// back through the streaming trace.Reader, and replayed by the simulator,
+// with the reference model still fed the slices. Any divergence anywhere
+// in encode → stream-decode → windowed replay — a record mangled by the
+// codec, a window-boundary artifact in the scheduler — shows up as a
+// Result mismatch.
 func DiffRunStream(cfg sim.Config, cores [][]trace.Access, pfs [][]trace.Prefetch) error {
 	srcs := make([]trace.Source, len(cores))
 	for i, accs := range cores {
@@ -250,10 +239,18 @@ func DiffRunStream(cfg sim.Config, cores [][]trace.Access, pfs [][]trace.Prefetc
 		}
 		srcs[i] = rd
 	}
-	r1, e1 := sim.RunMultiStream(cfg, srcs, pfs)
+	return diffReplay(cfg, srcs, cores, pfs)
+}
+
+// diffReplay replays srcs on a pooled simulator engine and cores, which
+// carry the same records, on the reference model, and compares the two.
+func diffReplay(cfg sim.Config, srcs []trace.Source, cores [][]trace.Access, pfs [][]trace.Prefetch) error {
+	eng, release := sim.AcquireEngine(cfg)
+	defer release()
+	r1, e1 := eng.RunMultiStreamCtx(context.Background(), srcs, pfs)
 	r2, e2 := RunMulti(cfg, cores, pfs)
 	if (e1 == nil) != (e2 == nil) {
-		return fmt.Errorf("error divergence: sim stream %v, refmodel %v", e1, e2)
+		return fmt.Errorf("error divergence: sim %v, refmodel %v", e1, e2)
 	}
 	if e1 != nil {
 		return nil
@@ -263,7 +260,7 @@ func DiffRunStream(cfg sim.Config, cores [][]trace.Access, pfs [][]trace.Prefetc
 	}
 	for i := range r1 {
 		if r1[i] != r2[i] {
-			return fmt.Errorf("core %d: streamed result %+v, reference %+v", i, r1[i], r2[i])
+			return fmt.Errorf("core %d: result %+v, reference %+v", i, r1[i], r2[i])
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package refmodel
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -312,7 +313,7 @@ func TestDiffRun(t *testing.T) {
 }
 
 // TestDiffRunStream drives the streaming replay pipeline (encode →
-// trace.Reader → sim.RunMultiStream) against the reference model over the
+// trace.Reader → windowed replay) against the reference model over the
 // same randomized machine/workload grid as TestDiffRun — the oracle's
 // proof that windowed replay is bit-identical to slice replay.
 func TestDiffRunStream(t *testing.T) {
@@ -376,7 +377,7 @@ func TestDiffRunStreamRealWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			file := prefetch.GenerateFile(&prefetch.NextLine{}, accs, 2)
+			file := nextLineFile(t, accs)
 			cfg := sim.ScaledConfig()
 			cfg.Warmup = loads / 10
 			if err := DiffRunStream(cfg, [][]trace.Access{accs}, [][]trace.Prefetch{file}); err != nil {
@@ -402,7 +403,7 @@ func TestDiffRunRealWorkload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			file := prefetch.GenerateFile(&prefetch.NextLine{}, accs, 2)
+			file := nextLineFile(t, accs)
 			cfg := sim.ScaledConfig()
 			cfg.Warmup = loads / 10
 			if err := DiffRun(cfg, [][]trace.Access{accs}, [][]trace.Prefetch{file}); err != nil {
@@ -509,6 +510,17 @@ func TestDiffSNNBitsetWordBoundary(t *testing.T) {
 	})
 }
 
+// nextLineFile is a NextLine prefetch file for accs at budget 2, the real
+// prefetcher the real-workload oracle runs replay.
+func nextLineFile(t *testing.T, accs []trace.Access) []trace.Prefetch {
+	t.Helper()
+	file, err := prefetch.GenerateFileCtx(context.Background(), &prefetch.NextLine{}, accs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return file
+}
+
 func caseName(i int) string {
 	return "case-" + string(rune('0'+i/100%10)) + string(rune('0'+i/10%10)) + string(rune('0'+i%10))
 }
@@ -523,7 +535,7 @@ func TestDiffRunEmptyMeasuredWindowAgrees(t *testing.T) {
 	}
 	cfg := sim.DefaultConfig()
 	cfg.Warmup = len(accs) - 1
-	if _, err := sim.RunMulti(cfg, [][]trace.Access{accs}, nil); err == nil {
+	if _, err := sim.Run(cfg, accs, nil); err == nil {
 		t.Fatal("sim accepted an empty measured window")
 	}
 	if err := DiffRun(cfg, [][]trace.Access{accs}, nil); err != nil {
@@ -549,7 +561,7 @@ func TestDiffRunTelemetryOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file := prefetch.GenerateFile(&prefetch.NextLine{}, accs, 2)
+	file := nextLineFile(t, accs)
 	cfg := sim.ScaledConfig()
 	cfg.Warmup = loads / 10
 	if err := DiffRun(cfg, [][]trace.Access{accs}, [][]trace.Prefetch{file}); err != nil {

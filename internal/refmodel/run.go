@@ -7,12 +7,13 @@ import (
 	"pathfinder/internal/trace"
 )
 
-// This file is the reference replay: sim.RunMulti's semantics re-stated
+// This file is the reference replay: the semantics of the simulator's
+// multi-core scheduler (sim.Engine.RunMultiStreamCtx) re-stated
 // with the obvious data structures. In-flight fills live in a plain slice
 // drained by stable min-scan (completion cycle, then issue order — the FCFS
 // order sim's heap implements), retire points in a bounded slice scanned
 // backwards, and the caches/DRAM are the reference models of this package.
-// The differential harness asserts that sim.RunMulti and RunMulti produce
+// The differential harness asserts that the simulator and RunMulti produce
 // identical sim.Result values — cycles, IPC bits, and every counter.
 
 // retireWindow is the number of recent retire points the dispatch model
@@ -285,7 +286,8 @@ func Run(cfg sim.Config, accs []trace.Access, pfs []trace.Prefetch) (sim.Result,
 	return res[0], nil
 }
 
-// RunMulti is the reference counterpart of sim.RunMulti: the same
+// RunMulti is the reference counterpart of the simulator's multi-core
+// replay (sim.Engine.RunMultiStreamCtx): the same
 // min-retire-time core scheduling over the reference shared memory system.
 func RunMulti(cfg sim.Config, cores [][]trace.Access, pfs [][]trace.Prefetch) ([]sim.Result, error) {
 	if cfg.Width <= 0 || cfg.ROB <= 0 {

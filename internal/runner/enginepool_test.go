@@ -61,7 +61,7 @@ func TestEnginePoolReuseAfterPanic(t *testing.T) {
 	// engine (sync.Pool returns the per-P victim first).
 	eng, release := sim.AcquireEngine(cfg)
 	defer release()
-	got, err := eng.Run(accs, nil)
+	got, err := eng.RunCtx(context.Background(), accs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestEnginePoolWarmupIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng, release := sim.AcquireEngine(cfg)
-		got, err := eng.Run(accs, nil)
+		got, err := eng.RunCtx(context.Background(), accs, nil)
 		release()
 		if err != nil {
 			t.Fatal(err)

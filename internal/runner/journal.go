@@ -31,12 +31,11 @@ type journalEntry struct {
 }
 
 // Journal is an append-only JSONL checkpoint of completed evaluation
-// cells. Attach one to a Runner via Config.Journal (or the WithJournal
-// helper): every successfully evaluated cell is appended as it completes,
-// and cells already present are resumed — returned from the journal
-// without re-execution. A journal is safe for concurrent use by one
-// process; it is not a lock file and must not be shared between
-// simultaneously running sweeps.
+// cells. Attach one to a Runner via Config.Journal: every successfully
+// evaluated cell is appended as it completes, and cells already present
+// are resumed — returned from the journal without re-execution. A journal
+// is safe for concurrent use by one process; it is not a lock file and
+// must not be shared between simultaneously running sweeps.
 //
 // Crash safety: each entry is written whole with one Write, so only the
 // final line can be torn. The loader ignores (and truncates away) a torn

@@ -134,12 +134,6 @@ type Config struct {
 	Journal *Journal
 }
 
-// WithJournal returns a copy of the config with the journal attached.
-func (c Config) WithJournal(j *Journal) Config {
-	c.Journal = j
-	return c
-}
-
 // Job is one evaluation cell: a trace and exactly one source of
 // prefetches — an online prefetcher (instance or factory), an offline
 // prefetch-file generator, or a precomputed file.
@@ -324,111 +318,36 @@ func (r *Runner) run(ctx context.Context, jobs []Job, failFast bool) ([]Result, 
 		return nil, report, nil
 	}
 	start := time.Now()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := r.cfg.Parallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
 	results := make([]Result, len(jobs))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		done     int
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
+	var mu sync.Mutex
+	err := ForEach(ctx, r.cfg.Parallelism, len(jobs), func(ctx context.Context, i int) error {
+		res, p, retries, err := r.evalCell(ctx, i, jobs[i])
+		if err == nil && failFast {
+			err = p.Err
 		}
-		mu.Unlock()
-	}
-	// finish publishes a cell's terminal state under the bookkeeping lock:
-	// report counters, then the serialised progress event.
-	finish := func(p Progress, retries int, jobErr *JobError) {
-		observeTerminal(int64(p.Wall), retries, jobErr != nil, p.Resumed)
+		if err != nil {
+			return err
+		}
+		results[i] = res
+		// Publish the cell's terminal state under the bookkeeping lock:
+		// report counters, then the serialised progress event.
 		mu.Lock()
-		done++
-		p.Done, p.Total = done, len(jobs)
+		defer mu.Unlock()
 		report.Retries += retries
 		switch {
-		case jobErr != nil:
-			report.Failed = append(report.Failed, jobErr)
+		case p.Err != nil:
+			report.Failed = append(report.Failed, p.Err.(*JobError))
 		case p.Resumed:
 			report.Resumed++
 		default:
 			report.Completed++
 		}
+		p.Done, p.Total = report.Completed+report.Resumed+len(report.Failed), len(jobs)
 		if r.cfg.Progress != nil {
 			r.cfg.Progress(p)
 		}
-		mu.Unlock()
-	}
-	idxc := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxc {
-				job := jobs[i]
-				key := r.cellKey(i, job)
-				if r.cfg.Journal != nil {
-					if res, ok := r.cfg.Journal.Lookup(key); ok {
-						results[i] = res
-						finish(Progress{
-							Trace: res.Trace, Prefetcher: res.Prefetcher,
-							Wall: res.Wall, Cycles: res.Cycles, Resumed: true,
-						}, 0, nil)
-						continue
-					}
-				}
-				res, attempts, err := r.runCell(ctx, i, job, key)
-				if err != nil {
-					if ctx.Err() != nil {
-						// The run was cancelled out from under the cell;
-						// that is not the cell's failure.
-						fail(ctx.Err())
-						return
-					}
-					jobErr := newJobError(i, job, attempts, err)
-					if failFast {
-						fail(jobErr)
-						return
-					}
-					finish(Progress{
-						Trace: job.Trace, Prefetcher: job.Label, Err: jobErr,
-					}, attempts-1, jobErr)
-					continue
-				}
-				if r.cfg.Journal != nil {
-					if jerr := r.cfg.Journal.Record(key, res); jerr != nil {
-						// Losing checkpoints is a whole-run failure: a
-						// resume would silently repeat finished work.
-						fail(jerr)
-						return
-					}
-				}
-				results[i] = res
-				finish(Progress{
-					Trace: res.Trace, Prefetcher: res.Prefetcher,
-					Wall: res.Wall, Cycles: res.Cycles,
-				}, attempts-1, nil)
-			}
-		}()
-	}
-feed:
-	for i := range jobs {
-		select {
-		case idxc <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idxc)
-	wg.Wait()
+		return nil
+	})
 
 	report.Wall = time.Since(start)
 	// The final telemetry block: a snapshot of the process-wide registry
@@ -436,13 +355,7 @@ feed:
 	// resumed sweep's report covers the fresh run plus the resume.
 	report.Telemetry = telemetry.GlobalSnapshot()
 	sort.Slice(report.Failed, func(a, b int) bool { return report.Failed[a].Index < report.Failed[b].Index })
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
 	if err != nil {
-		return nil, report, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, report, err
 	}
 	return results, report, nil
@@ -554,37 +467,60 @@ func (r *Runner) Eval(ctx context.Context, job Job) (Result, error) {
 // through this entry point so a cell behaves identically to the same cell
 // of a single-process grid run.
 func (r *Runner) EvalCell(ctx context.Context, index int, job Job) (Result, error) {
-	key := r.cellKey(index, job)
-	progress := func(res Result, resumed bool) {
-		observeTerminal(int64(res.Wall), 0, false, resumed)
-		if r.cfg.Progress != nil {
-			r.cfg.Progress(Progress{
-				Done: 1, Total: 1,
-				Trace: res.Trace, Prefetcher: res.Prefetcher,
-				Wall: res.Wall, Cycles: res.Cycles, Resumed: resumed,
-			})
-		}
+	res, p, _, err := r.evalCell(ctx, index, job)
+	if err == nil {
+		err = p.Err
 	}
+	if err != nil {
+		return Result{}, err
+	}
+	if r.cfg.Progress != nil {
+		p.Done, p.Total = 1, 1
+		r.cfg.Progress(p)
+	}
+	return res, nil
+}
+
+// evalCell takes one cell to its terminal state — a journal resume, or
+// runCell under the retry policy followed by the journal record — and
+// records that state in telemetry. It returns the cell's result, its
+// progress event (Done and Total unset; Err the cell's *JobError when it
+// failed permanently) and the retries it took. err is a whole-run failure
+// only: cancellation, or a journal write error, since losing checkpoints
+// would make a resume silently repeat finished work.
+func (r *Runner) evalCell(ctx context.Context, index int, job Job) (res Result, p Progress, retries int, err error) {
+	key := r.cellKey(index, job)
 	if r.cfg.Journal != nil {
 		if res, ok := r.cfg.Journal.Lookup(key); ok {
-			progress(res, true)
-			return res, nil
+			observeTerminal(int64(res.Wall), 0, false, true)
+			return res, Progress{
+				Trace: res.Trace, Prefetcher: res.Prefetcher,
+				Wall: res.Wall, Cycles: res.Cycles, Resumed: true,
+			}, 0, nil
 		}
 	}
 	res, attempts, err := r.runCell(ctx, index, job, key)
 	if err != nil {
 		if ctx.Err() != nil {
-			return Result{}, ctx.Err()
+			// The run was cancelled out from under the cell; that is not
+			// the cell's failure.
+			return Result{}, Progress{}, 0, ctx.Err()
 		}
-		return Result{}, newJobError(index, job, attempts, err)
+		observeTerminal(0, attempts-1, true, false)
+		return Result{}, Progress{
+			Trace: job.Trace, Prefetcher: job.Label, Err: newJobError(index, job, attempts, err),
+		}, attempts - 1, nil
 	}
 	if r.cfg.Journal != nil {
-		if jerr := r.cfg.Journal.Record(key, res); jerr != nil {
-			return Result{}, jerr
+		if err := r.cfg.Journal.Record(key, res); err != nil {
+			return Result{}, Progress{}, 0, err
 		}
 	}
-	progress(res, false)
-	return res, nil
+	observeTerminal(int64(res.Wall), attempts-1, false, false)
+	return res, Progress{
+		Trace: res.Trace, Prefetcher: res.Prefetcher,
+		Wall: res.Wall, Cycles: res.Cycles,
+	}, attempts - 1, nil
 }
 
 // effective resolves a job's loads/seed/sim against the runner defaults.
@@ -923,12 +859,14 @@ func (r *Runner) recording(ctx context.Context, s *prefetch.Shared, in *input, b
 	})
 }
 
-// ForEach runs fn(i) for every i in [0, n) across a worker pool of the
-// given size (0 means GOMAXPROCS), stopping at the first error or
-// cancellation. It is the runner's escape hatch for experiment loops that
-// are not (trace × prefetcher) simulation cells — per-trace statistics,
-// multi-core interference runs — but should still saturate the machine.
-func ForEach(ctx context.Context, parallelism, n int, fn func(i int) error) error {
+// ForEach runs fn(ctx, i) for every i in [0, n) across a worker pool of
+// the given size (0 means GOMAXPROCS), stopping at the first error or
+// cancellation; the ctx fn receives is cancelled then, so calls in flight
+// stop too. It is the grid loop of Run and RunWithReport, and the
+// runner's escape hatch for experiment loops that are not
+// (trace × prefetcher) simulation cells — per-trace statistics, multi-core
+// interference runs — but should still saturate the machine.
+func ForEach(ctx context.Context, parallelism, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -963,7 +901,7 @@ func ForEach(ctx context.Context, parallelism, n int, fn func(i int) error) erro
 					fail(err)
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := fn(ctx, i); err != nil {
 					fail(err)
 					return
 				}

@@ -193,7 +193,7 @@ func TestResolveWarmup(t *testing.T) {
 // cancellation.
 func TestForEach(t *testing.T) {
 	var hits atomic.Int32
-	if err := ForEach(context.Background(), 4, 100, func(i int) error {
+	if err := ForEach(context.Background(), 4, 100, func(_ context.Context, i int) error {
 		hits.Add(1)
 		return nil
 	}); err != nil {
@@ -204,7 +204,7 @@ func TestForEach(t *testing.T) {
 	}
 
 	wantErr := errors.New("boom")
-	err := ForEach(context.Background(), 4, 1000, func(i int) error {
+	err := ForEach(context.Background(), 4, 1000, func(_ context.Context, i int) error {
 		if i == 10 {
 			return wantErr
 		}
@@ -216,7 +216,7 @@ func TestForEach(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := ForEach(ctx, 4, 10, func(i int) error { return nil }); !errors.Is(err, context.Canceled) {
+	if err := ForEach(ctx, 4, 10, func(context.Context, int) error { return nil }); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-cancelled ForEach err = %v", err)
 	}
 }

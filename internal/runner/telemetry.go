@@ -42,8 +42,8 @@ func EnableTelemetry(r *telemetry.Registry) {
 	})
 }
 
-// observeTerminal records one cell's terminal state; shared by the grid
-// loop's finish closure and the single-job Eval path.
+// observeTerminal records one cell's terminal state; evalCell calls it for
+// every cell that reaches one, whichever entry point evaluates the cell.
 func observeTerminal(wallNanos int64, retries int, failed, resumed bool) {
 	m := runnerTele.Load()
 	if m == nil {

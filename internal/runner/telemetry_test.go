@@ -2,9 +2,12 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
+	"time"
 
+	"pathfinder/internal/fault"
 	"pathfinder/internal/prefetch"
 	"pathfinder/internal/telemetry"
 )
@@ -101,5 +104,60 @@ func TestEvalSingleFlightTelemetry(t *testing.T) {
 	misses := snap.Counters["runner.flight_misses"]
 	if misses == 0 {
 		t.Errorf("runner.flight_misses = 0, want at least the baseline build")
+	}
+}
+
+// TestCellTelemetrySameOnEveryPath pins that a cell records the same
+// runner telemetry whichever entry point evaluates it: a cell that fails
+// transiently once and a cell that fails permanently count as two
+// terminal cells, one retry and one failure under RunWithReport, under
+// EvalCell, and under Run, whose fail-fast abort still records the
+// failing cell.
+func TestCellTelemetrySameOnEveryPath(t *testing.T) {
+	cells := func() []Job {
+		calls := 0
+		return []Job{
+			{Trace: "cc-5", Label: "flaky", New: func() (prefetch.Prefetcher, error) {
+				if calls++; calls == 1 {
+					return nil, fault.Transient(errors.New("flaky construction"))
+				}
+				return &prefetch.NextLine{}, nil
+			}},
+			{Trace: "cc-5", Label: "broken", New: func() (prefetch.Prefetcher, error) {
+				return nil, errors.New("broken construction")
+			}},
+		}
+	}
+	ctx := context.Background()
+	// Each entry point's error is expected (the broken cell fails); only
+	// the telemetry it leaves behind is checked.
+	for _, tc := range []struct {
+		name string
+		run  func(r *Runner, jobs []Job)
+	}{
+		{"RunWithReport", func(r *Runner, jobs []Job) { r.RunWithReport(ctx, jobs) }},
+		{"Run", func(r *Runner, jobs []Job) { r.Run(ctx, jobs) }},
+		{"EvalCell", func(r *Runner, jobs []Job) {
+			for i, job := range jobs {
+				r.EvalCell(ctx, i, job)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			EnableTelemetry(reg)
+			defer EnableTelemetry(nil)
+			// One worker takes the cells in order, so Run aborts only
+			// after the flaky cell has completed.
+			tc.run(New(Config{Loads: 1000, Parallelism: 1, MaxAttempts: 2, RetryBackoff: time.Millisecond}), cells())
+			snap := reg.Snapshot()
+			for name, want := range map[string]uint64{
+				"runner.jobs": 2, "runner.retries": 1, "runner.job_failures": 1,
+			} {
+				if got := snap.Counters[name]; got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+		})
 	}
 }

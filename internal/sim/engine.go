@@ -11,9 +11,9 @@ import (
 // Engine is a reusable simulation arena: one machine (caches, DRAM,
 // in-flight bookkeeping, per-core pipelines) whose backing memory survives
 // across runs, so each run costs O(trace) work with near-zero setup
-// allocations instead of paying the whole hierarchy's allocation cost. The
-// package-level Run* functions draw their Engine from a per-configuration
-// pool (AcquireEngine), so one-shot callers get the same reuse.
+// allocations instead of paying the whole hierarchy's allocation cost.
+// Engines come from a per-configuration pool (AcquireEngine); Run draws
+// its Engine there too, so one-shot callers get the same reuse.
 //
 // All state is re-initialized at the *start* of each run, never at the
 // end — an Engine recovered from a panicked or cancelled run is safe to
@@ -21,48 +21,40 @@ import (
 // TestEngineReuseDeterministic).
 //
 // An Engine is single-goroutine: callers that run simulations in parallel
-// pool one Engine per worker (internal/runner does this).
+// hold one Engine per worker (internal/runner does this).
 type Engine struct {
 	cfg   Config
 	mem   *sharedMemory
 	pipes []*corePipeline
 	wins  []*replayWindow
 
-	// Scratch for the single-core entry points, so Run/RunStream on an
-	// Engine do not allocate per-call slice headers.
+	// Scratch for the single-core entry points, so RunCtx/RunStreamCtx do
+	// not allocate per-call slice headers.
 	srcs1 [1]trace.Source
 	pfs1  [1][]trace.Prefetch
 }
 
-// NewEngine returns an Engine for the given machine configuration. The
+// newEngine returns an Engine for the given machine configuration. The
 // machine is built lazily on the first run, so an invalid configuration
-// surfaces as that run's error (or panic), exactly as with the package
-// functions.
-func NewEngine(cfg Config) *Engine {
+// surfaces as that run's error (or panic).
+func newEngine(cfg Config) *Engine {
 	return &Engine{cfg: cfg}
 }
 
-// Config returns the machine configuration the Engine was built for.
-func (e *Engine) Config() Config { return e.cfg }
-
-// SetWarmup changes the warmup length for subsequent runs. Warmup is the
+// setWarmup changes the warmup length for subsequent runs. Warmup is the
 // one Config field that does not shape the machine, so a pooled Engine can
 // serve jobs with different warmups without rebuilding anything.
-func (e *Engine) SetWarmup(n int) { e.cfg.Warmup = n }
+func (e *Engine) setWarmup(n int) { e.cfg.Warmup = n }
 
-// Run replays a load trace and prefetch file, as the package Run function,
-// reusing the Engine's machine.
-func (e *Engine) Run(accs []trace.Access, pfs []trace.Prefetch) (Result, error) {
-	return e.RunCtx(context.Background(), accs, pfs)
-}
-
-// RunCtx is Run with cancellation.
+// RunCtx replays a load trace and prefetch file on one core, as
+// RunMultiStreamCtx over a trace.SliceSource, whose known length keeps the
+// up-front rejection of a warmup that swallows the whole trace.
 func (e *Engine) RunCtx(ctx context.Context, accs []trace.Access, pfs []trace.Prefetch) (Result, error) {
 	return e.RunStreamCtx(ctx, trace.NewSliceSource(accs), pfs)
 }
 
-// RunStreamCtx is the streaming single-core replay, as the package
-// RunStreamCtx, reusing the Engine's machine.
+// RunStreamCtx is the streaming single-core replay: RunMultiStreamCtx with
+// one core.
 func (e *Engine) RunStreamCtx(ctx context.Context, src trace.Source, pfs []trace.Prefetch) (Result, error) {
 	e.srcs1[0] = src
 	e.pfs1[0] = pfs
@@ -74,9 +66,33 @@ func (e *Engine) RunStreamCtx(ctx context.Context, src trace.Source, pfs []trace
 	return res[0], nil
 }
 
-// RunMultiStreamCtx is the full multi-core scheduler. Every package-level
-// Run variant funnels here through a fresh Engine, so Engine reuse and
-// one-shot runs replay identically by construction.
+// RunMultiStreamCtx is the simulator's scheduler; every other entry point
+// funnels here. srcs[i] is core i's load trace and pfs[i] its prefetch
+// file (entries keyed by triggering instruction id, non-decreasing); pfs
+// may be nil, as may any one file, for no prefetching. It returns one
+// Result per core.
+//
+// Each core retires instructions in order at cfg.Width per cycle. A load
+// dispatches once the instruction cfg.ROB before it has retired — the
+// point at which it can have entered the reorder buffer — so independent
+// misses within a ROB window overlap naturally, bounding memory-level
+// parallelism by ROB size and load density exactly as an out-of-order core
+// does. Prefetches fill the LLC only (the paper prefetches from memory to
+// the LLC, §4.1) and contend for DRAM banks and queue slots with demand
+// loads.
+//
+// Cores have private L1/L2 hierarchies and share one LLC and one memory
+// controller — the co-scheduled-thread interference scenario §2.3 raises
+// as a source of noise for prefetchers. The core with the smallest local
+// retire time advances next, so a stalled core naturally falls behind
+// while others occupy the shared resources.
+//
+// Replay holds one access of lookahead per core, so heap usage is bounded
+// whatever the trace length. A Source has no length, so a warmup that
+// consumes a whole stream is reported at end of run; for sources exposing
+// Remaining() (uint64, bool) — trace.SliceSource, counted trace files —
+// such a warmup is rejected up front. The loop polls ctx every few
+// thousand steps and returns ctx.Err() when cancelled.
 func (e *Engine) RunMultiStreamCtx(ctx context.Context, srcs []trace.Source, pfs [][]trace.Prefetch) ([]Result, error) {
 	cfg := e.cfg
 	if cfg.Width <= 0 || cfg.ROB <= 0 {
@@ -117,7 +133,7 @@ func (e *Engine) RunMultiStreamCtx(ctx context.Context, srcs []trace.Source, pfs
 		}
 		if i < len(e.pipes) {
 			e.wins[i].rearm(src)
-			// Refresh the pipeline's config copy: SetWarmup may have changed
+			// Refresh the pipeline's config copy: setWarmup may have changed
 			// it since the pipeline was built.
 			e.pipes[i].cfg = cfg
 			e.pipes[i].rearm(e.wins[i], p)

@@ -36,9 +36,9 @@ func TestEngineReuseDeterministic(t *testing.T) {
 		t.Fatalf("degenerate pin: %+v", want)
 	}
 
-	eng := NewEngine(cfg)
+	eng := newEngine(cfg)
 	for round := 0; round < 3; round++ {
-		got, err := eng.Run(accsA, pfsA)
+		got, err := eng.RunCtx(context.Background(), accsA, pfsA)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -46,7 +46,7 @@ func TestEngineReuseDeterministic(t *testing.T) {
 			t.Fatalf("round %d diverged from one-shot Run:\n got %+v\nwant %+v", round, got, want)
 		}
 		// Dirty the machine with an unrelated trace before the next round.
-		if _, err := eng.Run(accsB, nil); err != nil {
+		if _, err := eng.RunCtx(context.Background(), accsB, nil); err != nil {
 			t.Fatalf("round %d dirty run: %v", round, err)
 		}
 	}
@@ -64,14 +64,14 @@ func TestEngineReuseAcrossCoreCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDuo, err := RunMulti(cfg, [][]trace.Access{duoA, duoB}, nil)
+	wantDuo, err := runMulti(cfg, [][]trace.Access{duoA, duoB}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	eng := NewEngine(cfg)
+	eng := newEngine(cfg)
 	for round := 0; round < 2; round++ {
-		got, err := eng.Run(single, nil)
+		got, err := eng.RunCtx(context.Background(), single, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,13 +102,13 @@ func TestEngineReuseAfterError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng := NewEngine(cfg)
+	eng := newEngine(cfg)
 	// Mid-replay failure: non-increasing IDs abort after state was dirtied.
 	bad := []trace.Access{{ID: 5, Addr: 0}, {ID: 5, Addr: 64}}
-	if _, err := eng.Run(bad, nil); err == nil {
+	if _, err := eng.RunCtx(context.Background(), bad, nil); err == nil {
 		t.Fatal("engine accepted duplicate IDs")
 	}
-	got, err := eng.Run(accs, nil)
+	got, err := eng.RunCtx(context.Background(), accs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

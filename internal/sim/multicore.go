@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"pathfinder/internal/flat"
@@ -330,30 +329,4 @@ func (c *corePipeline) finish() (Result, error) {
 	c.res.Cycles = uint64(cycles)
 	c.res.IPC = float64(c.res.Instructions) / cycles
 	return c.res, nil
-}
-
-// RunMulti simulates several cores with private L1/L2 hierarchies sharing
-// one LLC and one memory controller — the co-scheduled-thread interference
-// scenario §2.3 raises as a source of noise for prefetchers. cores[i] is
-// core i's load trace and pfs[i] its prefetch file (nil for no
-// prefetching). Cores advance in local-retire-time order, so a stalled
-// core naturally falls behind while others occupy the shared resources.
-// It returns one Result per core.
-func RunMulti(cfg Config, cores [][]trace.Access, pfs [][]trace.Prefetch) ([]Result, error) {
-	return RunMultiCtx(context.Background(), cfg, cores, pfs)
-}
-
-// RunMultiCtx is RunMulti with cancellation: the scheduling loop polls ctx
-// every few thousand steps and returns ctx.Err() when cancelled.
-//
-// It is the materialized entry to the streaming scheduler: each core's
-// slice is wrapped in a trace.SliceSource and replayed by
-// RunMultiStreamCtx, so the two paths are bit-identical by construction
-// (SliceSource's known length preserves the up-front warmup rejection).
-func RunMultiCtx(ctx context.Context, cfg Config, cores [][]trace.Access, pfs [][]trace.Prefetch) ([]Result, error) {
-	srcs := make([]trace.Source, len(cores))
-	for i, accs := range cores {
-		srcs[i] = trace.NewSliceSource(accs)
-	}
-	return RunMultiStreamCtx(ctx, cfg, srcs, pfs)
 }

@@ -17,15 +17,15 @@ func offsetTrace(n int, gap, region uint64) []trace.Access {
 }
 
 func TestRunMultiValidation(t *testing.T) {
-	if _, err := RunMulti(DefaultConfig(), nil, nil); err == nil {
+	if _, err := runMulti(DefaultConfig(), nil, nil); err == nil {
 		t.Error("accepted zero cores")
 	}
 	cfg := DefaultConfig()
 	cfg.Width = 0
-	if _, err := RunMulti(cfg, [][]trace.Access{seqTrace(10, 10)}, nil); err == nil {
+	if _, err := runMulti(cfg, [][]trace.Access{seqTrace(10, 10)}, nil); err == nil {
 		t.Error("accepted zero width")
 	}
-	if _, err := RunMulti(DefaultConfig(), [][]trace.Access{seqTrace(10, 10)}, make([][]trace.Prefetch, 2)); err == nil {
+	if _, err := runMulti(DefaultConfig(), [][]trace.Access{seqTrace(10, 10)}, make([][]trace.Prefetch, 2)); err == nil {
 		t.Error("accepted mismatched prefetch file count")
 	}
 }
@@ -40,13 +40,13 @@ func TestRunMultiSingleCoreMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMulti(DefaultConfig(), [][]trace.Access{accs}, [][]trace.Prefetch{pfsFile})
+	multi, err := runMulti(DefaultConfig(), [][]trace.Access{accs}, [][]trace.Prefetch{pfsFile})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := multi[0]
 	if m.IPC != single.IPC {
-		t.Errorf("1-core RunMulti IPC %.4f != Run IPC %.4f", m.IPC, single.IPC)
+		t.Errorf("1-core multi-core replay IPC %.4f != Run IPC %.4f", m.IPC, single.IPC)
 	}
 	if m.PrefUseful != single.PrefUseful || m.LLCLoadMisses != single.LLCLoadMisses {
 		t.Errorf("counter mismatch: multi %+v vs single %+v", m, single)
@@ -62,7 +62,7 @@ func TestRunMultiInterferenceSlowsCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := RunMulti(DefaultConfig(), [][]trace.Access{a, b}, nil)
+	both, err := runMulti(DefaultConfig(), [][]trace.Access{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRunMultiLLCContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := RunMulti(cfg, [][]trace.Access{hot, stream}, nil)
+	shared, err := runMulti(cfg, [][]trace.Access{hot, stream}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRunMultiPrefetchSharing(t *testing.T) {
 	for i := 0; i+4 < len(a); i++ {
 		pfs = append(pfs, trace.Prefetch{ID: a[i].ID, Addr: a[i+4].Addr})
 	}
-	res, err := RunMulti(DefaultConfig(), [][]trace.Access{a, b}, [][]trace.Prefetch{pfs, nil})
+	res, err := runMulti(DefaultConfig(), [][]trace.Access{a, b}, [][]trace.Prefetch{pfs, nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRunMultiPerCoreResults(t *testing.T) {
 		fast[i] = trace.Access{ID: uint64(i+1) * 10, PC: 1, Addr: uint64(i%4) * trace.BlockBytes}
 	}
 	slow := offsetTrace(1000, 10, 4)
-	res, err := RunMulti(DefaultConfig(), [][]trace.Access{fast, slow}, nil)
+	res, err := runMulti(DefaultConfig(), [][]trace.Access{fast, slow}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRunEmptyMeasuredWindowErrors(t *testing.T) {
 		t.Errorf("error not positioned on the core: %v", err)
 	}
 	// An idle core (empty trace) sharing the machine is still fine.
-	res, err := RunMulti(DefaultConfig(), [][]trace.Access{seqTrace(100, 10), nil}, nil)
+	res, err := runMulti(DefaultConfig(), [][]trace.Access{seqTrace(100, 10), nil}, nil)
 	if err != nil {
 		t.Fatalf("idle co-runner: %v", err)
 	}

@@ -196,27 +196,10 @@ type retirePoint struct {
 
 // Run replays a load trace together with a prefetch file (entries keyed by
 // triggering instruction id, non-decreasing) against the configured machine
-// and returns the measured metrics.
-//
-// The core model retires instructions in order at cfg.Width per cycle. A
-// load dispatches once the instruction cfg.ROB before it has retired — the
-// point at which it can have entered the reorder buffer — so independent
-// misses within a ROB window overlap naturally, bounding memory-level
-// parallelism by ROB size and load density exactly as an out-of-order core
-// does. Prefetches fill the LLC only (the paper prefetches from memory to
-// the LLC, §4.1) and contend for DRAM banks and queue slots with demand
-// loads.
+// on a pooled Engine (AcquireEngine) and returns the measured metrics. The
+// core model is described on Engine.RunMultiStreamCtx.
 func Run(cfg Config, accs []trace.Access, pfs []trace.Prefetch) (Result, error) {
-	return RunCtx(context.Background(), cfg, accs, pfs)
-}
-
-// RunCtx is Run with cancellation: the replay polls ctx periodically and
-// aborts with ctx.Err() mid-simulation, so a cancelled evaluation grid
-// stops within a few thousand simulated accesses.
-func RunCtx(ctx context.Context, cfg Config, accs []trace.Access, pfs []trace.Prefetch) (Result, error) {
-	res, err := RunMultiCtx(ctx, cfg, [][]trace.Access{accs}, [][]trace.Prefetch{pfs})
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
+	eng, release := AcquireEngine(cfg)
+	defer release()
+	return eng.RunCtx(context.Background(), accs, pfs)
 }

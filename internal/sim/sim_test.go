@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"pathfinder/internal/telemetry"
@@ -19,6 +20,29 @@ func seqTrace(n int, gap uint64) []trace.Access {
 		}
 	}
 	return accs
+}
+
+// runMulti replays one in-memory trace per core on a pooled engine.
+func runMulti(cfg Config, cores [][]trace.Access, pfs [][]trace.Prefetch) ([]Result, error) {
+	srcs := make([]trace.Source, len(cores))
+	for i, accs := range cores {
+		srcs[i] = trace.NewSliceSource(accs)
+	}
+	return runStreams(context.Background(), cfg, srcs, pfs)
+}
+
+// runStreams replays one stream per core on a pooled engine.
+func runStreams(ctx context.Context, cfg Config, srcs []trace.Source, pfs [][]trace.Prefetch) ([]Result, error) {
+	eng, release := AcquireEngine(cfg)
+	defer release()
+	return eng.RunMultiStreamCtx(ctx, srcs, pfs)
+}
+
+// runStream replays one stream on a pooled engine.
+func runStream(ctx context.Context, cfg Config, src trace.Source, pfs []trace.Prefetch) (Result, error) {
+	eng, release := AcquireEngine(cfg)
+	defer release()
+	return eng.RunStreamCtx(ctx, src, pfs)
 }
 
 func TestRunEmptyTrace(t *testing.T) {
@@ -364,7 +388,7 @@ func BenchmarkRunMultiShared(b *testing.B) {
 	cores := [][]trace.Access{a, c}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunMulti(DefaultConfig(), cores, nil); err != nil {
+		if _, err := runMulti(DefaultConfig(), cores, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

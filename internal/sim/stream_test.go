@@ -46,7 +46,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunStream(cfg, streamFromSlice(t, accs), pfs)
+	got, err := runStream(context.Background(), cfg, streamFromSlice(t, accs), pfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRunMultiStreamMatchesRunMulti(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Warmup = 100
 
-	want, err := RunMulti(cfg, cores, nil)
+	want, err := runMulti(cfg, cores, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRunMultiStreamMatchesRunMulti(t *testing.T) {
 	for i, accs := range cores {
 		srcs[i] = streamFromSlice(t, accs)
 	}
-	got, err := RunMultiStream(cfg, srcs, nil)
+	got, err := runStreams(context.Background(), cfg, srcs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +92,15 @@ func TestRunStreamWarmupExhaustsStream(t *testing.T) {
 	accs := seqTrace(100, 64)
 	cfg := DefaultConfig()
 	cfg.Warmup = len(accs)
-	_, err := RunStream(cfg, streamFromSlice(t, accs), nil)
+	_, err := runStream(context.Background(), cfg, streamFromSlice(t, accs), nil)
 	if err == nil {
-		t.Fatal("RunStream accepted a warmup that consumed the whole stream")
+		t.Fatal("stream replay accepted a warmup that consumed the whole stream")
 	}
 	if !strings.Contains(err.Error(), "warmup") {
 		t.Fatalf("err = %v, want a warmup error", err)
 	}
 	// A Source with a known length keeps the slice path's up-front check.
-	_, err = RunStream(cfg, trace.NewSliceSource(accs), nil)
+	_, err = runStream(context.Background(), cfg, trace.NewSliceSource(accs), nil)
 	if err == nil || !strings.Contains(err.Error(), "trace length") {
 		t.Fatalf("SliceSource err = %v, want the up-front length error", err)
 	}
@@ -126,9 +126,9 @@ func (s *errAfterSource) Next(a *trace.Access) error {
 // aborts the run with the error, after the valid prefix replayed.
 func TestRunStreamPropagatesDecodeError(t *testing.T) {
 	bad := errors.New("synthetic decode failure")
-	_, err := RunStream(DefaultConfig(), &errAfterSource{n: 600, err: bad}, nil)
+	_, err := runStream(context.Background(), DefaultConfig(), &errAfterSource{n: 600, err: bad}, nil)
 	if err == nil {
-		t.Fatal("RunStream swallowed a mid-stream decode error")
+		t.Fatal("stream replay swallowed a mid-stream decode error")
 	}
 	if !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want wrapped %v", err, bad)
@@ -141,7 +141,7 @@ func TestRunStreamCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	src := &errAfterSource{n: 1 << 30, err: io.EOF}
-	if _, err := RunStreamCtx(ctx, DefaultConfig(), src, nil); !errors.Is(err, context.Canceled) {
+	if _, err := runStream(ctx, DefaultConfig(), src, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -187,7 +187,7 @@ func BenchmarkRunStream(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := RunStream(cfg, rd, nil); err != nil {
+		if _, err := runStream(context.Background(), cfg, rd, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

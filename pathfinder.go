@@ -6,15 +6,17 @@
 // The package is the public facade over the full system:
 //
 //   - the PATHFINDER prefetcher and its SNN substrate (New, DefaultConfig);
-//   - every baseline the paper compares against: NextLine, Best-Offset,
-//     SPP, an idealized SISB, Pythia (online), and the offline neural
-//     baselines Delta-LSTM and Voyager (GenerateDeltaLSTM,
-//     GenerateVoyager);
+//   - every online technique the paper compares against — NextLine,
+//     Best-Offset, SPP, an idealized SISB, Pythia and the rest — built by
+//     name from the technique registry (NewPrefetcherByName), the
+//     composers that combine prefetchers (NewEnsemble,
+//     NewDynamicEnsemble, NewThrottle), and the offline neural baselines
+//     Delta-LSTM and Voyager (GenerateDeltaLSTM, GenerateVoyager);
 //   - synthetic workload generators standing in for the paper's GAP /
 //     SPEC / CloudSuite traces (Workloads, GenerateTraceSource);
 //   - the streaming trace surface: pull-based sources, constant-memory
 //     decoders and bounded-heap replay for traces of any length
-//     (TraceSource, OpenTraceFile, NewTraceReader, SimulateStream);
+//     (TraceSource, OpenTraceFile, NewTraceReader);
 //   - the trace-driven timing simulator that turns prefetch files into
 //     IPC, accuracy and coverage (Simulate, Eval);
 //   - the parallel evaluation engine that fans (trace × prefetcher) grids
@@ -151,52 +153,11 @@ func NewSNN(cfg SNNConfig) (*SNN, error) { return snn.New(cfg) }
 // the given size.
 func DefaultSNNConfig(inputSize int) SNNConfig { return snn.DefaultConfig(inputSize) }
 
-// Baseline constructors (§4.3).
-
-// NewNextLine returns a next-line prefetcher of the given degree (0 means
-// "fill the budget").
-func NewNextLine(degree int) OnlinePrefetcher { return &prefetch.NextLine{Degree: degree} }
-
-// NewBestOffset returns Michaud's Best-Offset prefetcher.
-func NewBestOffset() OnlinePrefetcher { return prefetch.NewBestOffset() }
-
-// NewSPP returns the Signature Path Prefetcher.
-func NewSPP() OnlinePrefetcher { return prefetch.NewSPP() }
-
-// NewSISB returns the idealized Irregular Stream Buffer.
-func NewSISB() OnlinePrefetcher { return prefetch.NewSISB() }
-
-// NewPythia returns the reinforcement-learning prefetcher.
-func NewPythia(seed int64) OnlinePrefetcher { return prefetch.NewPythia(seed) }
-
-// NewNoPrefetch returns the no-prefetching baseline.
-func NewNoPrefetch() OnlinePrefetcher { return prefetch.NoPrefetch{} }
-
-// NewStride returns a classic per-PC stride prefetcher (Baer & Chen, §2.1).
-func NewStride() OnlinePrefetcher { return prefetch.NewStride() }
-
-// NewVLDP returns the Variable Length Delta Prefetcher (Shevgoor et al.,
-// cited in §2.1 as the complex end of delta correlation).
-func NewVLDP() OnlinePrefetcher { return prefetch.NewVLDP() }
-
-// NewSMS returns Spatial Memory Streaming (Somogyi et al., the spatial
-// prefetcher family of §2.1).
-func NewSMS() OnlinePrefetcher { return prefetch.NewSMS() }
-
 // NewThrottle wraps any prefetcher with feedback-directed aggressiveness
 // control (Srinath et al.): it earns the full per-access budget only while
 // its recent suggestions are accurate — the throttling mechanism the
 // paper's Best-Offset baseline ships with disabled (§4.3).
 func NewThrottle(inner OnlinePrefetcher) OnlinePrefetcher { return prefetch.NewThrottle(inner) }
-
-// NewISB returns the realistic, bounded-metadata Irregular Stream Buffer
-// (Jain & Lin); NewSISB is its idealized unbounded variant.
-func NewISB() OnlinePrefetcher { return prefetch.NewISB() }
-
-// NewNextPage returns the cold-page first-access predictor implementing
-// the future-work item of §3.4 ("Initial Accesses to a Page"); ensemble it
-// with PATHFINDER to cover cold-page misses.
-func NewNextPage() OnlinePrefetcher { return prefetch.NewNextPage() }
 
 // NewDynamicEnsemble combines prefetchers with usefulness-scored priorities
 // — the "dynamic ensemble priority policies" the paper leaves as future
@@ -208,7 +169,7 @@ func NewDynamicEnsemble(label string, members ...OnlinePrefetcher) OnlinePrefetc
 }
 
 // NewEnsemble combines prefetchers with fixed priority (first wins); the
-// paper's best design point is NewEnsemble(pf, NewNextLine(0), NewSISB()).
+// paper's best design point is the registry's "pf+nl+sisb".
 func NewEnsemble(label string, members ...OnlinePrefetcher) OnlinePrefetcher {
 	e := prefetch.NewEnsemble(members...)
 	e.Label = label
@@ -300,28 +261,19 @@ func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
 // by default (see sim.ScaledConfig for the rationale).
 func ScaledSimConfig() SimConfig { return sim.ScaledConfig() }
 
-// Simulate replays a trace and a prefetch file on the configured machine.
-func Simulate(cfg SimConfig, accs []Access, pfs []PrefetchEntry) (SimResult, error) {
-	return sim.Run(cfg, accs, pfs)
-}
-
-// SimulateStream is Simulate fed by a TraceSource: replay holds a bounded
-// window of accesses, so heap usage is independent of trace length, and
-// the result is bit-identical to Simulate over the same records (Simulate
-// is implemented on this path). A source of unknown length cannot default
-// the warmup to 10% of the trace — set cfg.Warmup explicitly, or leave it
-// zero to measure from the first record.
-func SimulateStream(cfg SimConfig, src TraceSource, pfs []PrefetchEntry) (SimResult, error) {
-	return sim.RunStream(cfg, src, pfs)
-}
-
-// SimulateMulti simulates several cores with private L1/L2 caches sharing
-// one LLC and memory controller — the co-scheduled-thread interference
-// scenario of §2.3. cores[i] is core i's trace; pfs may be nil, or one
-// prefetch file per core (individual entries may be nil). It returns one
-// result per core.
-func SimulateMulti(cfg SimConfig, cores [][]Access, pfs [][]PrefetchEntry) ([]SimResult, error) {
-	return sim.RunMulti(cfg, cores, pfs)
+// Simulate replays one trace per core on the configured machine, each with
+// its prefetch file (phase two of the two-phase flow of §4.1), and returns
+// one result per core. pfs may be nil, or hold one prefetch file per core
+// (individual files may be nil). Several cores have private L1/L2 caches
+// and share one LLC and memory controller — the co-scheduled-thread
+// interference scenario of §2.3. Replay holds one access of lookahead per
+// core, so heap usage is independent of trace length; NewSliceTraceSource
+// adapts an in-memory trace. cfg.Warmup is used as given (zero measures
+// from the first record); Eval is what defaults it to 10% of the trace.
+func Simulate(cfg SimConfig, cores []TraceSource, pfs [][]PrefetchEntry) ([]SimResult, error) {
+	eng, release := sim.AcquireEngine(cfg)
+	defer release()
+	return eng.RunMultiStreamCtx(context.Background(), cores, pfs)
 }
 
 // GeneratePrefetchesStream drives an online prefetcher over a streaming

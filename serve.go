@@ -35,7 +35,9 @@ func NewPrefetchServer(cfg ServeConfig) (*PrefetchServer, error) { return serve.
 // NewPrefetcherByName builds the named online prefetching technique from
 // the technique registry that pfsim, pfsweep grids and the daemon's
 // sessions and evaluation jobs share; the names are listed on
-// NewPrefetcherByName in internal/serve (eval.go).
+// NewPrefetcherByName in internal/serve (eval.go). It is the facade's one
+// way to build a named technique: New builds PATHFINDER from a Config,
+// and NewEnsemble, NewDynamicEnsemble and NewThrottle compose prefetchers.
 func NewPrefetcherByName(name string, seed int64) (OnlinePrefetcher, error) {
 	return serve.NewPrefetcherByName(name, seed)
 }

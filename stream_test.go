@@ -1,6 +1,7 @@
 package pathfinder
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,22 +13,27 @@ import (
 )
 
 // TestSimulateStreamMatchesSimulate pins the facade-level replay parity:
-// the streaming simulation of the same records is bit-identical to the
-// materialized one.
+// the same records, once as a decoded PFT3 stream and once as a slice,
+// simulate bit-identically.
 func TestSimulateStreamMatchesSimulate(t *testing.T) {
 	accs := collectTrace(t, "cc-5", 5000, 3)
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, NewSliceTraceSource(accs)); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewTraceReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := ScaledSimConfig()
 	cfg.Warmup = 500
-	want, err := Simulate(cfg, accs, nil)
+	want := simulate(t, cfg, accs, nil)
+	got, err := Simulate(cfg, []TraceSource{rd}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SimulateStream(cfg, NewSliceTraceSource(accs), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("SimulateStream diverged:\n  stream: %+v\n  slice:  %+v", got, want)
+	if got[0] != want {
+		t.Fatalf("stream replay diverged:\n  stream: %+v\n  slice:  %+v", got[0], want)
 	}
 }
 
@@ -92,13 +98,13 @@ func TestStreamReplayBoundedHeap(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	res, err := SimulateStream(cfg, rd, nil)
+	res, err := Simulate(cfg, []TraceSource{rd}, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles == 0 || res.IPC <= 0 {
-		t.Fatalf("implausible result: %+v", res)
+	if res[0].Cycles == 0 || res[0].IPC <= 0 {
+		t.Fatalf("implausible result: %+v", res[0])
 	}
 	// Cumulative allocation across generate + encode + decode + replay.
 	// The materialized trace alone would be 320 MB; the whole streaming
