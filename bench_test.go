@@ -41,7 +41,7 @@ var fastTraces = []string{"cc-5", "bfs-10", "605-mcf-s1", "471-omnetpp-s1"}
 // PATHFINDER pipeline — advise (SNN query per miss), prefetch generation
 // and the two-phase cache simulation — the macro companion to
 // internal/snn's BenchmarkPresent micro-benchmarks (see
-// docs/performance.md). Run by `make bench-micro` into BENCH_snn.json.
+// docs/performance.md). Run by `make bench-micro` into BENCH_simulate.json.
 func BenchmarkSimulate(b *testing.B) {
 	accs := collectTrace(b, "cc-5", 20_000, 1)
 	cfg := ScaledSimConfig()
@@ -266,25 +266,6 @@ func BenchmarkAblationOneTickSpeed(b *testing.B) {
 	b.Run("1-tick", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkAblationLLCReplacement compares LRU against SRRIP with
-// prefetch-aware insertion at the LLC, under an aggressive (low-accuracy)
-// prefetcher: SRRIP should limit pollution.
-func BenchmarkAblationLLCReplacement(b *testing.B) {
-	accs := collectTrace(b, "cc-5", 20_000, 1)
-	pfs := generatePrefetches(b, &prefetch.NextLine{}, accs)
-	run := func(b *testing.B, cfg SimConfig) {
-		for i := 0; i < b.N; i++ {
-			b.ReportMetric(simulate(b, cfg, accs, pfs).IPC, "IPC")
-		}
-	}
-	b.Run("LRU", func(b *testing.B) { run(b, ScaledSimConfig()) })
-	b.Run("SRRIP", func(b *testing.B) {
-		cfg := ScaledSimConfig()
-		cfg.LLCPolicy = PolicySRRIP
-		run(b, cfg)
-	})
-}
-
 // BenchmarkExtensionColdPageEnsemble measures the future-work cold-page
 // predictor's contribution when ensembled with PATHFINDER.
 func BenchmarkExtensionColdPageEnsemble(b *testing.B) {
@@ -313,33 +294,4 @@ func BenchmarkExtensionColdPageEnsemble(b *testing.B) {
 	}
 	b.Run("PF-only", func(b *testing.B) { run(b, false) })
 	b.Run("PF+NextPage", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkAblationSTDPRule compares the additive (BindsNet PostPre) STDP
-// rule against the multiplicative weight-dependent variant.
-func BenchmarkAblationSTDPRule(b *testing.B) {
-	accs := collectTrace(b, "cc-5", 15_000, 1)
-	cfg := ScaledSimConfig()
-	cfg.Warmup = len(accs) / 10
-	base := simulate(b, cfg, accs, nil)
-	run := func(b *testing.B, weightDependent bool) {
-		for i := 0; i < b.N; i++ {
-			pcfg := DefaultConfig()
-			pcfg.WeightDependentSTDP = weightDependent
-			pf, err := New(pcfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := Eval(context.Background(), EvalJob{
-				Prefetcher: pf, Accs: accs, Sim: &cfg, Baseline: &base.LLCLoadMisses,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(m.Accuracy, "accuracy")
-			b.ReportMetric(m.Coverage, "coverage")
-		}
-	}
-	b.Run("additive", func(b *testing.B) { run(b, false) })
-	b.Run("weight-dependent", func(b *testing.B) { run(b, true) })
 }

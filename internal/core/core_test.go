@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
+	"math"
+	"strings"
 	"testing"
 
 	"pathfinder/internal/snn"
@@ -253,6 +256,106 @@ func TestNewPathfinderValidation(t *testing.T) {
 	cfg.STDPPeriod = 100
 	if _, err := New(cfg); err == nil {
 		t.Error("accepted duty cycle with STDPOn=0")
+	}
+}
+
+// TestNewAcceptsOnlyLoadableConfigs pins that New refuses negative Ticks
+// and TrainingTableSize and an unknown input mode, rather than running
+// them as a default while Save writes the raw value for Load to refuse,
+// and that every configuration New accepts round-trips Save → Load → Save
+// byte for byte.
+func TestNewAcceptsOnlyLoadableConfigs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(*Config)
+		reject bool
+	}{
+		{"default", func(*Config) {}, false},
+		{"ticks-default", func(c *Config) { c.Ticks = 0 }, false},
+		{"ticks-negative", func(c *Config) { c.Ticks = -5 }, true},
+		{"table-default", func(c *Config) { c.TrainingTableSize = 0 }, false},
+		{"table-negative", func(c *Config) { c.TrainingTableSize = -1 }, true},
+		{"inputs-pc", func(c *Config) { c.Inputs = InputPCDelta }, false},
+		{"inputs-footprint", func(c *Config) { c.Inputs = InputFootprint }, false},
+		{"inputs-unknown", func(c *Config) { c.Inputs = 7 }, true},
+		{"inputs-negative", func(c *Config) { c.Inputs = -1 }, true},
+		{"variants", func(c *Config) {
+			c.OneTick, c.Enlarged, c.Reorder, c.MultiFire, c.CompareOneTick = true, true, true, true, true
+			c.ColdPage, c.MiddleShift, c.LabelsPerNeuron, c.Degree = false, 5, 1, 3
+			c.STDPOn, c.STDPPeriod = 3, 10
+		}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.DeltaRange, cfg.Neurons, cfg.Ticks = 15, 10, 8
+			c.mutate(&cfg)
+			p, err := New(cfg)
+			if c.reject {
+				if err == nil {
+					t.Fatalf("New accepted %+v", cfg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveDeterministic(t, p, 0, 100)
+			var first, second bytes.Buffer
+			if err := p.Save(&first); err != nil {
+				t.Fatal(err)
+			}
+			q, err := Load(bytes.NewReader(first.Bytes()))
+			if err != nil {
+				t.Fatalf("Load of New's own Save: %v", err)
+			}
+			if q.Config() != p.Config() {
+				t.Errorf("config %+v reloaded as %+v", p.Config(), q.Config())
+			}
+			if err := q.Save(&second); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first.Bytes(), second.Bytes()) {
+				t.Error("Save -> Load -> Save is not byte-identical")
+			}
+		})
+	}
+}
+
+// TestLoadRejectsRetiredSlots pins PFS1's five retired configuration
+// slots: Save writes the constants the datapath now fixes, and Load and
+// LoadSession refuse a file holding any other value, naming the field.
+func TestLoadRejectsRetiredSlots(t *testing.T) {
+	blob, _ := trainedSession(t)
+	le := binary.LittleEndian
+	const ints = 4          // magic, then 21 int64 slots
+	const floats = 4 + 8*21 // then 2 float64 slots
+	for _, c := range []struct {
+		name string
+		at   int
+		want uint64
+		bad  uint64
+	}{
+		{"confidence threshold", ints + 8*7, 2, 3},
+		{"confidence threshold", ints + 8*7, 2, 0},
+		{"weight-dependent STDP flag", ints + 8*18, 0, 1},
+		{"temporal coding flag", ints + 8*20, 0, 1},
+		{"enlarged-pixel intensity", floats, math.Float64bits(0), math.Float64bits(0.35)},
+		{"multi-fire inhibition scale", floats + 8, math.Float64bits(0.25), math.Float64bits(0.5)},
+	} {
+		if got := le.Uint64(blob[c.at:]); got != c.want {
+			t.Errorf("Save wrote %#x into the retired %s slot, want %#x", got, c.name, c.want)
+		}
+		bad := append([]byte(nil), blob...)
+		le.PutUint64(bad[c.at:], c.bad)
+		for _, load := range []struct {
+			name string
+			fn   func(io.Reader) (*Pathfinder, error)
+		}{{"Load", Load}, {"LoadSession", LoadSession}} {
+			_, err := load.fn(bytes.NewReader(bad))
+			if err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Errorf("%s with the %s slot at %#x: err %v, want one naming the field", load.name, c.name, c.bad, err)
+			}
+		}
 	}
 }
 

@@ -16,16 +16,10 @@ type Encoder struct {
 	D int
 	// H is the history length (number of rows).
 	H int
-	// Enlarged lights each pixel's four neighbours as well, countering
-	// input sparsity (§3.4 "Enlarged Pixel in Input Pixel Matrix").
+	// Enlarged lights each pixel's four neighbours as well, at
+	// neighborIntensity, countering input sparsity (§3.4 "Enlarged Pixel
+	// in Input Pixel Matrix").
 	Enlarged bool
-	// NeighborIntensity is the brightness of the four neighbour pixels
-	// relative to the centre (only with Enlarged). Full-intensity
-	// neighbours make adjacent delta histories — e.g. the rotations of
-	// one pattern — nearly indistinguishable, the aliasing problem §3.4
-	// describes; dimmer neighbours keep the firing-rate boost while
-	// preserving separability. Zero selects the default of 0.35.
-	NeighborIntensity float64
 	// MiddleShift rotates the middle row's column by a fixed constant,
 	// the first anti-aliasing measure of §3.4 ("we shift the middle delta
 	// in the delta pattern by a fixed constant"). Zero disables it.
@@ -39,6 +33,13 @@ type Encoder struct {
 
 	perm []int // lazily built column permutation
 }
+
+// neighborIntensity is the brightness of an enlarged pixel's four
+// neighbours relative to the centre. Full-intensity neighbours make
+// adjacent delta histories — e.g. the rotations of one pattern — nearly
+// indistinguishable, the aliasing problem §3.4 describes; dimmer
+// neighbours keep the firing-rate boost while preserving separability.
+const neighborIntensity = 0.35
 
 // NewEncoder returns an encoder for the given delta range and history
 // length.
@@ -96,21 +97,17 @@ func (e *Encoder) Encode(deltas []int, out []float64) error {
 		}
 		e.light(out, row, col, 1)
 		if e.Enlarged {
-			ni := e.NeighborIntensity
-			if ni == 0 {
-				ni = 0.35
-			}
 			if col > 0 {
-				e.light(out, row, col-1, ni)
+				e.light(out, row, col-1, neighborIntensity)
 			}
 			if col < e.D-1 {
-				e.light(out, row, col+1, ni)
+				e.light(out, row, col+1, neighborIntensity)
 			}
 			if row > 0 {
-				e.light(out, row-1, col, ni)
+				e.light(out, row-1, col, neighborIntensity)
 			}
 			if row < e.H-1 {
-				e.light(out, row+1, col, ni)
+				e.light(out, row+1, col, neighborIntensity)
 			}
 		}
 	}

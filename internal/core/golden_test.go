@@ -61,17 +61,11 @@ func TestSNNPathGolden(t *testing.T) {
 	}
 	rate := DefaultConfig()
 
-	temporal := DefaultConfig()
-	temporal.TemporalCoding = true
-
 	multi := DefaultConfig()
 	multi.MultiFire = true
 
 	oneTick := DefaultConfig()
 	oneTick.OneTick = true
-
-	wd := DefaultConfig()
-	wd.WeightDependentSTDP = true
 
 	shortTicks := DefaultConfig()
 	shortTicks.Ticks = 8
@@ -94,10 +88,8 @@ func TestSNNPathGolden(t *testing.T) {
 	}{
 		{"rate-cc5", rate, "cc-5", 12000, 0x007eb9e6747127d8},
 		{"rate-mcf", rate, "605-mcf-s1", 12000, 0x2217fe9d53910d85},
-		{"temporal-cc5", temporal, "cc-5", 12000, 0xd6a54a00b70c8686},
 		{"multifire-cc5", multi, "cc-5", 12000, 0xf370c5122301ff71},
 		{"onetick-cc5", oneTick, "cc-5", 12000, 0x92dfc892250f358e},
-		{"weightdep-cc5", wd, "cc-5", 12000, 0x24feddd2e77667b5},
 		{"ticks8-omnetpp", shortTicks, "471-omnetpp-s1", 12000, 0xaa22f16fd3cea057},
 		{"wide65-cc5", wide, "cc-5", 12000, 0xa523be24b800f645},
 	}

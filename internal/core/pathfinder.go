@@ -28,13 +28,9 @@ type Config struct {
 	// OneTick replaces the T-tick simulation with the §3.4 1-tick
 	// approximation (Figure 7).
 	OneTick bool
-	// Enlarged turns on the enlarged-pixel encoding (§3.4).
+	// Enlarged turns on the enlarged-pixel encoding (§3.4), with
+	// neighbour pixels at 0.35 of the centre's brightness.
 	Enlarged bool
-	// EnlargeIntensity sets the neighbour-pixel brightness of the
-	// enlarged encoding (0 = the 0.35 default; 1 = the naive
-	// full-intensity enlargement that §3.4's aliasing discussion warns
-	// about).
-	EnlargeIntensity float64
 	// MiddleShift is the §3.4 middle-delta shift constant (0 = off).
 	MiddleShift int
 	// Reorder applies the fixed column permutation of the Figure 9
@@ -44,18 +40,10 @@ type Config struct {
 	// the SNN be queried from the very first touch of a page instead of
 	// after H+1 accesses.
 	ColdPage bool
-	// MultiFire lowers lateral inhibition so 2–5 neurons fire per input,
-	// the alternative multi-degree mechanism of §3.4.
+	// MultiFire lowers lateral inhibition to a quarter of Table 4's so
+	// 2–5 neurons fire per input, the alternative multi-degree mechanism
+	// of §3.4.
 	MultiFire bool
-	// InhibitionScale multiplies the SNN inhibition strength when
-	// MultiFire is set (default 0.25).
-	InhibitionScale float64
-	// ConfThreshold is the minimum label confidence to issue a prefetch.
-	// The default of 2 requires a label to be confirmed once after
-	// assignment, giving PATHFINDER the selectivity §5 describes ("it
-	// waits to see the same pattern multiple times and needs
-	// high-confidence labels").
-	ConfThreshold uint8
 	// TrainingTableSize is the Training Table capacity (the paper uses
 	// 1K rows).
 	TrainingTableSize int
@@ -66,13 +54,6 @@ type Config struct {
 	// Inputs selects the SNN input encoding (§3.2's design space);
 	// InputDeltaHistory is the paper's choice.
 	Inputs InputMode
-	// TemporalCoding switches the SNN input from Poisson rate coding to
-	// deterministic temporal coding (§2.4's other encoding).
-	TemporalCoding bool
-	// WeightDependentSTDP selects the multiplicative (soft-bound) STDP
-	// rule instead of the additive BindsNet rule — an ablation of the
-	// learning rule the paper builds on.
-	WeightDependentSTDP bool
 	// CompareOneTick additionally evaluates the 1-tick winner on every
 	// full-interval query and records the match rate (Table 1).
 	CompareOneTick bool
@@ -100,12 +81,22 @@ func DefaultConfig() Config {
 		Degree:            2,
 		Ticks:             32,
 		ColdPage:          true,
-		InhibitionScale:   0.25,
-		ConfThreshold:     2,
 		TrainingTableSize: 1024,
 		Seed:              1,
 	}
 }
+
+// Fixed parameters of the datapath.
+const (
+	// confThreshold is the minimum label confidence to issue a prefetch:
+	// a label must be confirmed once after assignment, giving PATHFINDER
+	// the selectivity §5 describes ("it waits to see the same pattern
+	// multiple times and needs high-confidence labels").
+	confThreshold = 2
+	// multiFireInhibition scales the SNN's inhibition strength under
+	// MultiFire.
+	multiFireInhibition = 0.25
+)
 
 // Stats exposes PATHFINDER's internal counters for the experiment harness.
 type Stats struct {
@@ -137,6 +128,8 @@ const (
 	// touched-offset bitmap plus the current offset — a spatial-footprint
 	// input in the spirit of SMS.
 	InputFootprint
+
+	numInputModes
 )
 
 // QueryHook observes one SNN query: the delta history presented, the neuron
@@ -183,12 +176,23 @@ func New(cfg Config) (*Pathfinder, error) {
 	if cfg.STDPPeriod > 0 && cfg.STDPOn <= 0 {
 		return nil, fmt.Errorf("core: STDP duty cycle needs STDPOn > 0 (got %d)", cfg.STDPOn)
 	}
+	// Zero Ticks and TrainingTableSize select the defaults; a negative
+	// one, or an unknown input mode, is an error rather than a silent
+	// default that Save would write and Load refuse.
+	if cfg.Ticks < 0 {
+		return nil, fmt.Errorf("core: ticks %d must be >= 0", cfg.Ticks)
+	}
+	if cfg.TrainingTableSize < 0 {
+		return nil, fmt.Errorf("core: training table size %d must be >= 0", cfg.TrainingTableSize)
+	}
+	if cfg.Inputs < 0 || cfg.Inputs >= numInputModes {
+		return nil, fmt.Errorf("core: unknown input mode %d", cfg.Inputs)
+	}
 	enc, err := NewEncoder(cfg.DeltaRange, cfg.History)
 	if err != nil {
 		return nil, err
 	}
 	enc.Enlarged = cfg.Enlarged
-	enc.NeighborIntensity = cfg.EnlargeIntensity
 	enc.MiddleShift = cfg.MiddleShift
 	enc.Reorder = cfg.Reorder
 
@@ -206,14 +210,8 @@ func New(cfg Config) (*Pathfinder, error) {
 		scfg.Ticks = cfg.Ticks
 	}
 	if cfg.MultiFire {
-		scale := cfg.InhibitionScale
-		if scale <= 0 {
-			scale = 0.25
-		}
-		scfg.Inh *= scale
+		scfg.Inh *= multiFireInhibition
 	}
-	scfg.WeightDependent = cfg.WeightDependentSTDP
-	scfg.Temporal = cfg.TemporalCoding
 	net, err := snn.New(scfg)
 	if err != nil {
 		return nil, err
@@ -389,7 +387,7 @@ fill:
 	for _, n := range fired {
 		p.labelBuf = p.it.AppendLabels(p.labelBuf[:0], n)
 		for _, l := range p.labelBuf {
-			if l.Conf < p.cfg.ConfThreshold {
+			if l.Conf < confThreshold {
 				continue
 			}
 			target := off + l.Delta

@@ -19,6 +19,30 @@ import (
 
 var pfMagic = [4]byte{'P', 'F', 'S', '1'}
 
+// PFS1 keeps five configuration slots whose settings are now fixed parts of
+// the datapath: the confidence threshold (int 7), the weight-dependent
+// STDP and temporal coding flags (ints 18 and 20), the enlarged-pixel
+// intensity (float 0) and the multi-fire inhibition scale (float 1). Save
+// writes into them what the configuration that still had those fields
+// wrote by default, and load refuses a file holding anything else.
+var retiredInts = [...]struct {
+	slot int
+	name string
+	want int64
+}{
+	{7, "confidence threshold", confThreshold},
+	{18, "weight-dependent STDP flag", 0},
+	{20, "temporal coding flag", 0},
+}
+
+var retiredFloats = [...]struct {
+	name string
+	want float64
+}{
+	{"enlarged-pixel intensity", 0},
+	{"multi-fire inhibition scale", multiFireInhibition},
+}
+
 // Sanity caps on a decoded configuration, checked before any allocation:
 // a corrupt or hostile file must fail with an error, never an OOM. They
 // sit far above every configuration the paper sweeps (delta range ±63,
@@ -44,26 +68,30 @@ func (p *Pathfinder) Save(w io.Writer) error {
 	if _, err := bw.Write(pfMagic[:]); err != nil {
 		return err
 	}
-	// The configuration, fixed-order (see load).
+	// The configuration, fixed-order (see load); the zeros mark the
+	// retired slots, which retiredInts fills.
 	ints := []int64{
 		int64(p.cfg.DeltaRange), int64(p.cfg.History), int64(p.cfg.Neurons),
 		int64(p.cfg.LabelsPerNeuron), int64(p.cfg.Degree), int64(p.cfg.Ticks),
-		int64(p.cfg.MiddleShift), int64(p.cfg.ConfThreshold),
+		int64(p.cfg.MiddleShift), 0,
 		int64(p.cfg.TrainingTableSize), int64(p.cfg.STDPOn), int64(p.cfg.STDPPeriod),
 		p.cfg.Seed,
 		boolInt(p.cfg.OneTick), boolInt(p.cfg.Enlarged), boolInt(p.cfg.Reorder),
 		boolInt(p.cfg.ColdPage), boolInt(p.cfg.MultiFire), boolInt(p.cfg.CompareOneTick),
-		boolInt(p.cfg.WeightDependentSTDP),
+		0,
 		int64(p.cfg.Inputs),
-		boolInt(p.cfg.TemporalCoding),
+		0,
+	}
+	for _, r := range retiredInts {
+		ints[r.slot] = r.want
 	}
 	for _, v := range ints {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
 			return err
 		}
 	}
-	for _, v := range []float64{p.cfg.EnlargeIntensity, p.cfg.InhibitionScale} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+	for _, r := range retiredFloats {
+		if err := binary.Write(bw, binary.LittleEndian, r.want); err != nil {
 			return err
 		}
 	}
@@ -123,18 +151,24 @@ func load(br *bufio.Reader) (*Pathfinder, error) {
 		return nil, fmt.Errorf("core: implausible configuration in file (delta range %d, history %d, neurons %d, labels %d, degree %d, ticks %d, table %d)",
 			ints[0], ints[1], ints[2], ints[3], ints[4], ints[5], ints[8])
 	}
+	for _, r := range retiredInts {
+		if ints[r.slot] != r.want {
+			return nil, fmt.Errorf("core: retired %s in file is %d, want %d", r.name, ints[r.slot], r.want)
+		}
+	}
+	for i, r := range retiredFloats {
+		if floats[i] != r.want {
+			return nil, fmt.Errorf("core: retired %s in file is %v, want %v", r.name, floats[i], r.want)
+		}
+	}
 	cfg := Config{
 		DeltaRange: int(ints[0]), History: int(ints[1]), Neurons: int(ints[2]),
 		LabelsPerNeuron: int(ints[3]), Degree: int(ints[4]), Ticks: int(ints[5]),
-		MiddleShift: int(ints[6]), ConfThreshold: uint8(ints[7]),
-		TrainingTableSize: int(ints[8]), STDPOn: int(ints[9]), STDPPeriod: int(ints[10]),
-		Seed:    ints[11],
+		MiddleShift: int(ints[6]), TrainingTableSize: int(ints[8]),
+		STDPOn: int(ints[9]), STDPPeriod: int(ints[10]), Seed: ints[11],
 		OneTick: ints[12] != 0, Enlarged: ints[13] != 0, Reorder: ints[14] != 0,
 		ColdPage: ints[15] != 0, MultiFire: ints[16] != 0, CompareOneTick: ints[17] != 0,
-		WeightDependentSTDP: ints[18] != 0,
-		Inputs:              InputMode(ints[19]),
-		TemporalCoding:      ints[20] != 0,
-		EnlargeIntensity:    floats[0], InhibitionScale: floats[1],
+		Inputs: InputMode(ints[19]),
 	}
 	p, err := New(cfg)
 	if err != nil {

@@ -2,15 +2,14 @@ package refmodel
 
 import "pathfinder/internal/sim"
 
-// Cache is the reference set-associative cache: the same lookup/fill/stats
-// surface as sim.Cache, implemented with an explicit per-set recency list
-// instead of monotonic tick stamps. Physical way slots are modelled
-// directly because sim's victim scans (first invalid slot, SRRIP's
-// first-distant-way scan) are defined in slot order.
+// Cache is the reference set-associative LRU cache: the same
+// lookup/fill/stats surface as sim.Cache, implemented with an explicit
+// per-set recency list instead of sim's packed recency words. Physical way
+// slots are modelled directly because sim fills an empty set's ways in
+// slot order.
 type Cache struct {
-	sets   int
-	ways   int
-	policy sim.Policy
+	sets int
+	ways int
 
 	slots   [][]refLine // [set][way], physical slot order
 	recency [][]int     // [set] -> way indices, most recently used first
@@ -24,24 +23,16 @@ type Cache struct {
 
 type refLine struct {
 	tag        uint64
-	rrpv       uint8
 	valid      bool
 	prefetched bool
 }
 
-const srripMax = 3 // sim's "distant" re-reference value
-
 // NewCache returns a reference LRU cache.
 func NewCache(sets, ways int) *Cache {
-	return NewCacheWithPolicy(sets, ways, sim.PolicyLRU)
-}
-
-// NewCacheWithPolicy returns a reference cache with the given policy.
-func NewCacheWithPolicy(sets, ways int, policy sim.Policy) *Cache {
 	if sets <= 0 || ways <= 0 {
 		panic("refmodel: cache sets and ways must be positive")
 	}
-	c := &Cache{sets: sets, ways: ways, policy: policy}
+	c := &Cache{sets: sets, ways: ways}
 	c.slots = make([][]refLine, sets)
 	c.recency = make([][]int, sets)
 	for s := range c.slots {
@@ -89,7 +80,6 @@ func (c *Cache) LookupGated(block uint64, count bool) (hit, prefetchedFirstTouch
 		l := &c.slots[s][way]
 		if l.valid && l.tag == block {
 			c.touch(s, way)
-			l.rrpv = 0
 			pf := l.prefetched
 			l.prefetched = false
 			if count {
@@ -117,9 +107,8 @@ func (c *Cache) Contains(block uint64) bool {
 
 // Fill inserts block; semantics match sim.Cache.Fill: a resident block is
 // refreshed (prefetch bit only ever set, never cleared, by fills), an
-// invalid slot is used first (lowest way), and otherwise the policy picks
-// the victim — the recency list's tail for LRU, the first distant way
-// (ageing all ways until one exists) for SRRIP.
+// invalid slot is used first (lowest way), and otherwise the victim is the
+// recency list's tail.
 func (c *Cache) Fill(block uint64, prefetched bool) (evicted uint64, hadEviction bool) {
 	s := c.setIndex(block)
 	victim := -1
@@ -127,7 +116,6 @@ func (c *Cache) Fill(block uint64, prefetched bool) (evicted uint64, hadEviction
 		l := &c.slots[s][way]
 		if l.valid && l.tag == block {
 			c.touch(s, way)
-			l.rrpv = 0
 			if prefetched {
 				l.prefetched = true
 			}
@@ -138,7 +126,8 @@ func (c *Cache) Fill(block uint64, prefetched bool) (evicted uint64, hadEviction
 		}
 	}
 	if victim < 0 {
-		victim = c.pickVictim(s)
+		rec := c.recency[s]
+		victim = rec[len(rec)-1]
 	}
 	evicted, hadEviction = c.slots[s][victim].tag, c.slots[s][victim].valid
 	c.Fills++
@@ -148,30 +137,9 @@ func (c *Cache) Fill(block uint64, prefetched bool) (evicted uint64, hadEviction
 	if hadEviction {
 		c.Evictions++
 	}
-	rrpv := uint8(srripMax - 1)
-	if prefetched {
-		rrpv = srripMax
-	}
-	c.slots[s][victim] = refLine{tag: block, rrpv: rrpv, valid: true, prefetched: prefetched}
+	c.slots[s][victim] = refLine{tag: block, valid: true, prefetched: prefetched}
 	c.touch(s, victim)
 	return evicted, hadEviction
-}
-
-func (c *Cache) pickVictim(s int) int {
-	if c.policy == sim.PolicyLRU {
-		rec := c.recency[s]
-		return rec[len(rec)-1]
-	}
-	for {
-		for way := range c.slots[s] {
-			if c.slots[s][way].rrpv >= srripMax {
-				return way
-			}
-		}
-		for way := range c.slots[s] {
-			c.slots[s][way].rrpv++
-		}
-	}
 }
 
 // Reset invalidates every line and clears the statistics counters.

@@ -137,12 +137,12 @@ type CacheOp struct {
 }
 
 // DiffCache replays ops against a sim.Cache and a reference Cache with the
-// same geometry and policy, requiring identical results (hit flags,
-// prefetch first-touch flags, evicted blocks) and identical counters after
-// every operation.
-func DiffCache(sets, ways int, policy sim.Policy, ops []CacheOp) error {
-	opt := sim.NewCacheWithPolicy(sets, ways, policy)
-	ref := NewCacheWithPolicy(sets, ways, policy)
+// same geometry, requiring identical results (hit flags, prefetch
+// first-touch flags, evicted blocks) and identical counters after every
+// operation.
+func DiffCache(sets, ways int, ops []CacheOp) error {
+	opt := sim.NewCache(sets, ways)
+	ref := NewCache(sets, ways)
 	for k, op := range ops {
 		where := fmt.Sprintf("op %d (%d block %d)", k, op.Kind, op.Block)
 		switch op.Kind {

@@ -19,10 +19,10 @@ import (
 // model and fails on the first bit divergence. Seeds are the case index, so
 // a failure report like "case 17" reproduces with -run 'TestDiffSNN/case-17'.
 
-// randomSNNConfig draws a valid but adversarial SNN configuration: small
-// sizes so many presentations run quickly, with every semantic switch
-// (temporal coding, weight-dependent STDP, negative inhibition, zero
-// refractory periods, fastOK-breaking reset levels) exercised across cases.
+// randomSNNConfig draws a valid but adversarial SNN configuration from the
+// region snn.New accepts: small sizes so many presentations run quickly,
+// with weak inhibition, zero theta increments, disabled theta decay and
+// zero refractory periods exercised across cases.
 func randomSNNConfig(r *rand.Rand) snn.Config {
 	cfg := snn.DefaultConfig(4 + r.Intn(36))
 	cfg.Neurons = 2 + r.Intn(10)
@@ -32,9 +32,6 @@ func randomSNNConfig(r *rand.Rand) snn.Config {
 	cfg.InputGain = 0.5 + 10*r.Float64()
 	cfg.Exc = 25 * r.Float64()
 	cfg.Inh = 20 * r.Float64()
-	if r.Intn(8) == 0 {
-		cfg.Inh = -5 * r.Float64() // negative inhibition: WTA rescan path
-	}
 	cfg.InhHold = r.Intn(6)
 	cfg.Norm = 5 + 40*r.Float64()
 	cfg.ThetaPlus = 0.2 * r.Float64()
@@ -45,18 +42,8 @@ func randomSNNConfig(r *rand.Rand) snn.Config {
 	cfg.NuPre = 0.01 * r.Float64()
 	cfg.NuPost = 0.1 * r.Float64()
 	cfg.TraceTC = 2 + 30*r.Float64()
-	cfg.Temporal = r.Intn(3) == 0
-	cfg.WeightDependent = r.Intn(3) == 0
 	cfg.RefracE = r.Intn(6)
 	cfg.RefracI = r.Intn(4)
-	if r.Intn(10) == 0 {
-		// Reset above threshold breaks the fastOK resting-state invariant;
-		// the optimized engine must fall back to always-tick behaviour.
-		cfg.ResetE = cfg.ThreshE + 1
-	}
-	if r.Intn(10) == 0 {
-		cfg.ResetI = cfg.ThreshI + 1
-	}
 	return cfg
 }
 
@@ -129,10 +116,6 @@ func TestDiffCache(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(2000 + i)))
 			sets := 1 + r.Intn(8)
 			ways := 1 + r.Intn(6)
-			policy := sim.PolicyLRU
-			if r.Intn(2) == 0 {
-				policy = sim.PolicySRRIP
-			}
 			// A block space a few times the cache capacity forces steady
 			// conflict misses and evictions.
 			space := uint64(sets*ways*3 + 1)
@@ -144,8 +127,8 @@ func TestDiffCache(t *testing.T) {
 				}
 				seq[k] = CacheOp{Kind: kind, Block: r.Uint64() % space}
 			}
-			if err := DiffCache(sets, ways, policy, seq); err != nil {
-				t.Fatalf("sets=%d ways=%d policy=%d: %v", sets, ways, policy, err)
+			if err := DiffCache(sets, ways, seq); err != nil {
+				t.Fatalf("sets=%d ways=%d: %v", sets, ways, err)
 			}
 		})
 	}
@@ -218,9 +201,6 @@ func randomMachine(r *rand.Rand) sim.Config {
 		},
 		Width: 1 + r.Intn(4),
 		ROB:   16 << r.Intn(4),
-	}
-	if r.Intn(2) == 0 {
-		cfg.LLCPolicy = sim.PolicySRRIP
 	}
 	if r.Intn(3) == 0 {
 		cfg.PrefetchDropDepth = 1 + r.Intn(8)
@@ -439,6 +419,8 @@ func TestDiffSNNRealConfig(t *testing.T) {
 // the interval (whole mask words live, ticks with no eligible candidate),
 // and dense WTA ties (uniform state, every neuron crossing threshold on
 // the same tick — the first-candidate tie-break must survive reordering).
+// With FireProb 1 every lit pixel spikes on every tick, which aligns the
+// whole layer without any special input coding.
 func TestDiffSNNBitsetWordBoundary(t *testing.T) {
 	presents := 8
 	if testing.Short() {
@@ -490,7 +472,7 @@ func TestDiffSNNBitsetWordBoundary(t *testing.T) {
 		cfg := snn.DefaultConfig(24)
 		cfg.Neurons = 64
 		cfg.Ticks = 8
-		cfg.Temporal = true // deterministic spike times: every neuron aligned
+		cfg.FireProb = 1 // every lit pixel spikes every tick: every neuron aligned
 		cfg.Exc = 0
 		cfg.Inh = 0
 		cfg.ThetaPlus = 0

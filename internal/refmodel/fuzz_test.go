@@ -3,7 +3,6 @@ package refmodel
 import (
 	"testing"
 
-	"pathfinder/internal/sim"
 	"pathfinder/internal/snn"
 )
 
@@ -41,9 +40,12 @@ func FuzzPresent(f *testing.F) {
 	// firing neuron stays refractory for the rest of the interval.
 	f.Add(int64(11), []byte{16, 136, 10, 90, 20, 10, 4, 2, 20, 5, 1, 3, 7, 12, 0, 1, 131, 1, 5,
 		255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 0})
-	// 65 neurons (straddling the word), temporal coding, zero excitation
-	// and inhibition, uniformly lit input: dense WTA ties every tick.
-	f.Add(int64(13), []byte{24, 137, 8, 100, 40, 0, 0, 0, 10, 0, 0, 0, 0, 10, 1, 0, 0, 0, 0,
+	// 65 neurons (straddling the word), 24 inputs uniformly lit at
+	// FireProb 1 (every pixel spikes every tick), zero excitation and
+	// inhibition: dense WTA ties every tick, over two learned intervals.
+	f.Add(int64(13), []byte{23, 137, 8, 99, 39, 0, 0, 0, 10, 0, 0, 1, 5, 10, 1, 0, 0, 0, 0,
+		255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255,
+		255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 0,
 		255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255,
 		255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1, 0})
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
@@ -61,7 +63,7 @@ func FuzzPresent(f *testing.F) {
 		cfg.FireProb = float64(1+int(s.next())%100) / 100
 		cfg.InputGain = 0.25 * float64(1+int(s.next())%40)
 		cfg.Exc = float64(int(s.next()) % 30)
-		cfg.Inh = float64(int(s.next())%40) - 8 // occasionally negative
+		cfg.Inh = float64(int(s.next()) % 40)
 		cfg.InhHold = int(s.next()) % 6
 		cfg.Norm = float64(1 + int(s.next())%40)
 		cfg.ThetaPlus = float64(int(s.next())%20) / 100
@@ -69,8 +71,11 @@ func FuzzPresent(f *testing.F) {
 		cfg.NuPre = float64(int(s.next())%16) / 1000
 		cfg.NuPost = float64(int(s.next())%16) / 100
 		cfg.TraceTC = float64(1 + int(s.next())%30)
-		cfg.Temporal = s.next()&1 == 1
-		cfg.WeightDependent = s.next()&1 == 1
+		// Two retired switch bytes (temporal coding, weight-dependent
+		// STDP), still drawn so the seeds and corpus keep their other
+		// fields.
+		s.next()
+		s.next()
 		re := int(s.next())
 		cfg.RefracE = re % 5
 		if re >= 128 {
@@ -81,9 +86,9 @@ func FuzzPresent(f *testing.F) {
 			cfg.RefracE = cfg.Ticks + re%8
 		}
 		cfg.RefracI = int(s.next()) % 4
-		// ResetE in [-60, -49) straddles ThreshE (-52), reaching the
-		// fastOK-breaking reset-above-threshold regime.
-		cfg.ResetE = -60 + float64(int(s.next())%12)
+		// ResetE in [-60, -52): up to just below ThreshE (-52), the top
+		// of the region snn.New accepts.
+		cfg.ResetE = -60 + float64(int(s.next())%8)
 		cfg.Seed = seed
 
 		var presents []SNNPresent
@@ -107,7 +112,8 @@ func FuzzPresent(f *testing.F) {
 // FuzzCacheAccess derives a cache geometry and an operation stream from the
 // fuzz input and requires sim.Cache and the reference Cache to agree on
 // every hit, eviction and counter; under -tags pfdebug the optimized
-// cache's LRU-stack assertions run on every operation as well.
+// cache's LRU-stack assertions run on every operation as well. Bit 16 of
+// geom once selected SRRIP and is now ignored.
 func FuzzCacheAccess(f *testing.F) {
 	f.Add(uint64(0x0101), []byte{})
 	f.Add(uint64(0x0402), []byte{0, 1, 1, 2, 0, 1, 2, 3, 1, 1, 3, 2, 0, 9, 5, 1})
@@ -124,10 +130,6 @@ func FuzzCacheAccess(f *testing.F) {
 			// of the packed recency word, where the top nibble falls off.
 			ways = 9 + int(geom>>8)%8
 		}
-		policy := sim.PolicyLRU
-		if geom>>16&1 == 1 {
-			policy = sim.PolicySRRIP
-		}
 		space := uint64(sets*ways*3 + 1)
 		var ops []CacheOp
 		for i := 0; i+1 < len(data); i += 2 {
@@ -136,8 +138,8 @@ func FuzzCacheAccess(f *testing.F) {
 				Block: uint64(data[i+1]) % space,
 			})
 		}
-		if err := DiffCache(sets, ways, policy, ops); err != nil {
-			t.Fatalf("sets=%d ways=%d policy=%d: %v", sets, ways, policy, err)
+		if err := DiffCache(sets, ways, ops); err != nil {
+			t.Fatalf("sets=%d ways=%d: %v", sets, ways, err)
 		}
 	})
 }

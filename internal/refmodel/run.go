@@ -306,7 +306,7 @@ func RunMulti(cfg sim.Config, cores [][]trace.Access, pfs [][]trace.Prefetch) ([
 	}
 
 	mem := &refSharedMemory{
-		llc:      NewCacheWithPolicy(cfg.LLCSets, cfg.LLCWays, cfg.LLCPolicy),
+		llc:      NewCache(cfg.LLCSets, cfg.LLCWays),
 		dram:     NewDRAM(cfg.DRAM),
 		inflight: make(map[uint64]uint64),
 	}

@@ -141,22 +141,12 @@ func (n *SNN) Present(pixels []float64, learn bool) (snn.Result, error) {
 
 	for t := 1; t <= n.cfg.Ticks; t++ {
 		n.tick++
-		// 1. Input spikes for this tick: Poisson rate coding by default
-		// (one RNG draw per active pixel, in ascending pixel order), or
-		// one deterministic spike per pixel under temporal coding.
+		// 1. Input spikes for this tick: Poisson rate coding, one RNG
+		// draw per active pixel, in ascending pixel order.
 		preSpikes = preSpikes[:0]
-		if n.cfg.Temporal {
-			for _, i := range active {
-				spikeTick := 1 + int((1-pixels[i])*float64(n.cfg.Ticks-1))
-				if spikeTick == t {
-					preSpikes = append(preSpikes, i)
-				}
-			}
-		} else {
-			for _, i := range active {
-				if n.rand.float64() < n.cfg.FireProb*pixels[i] {
-					preSpikes = append(preSpikes, i)
-				}
+		for _, i := range active {
+			if n.rand.float64() < n.cfg.FireProb*pixels[i] {
+				preSpikes = append(preSpikes, i)
 			}
 		}
 
@@ -167,9 +157,6 @@ func (n *SNN) Present(pixels []float64, learn bool) (snn.Result, error) {
 			n.xPost[j] *= n.decayTrace
 		}
 		gain := n.cfg.InputGain
-		if n.cfg.Temporal {
-			gain *= float64(n.cfg.Ticks) * n.cfg.FireProb
-		}
 		for _, i := range preSpikes {
 			row := n.w[i*nn : (i+1)*nn]
 			for j := 0; j < nn; j++ {
@@ -241,16 +228,13 @@ func (n *SNN) Present(pixels []float64, learn bool) (snn.Result, error) {
 			}
 		}
 
-		// 3. STDP: depress on pre spikes (against post traces), potentiate
-		// on post spikes (against pre traces).
+		// 3. Additive STDP: depress on pre spikes (against post traces),
+		// potentiate on post spikes (against pre traces).
 		if learn && len(firedList) > 0 {
 			for _, i := range preSpikes {
 				row := n.w[i*nn : (i+1)*nn]
 				for _, j := range firedList {
 					dep := n.cfg.NuPre * n.xPost[j]
-					if n.cfg.WeightDependent {
-						dep *= row[j] / n.cfg.WMax
-					}
 					w := row[j] - dep
 					if w < 0 {
 						w = 0
@@ -272,9 +256,6 @@ func (n *SNN) Present(pixels []float64, learn bool) (snn.Result, error) {
 					n.decayPreTrace(i)
 					idx := i*nn + j
 					pot := n.cfg.NuPost * n.xPre[i]
-					if n.cfg.WeightDependent {
-						pot *= (n.cfg.WMax - n.w[idx]) / n.cfg.WMax
-					}
 					w := n.w[idx] + pot
 					if w > n.cfg.WMax {
 						w = n.cfg.WMax

@@ -58,7 +58,7 @@ func TestEnginePoolReuseAfterPanic(t *testing.T) {
 	}()
 
 	// Single goroutine, same config: the next acquisition is the abandoned
-	// engine (sync.Pool returns the per-P victim first).
+	// engine (the pool hands out the most recently released engine first).
 	eng, release := sim.AcquireEngine(cfg)
 	defer release()
 	got, err := eng.RunCtx(context.Background(), accs, nil)

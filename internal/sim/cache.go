@@ -8,19 +8,6 @@ package sim
 
 import "math/bits"
 
-// Policy selects a cache replacement policy.
-type Policy int
-
-const (
-	// PolicyLRU is true least-recently-used replacement.
-	PolicyLRU Policy = iota
-	// PolicySRRIP is static re-reference interval prediction (Jaleel et
-	// al.): 2-bit re-reference counters, demand fills inserted "long",
-	// prefetch fills inserted "distant" so inaccurate prefetches are the
-	// first victims — a prefetch-aware insertion policy.
-	PolicySRRIP
-)
-
 // CacheStats is every statistics counter a Cache carries, grouped in one
 // struct so ResetStats can clear the whole block at once — a counter added
 // later cannot silently survive the warmup reset.
@@ -37,10 +24,9 @@ type CacheStats struct {
 	Evictions uint64
 }
 
-// Cache is a set-associative cache operating on block addresses, with a
-// selectable replacement policy (LRU by default). Lines filled by prefetch
-// carry a prefetch bit that is cleared (and reported) on their first demand
-// hit, which is how useful prefetches are counted.
+// Cache is a set-associative LRU cache operating on block addresses. Lines
+// filled by prefetch carry a prefetch bit that is cleared (and reported) on
+// their first demand hit, which is how useful prefetches are counted.
 //
 // Line state lives in parallel arrays rather than a slice of structs: the
 // simulator's hottest loops are linear scans of one set's tags, and packing
@@ -64,11 +50,10 @@ type CacheStats struct {
 type Cache struct {
 	sets    int
 	ways    int
-	setMask uint64 // sets-1 when sets is a power of two, else 0
-	policy  Policy
+	setMask uint64   // sets-1 when sets is a power of two, else 0
 	tags    []uint64 // sets × ways, row-major
 	lru     []uint64 // recency stamps; maintained only under pfdebug
-	meta    []uint8  // lineValid | linePrefetched | rrpv<<lineRRPVShift
+	meta    []uint8  // lineValid | linePrefetched
 	rec     []uint64 // packed per-set recency order, 4 bits per way
 	fill    []uint8  // valid ways per set
 	tick    uint64
@@ -91,12 +76,7 @@ const maxWays = 16
 const (
 	lineValid      = 1 << 0
 	linePrefetched = 1 << 1
-	lineRRPVShift  = 2
-	lineRRPVMask   = 0x3 << lineRRPVShift
 )
-
-// srripMax is the "distant" re-reference value of the 2-bit SRRIP counters.
-const srripMax = 3
 
 // invalidTag occupies the tag slot of every invalid line, so the lookup
 // and residency scans are pure tag comparisons with no validity check in
@@ -107,12 +87,6 @@ const invalidTag = ^uint64(0)
 // NewCache returns an LRU cache with the given geometry. Both sets and ways
 // must be positive, ways at most 16; sets need not be a power of two.
 func NewCache(sets, ways int) *Cache {
-	return NewCacheWithPolicy(sets, ways, PolicyLRU)
-}
-
-// NewCacheWithPolicy returns a cache with the given geometry and
-// replacement policy.
-func NewCacheWithPolicy(sets, ways int, policy Policy) *Cache {
 	if sets <= 0 || ways <= 0 {
 		panic("sim: cache sets and ways must be positive")
 	}
@@ -121,7 +95,7 @@ func NewCacheWithPolicy(sets, ways int, policy Policy) *Cache {
 	}
 	n := sets * ways
 	c := &Cache{
-		sets: sets, ways: ways, policy: policy,
+		sets: sets, ways: ways,
 		tags:     make([]uint64, n),
 		meta:     make([]uint8, n),
 		rec:      make([]uint64, sets),
@@ -237,7 +211,7 @@ func (c *Cache) hitAt(set, base int, w uint16, block uint64, count bool) (hit, p
 	}
 	c.rec[set] = promoteRec(c.rec[set], w)
 	pf := c.meta[i]&linePrefetched != 0
-	c.meta[i] = lineValid // rrpv = 0, prefetch bit cleared
+	c.meta[i] = lineValid // prefetch bit cleared
 	if count {
 		c.Hits++
 	}
@@ -282,7 +256,7 @@ func (c *Cache) Fill(block uint64, prefetched bool) (evicted uint64, hadEviction
 				c.lru[i] = c.tick
 			}
 			c.rec[set] = promoteRec(c.rec[set], uint16(w))
-			m := uint8(lineValid) // rrpv = 0
+			m := uint8(lineValid)
 			if prefetched || c.meta[i]&linePrefetched != 0 {
 				m |= linePrefetched
 			}
@@ -298,9 +272,8 @@ func (c *Cache) Fill(block uint64, prefetched bool) (evicted uint64, hadEviction
 
 // insert installs block — known absent from its set — into a victim way
 // chosen in O(1) from the set's recency word: the next empty way while the
-// set is still filling, the oldest nibble (or SRRIP's re-reference pick)
-// once it is full. Shared tail of Fill's memoized and scanning paths; tick
-// has already been advanced.
+// set is still filling, the oldest nibble once it is full. Shared tail of
+// Fill's memoized and scanning paths; tick has already been advanced.
 func (c *Cache) insert(block uint64, prefetched bool) (evicted uint64, hadEviction bool) {
 	set := c.setIndex(block)
 	base := set * c.ways
@@ -315,17 +288,11 @@ func (c *Cache) insert(block uint64, prefetched bool) (evicted uint64, hadEvicti
 		c.rec[set] = c.rec[set]<<4 | uint64(f)
 		c.fill[set] = f + 1
 	} else {
+		// The LRU victim is the oldest valid nibble; promoting it is the
+		// same shift-and-append as claiming an empty way.
 		r := c.rec[set]
-		var w uint16
-		if c.policy != PolicyLRU {
-			w = uint16(c.pickVictimSRRIP(base) - base)
-			c.rec[set] = promoteRec(r, w)
-		} else {
-			// The LRU victim is the oldest valid nibble; promoting it is
-			// the same shift-and-append as claiming an empty way.
-			w = uint16(r >> (4 * uint(c.ways-1)) & 0xF)
-			c.rec[set] = r<<4 | uint64(w)
-		}
+		w := r >> (4 * uint(c.ways-1)) & 0xF
+		c.rec[set] = r<<4 | w
 		victim = base + int(w)
 	}
 	evicted, hadEviction = c.tags[victim], c.meta[victim]&lineValid != 0
@@ -336,37 +303,19 @@ func (c *Cache) insert(block uint64, prefetched bool) (evicted uint64, hadEvicti
 	if hadEviction {
 		c.Evictions++
 	}
-	rrpv := uint8(srripMax - 1)
 	m := uint8(lineValid)
 	if prefetched {
-		rrpv = srripMax // prefetch-aware insertion: distant re-reference
 		m |= linePrefetched
 	}
 	c.tags[victim] = block
 	if pfdebugEnabled {
 		c.lru[victim] = c.tick
 	}
-	c.meta[victim] = m | rrpv<<lineRRPVShift
+	c.meta[victim] = m
 	if pfdebugEnabled {
 		c.debugCheckSet(block)
 	}
 	return evicted, hadEviction
-}
-
-// pickVictimSRRIP selects a replacement victim from a full set: evict the
-// first line predicted "distant"; if none, age every line and retry
-// (guaranteed to terminate within srripMax rounds).
-func (c *Cache) pickVictimSRRIP(base int) int {
-	for {
-		for i := base; i < base+c.ways; i++ {
-			if c.meta[i]&lineRRPVMask >= srripMax<<lineRRPVShift {
-				return i
-			}
-		}
-		for i := base; i < base+c.ways; i++ {
-			c.meta[i] += 1 << lineRRPVShift
-		}
-	}
 }
 
 // Reset invalidates every line and clears the statistics counters. The

@@ -135,49 +135,6 @@ func TestCachePanicsOnBadGeometry(t *testing.T) {
 	NewCache(0, 4)
 }
 
-func TestSRRIPHitResetsRRPV(t *testing.T) {
-	c := NewCacheWithPolicy(1, 2, PolicySRRIP)
-	c.Fill(1, false)
-	c.Fill(2, false)
-	c.Lookup(1) // rrpv(1) = 0
-	// Next eviction must pick 2, whose rrpv is higher.
-	if evicted, had := c.Fill(3, false); !had || evicted != 2 {
-		t.Fatalf("evicted %d, want 2", evicted)
-	}
-}
-
-func TestSRRIPPrefetchInsertedDistant(t *testing.T) {
-	c := NewCacheWithPolicy(1, 2, PolicySRRIP)
-	c.Fill(1, false) // demand: rrpv 2
-	c.Fill(2, true)  // prefetch: rrpv 3 (distant)
-	evicted, had := c.Fill(3, false)
-	if !had || evicted != 2 {
-		t.Fatalf("evicted %d, want the untouched prefetch (2)", evicted)
-	}
-}
-
-func TestSRRIPNeverLivelocks(t *testing.T) {
-	c := NewCacheWithPolicy(2, 4, PolicySRRIP)
-	for b := uint64(0); b < 1000; b++ {
-		c.Fill(b, b%3 == 0)
-		if !c.Contains(b) {
-			t.Fatalf("block %d not resident after fill", b)
-		}
-	}
-}
-
-func TestRunWithSRRIPLLC(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LLCPolicy = PolicySRRIP
-	res, err := Run(cfg, seqTrace(2000, 10), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IPC <= 0 {
-		t.Errorf("IPC %v", res.IPC)
-	}
-}
-
 func TestCacheFillCounters(t *testing.T) {
 	c := NewCache(1, 2)
 	c.Fill(1, false)

@@ -10,10 +10,9 @@ import "fmt"
 const pfdebugEnabled = true
 
 // debugCheckSet verifies the touched set's replacement-state invariants:
-// at most one valid line holds any given tag, every recency stamp is
+// at most one valid line holds any given tag, and every recency stamp is
 // distinct and no newer than the cache's clock (the LRU stack property —
-// stamps induce a strict total recency order), and re-reference counters
-// stay within SRRIP's 2-bit range.
+// stamps induce a strict total recency order).
 func (c *Cache) debugCheckSet(block uint64) {
 	base := c.setBase(block)
 	matches := 0
@@ -26,9 +25,6 @@ func (c *Cache) debugCheckSet(block uint64) {
 		}
 		if c.lru[i] > c.tick {
 			panic(fmt.Sprintf("sim pfdebug: line lru stamp %d ahead of cache clock %d", c.lru[i], c.tick))
-		}
-		if rrpv := c.meta[i] & lineRRPVMask >> lineRRPVShift; rrpv > srripMax {
-			panic(fmt.Sprintf("sim pfdebug: rrpv %d exceeds %d", rrpv, srripMax))
 		}
 		for k := i + 1; k < base+c.ways; k++ {
 			if c.meta[k]&lineValid != 0 && c.lru[k] == c.lru[i] {

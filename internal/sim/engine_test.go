@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"pathfinder/internal/trace"
@@ -125,5 +127,65 @@ func TestEngineRejectsWideCache(t *testing.T) {
 	_, err := Run(cfg, seqTrace(1000, 10), nil)
 	if err == nil || !strings.Contains(err.Error(), "16 ways") {
 		t.Fatalf("17-way LLC: err = %v, want an associativity error", err)
+	}
+}
+
+// TestAcquireEngineSurvivesGC pins that a released engine stays pooled
+// until it is acquired again: two garbage collections (which empty a
+// sync.Pool) and an acquisition from another goroutine (which a sync.Pool
+// serves from another P's slot) must still get the same engine back
+// instead of a rebuilt machine. The configuration is one no other test
+// uses, so tests running in parallel cannot take its engine.
+func TestAcquireEngineSurvivesGC(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ROB = 123
+	eng, release := AcquireEngine(cfg)
+	release()
+	runtime.GC()
+	runtime.GC()
+	got := make(chan *Engine)
+	go func() {
+		e, release := AcquireEngine(cfg)
+		release()
+		got <- e
+	}()
+	if e := <-got; e != eng {
+		t.Fatal("AcquireEngine rebuilt a released engine after two GCs")
+	}
+}
+
+// TestAcquireEngineNeverShared hammers one configuration's free list from
+// several goroutines at once: an engine must never be handed to a second
+// holder before the first releases it. Run under -race it also checks the
+// list's locking.
+func TestAcquireEngineNeverShared(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ROB = 124
+	var mu sync.Mutex
+	inUse := make(map[*Engine]bool)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				eng, release := AcquireEngine(cfg)
+				mu.Lock()
+				if inUse[eng] {
+					t.Error("AcquireEngine handed out an engine already in use")
+				}
+				inUse[eng] = true
+				mu.Unlock()
+				runtime.Gosched()
+				mu.Lock()
+				inUse[eng] = false
+				mu.Unlock()
+				release()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(inUse) > 4 {
+		t.Errorf("%d engines built for at most 4 concurrent holders", len(inUse))
 	}
 }

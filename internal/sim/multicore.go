@@ -25,7 +25,7 @@ type sharedMemory struct {
 
 func newSharedMemory(cfg Config) *sharedMemory {
 	return &sharedMemory{
-		llc:      NewCacheWithPolicy(cfg.LLCSets, cfg.LLCWays, cfg.LLCPolicy),
+		llc:      NewCache(cfg.LLCSets, cfg.LLCWays),
 		dram:     NewDRAM(cfg.DRAM),
 		inflight: flat.NewTable[uint64](cfg.DRAM.ReadQueue),
 		fills:    make(inflightHeap, 0, cfg.DRAM.ReadQueue+1),

@@ -32,9 +32,6 @@ type Config struct {
 	// the standard demand-priority policy of memory controllers. Zero
 	// defaults to half the DRAM read queue.
 	PrefetchDropDepth int
-	// LLCPolicy selects the LLC replacement policy (PolicyLRU default, or
-	// PolicySRRIP with prefetch-aware distant insertion).
-	LLCPolicy Policy
 }
 
 // DefaultConfig returns the Table 3 machine with a 4-wide, 256-entry-ROB

@@ -45,8 +45,8 @@ func (n *Network) debugCheckInterval(maxSpikes int) {
 		if n.refracI[j] < 0 || (cfg.RefracI >= 0 && n.refracI[j] > cfg.RefracI) {
 			panic(fmt.Sprintf("snn pfdebug: refracI[%d] = %d outside [0, %d]", j, n.refracI[j], cfg.RefracI))
 		}
-		if cfg.ThetaPlus >= 0 && (n.theta[j] < 0 || math.IsNaN(n.theta[j])) {
-			panic(fmt.Sprintf("snn pfdebug: theta[%d] = %v negative or NaN with ThetaPlus %v", j, n.theta[j], cfg.ThetaPlus))
+		if !(n.theta[j] >= 0) {
+			panic(fmt.Sprintf("snn pfdebug: theta[%d] = %v negative or NaN", j, n.theta[j]))
 		}
 		if n.spikeCounts[j] < 0 || n.spikeCounts[j] > maxSpikes {
 			panic(fmt.Sprintf("snn pfdebug: spikeCounts[%d] = %d outside [0, %d]", j, n.spikeCounts[j], maxSpikes))
@@ -58,11 +58,9 @@ func (n *Network) debugCheckInterval(maxSpikes int) {
 			panic(fmt.Sprintf("snn pfdebug: xPost[%d] = %v outside [0, 1]", j, n.xPost[j]))
 		}
 	}
-	if cfg.Norm >= 0 { // negative Norm legitimately scales weights negative
-		for i := range n.w {
-			if w := n.w[i]; !(w >= 0 && w <= cfg.WMax) {
-				panic(fmt.Sprintf("snn pfdebug: w[%d] = %v outside [0, %v]", i, w, cfg.WMax))
-			}
+	for i := range n.w {
+		if w := n.w[i]; !(w >= 0 && w <= cfg.WMax) {
+			panic(fmt.Sprintf("snn pfdebug: w[%d] = %v outside [0, %v]", i, w, cfg.WMax))
 		}
 	}
 }

@@ -59,12 +59,6 @@ type Config struct {
 	// FireProb is the per-tick Poisson spike probability of a fully-lit
 	// input pixel (rate coding intensity).
 	FireProb float64
-	// Temporal switches the input from rate coding to temporal coding
-	// (§2.4: "temporal encoding generates a spike at a tick that is a
-	// function of the input value"): each lit pixel spikes exactly once,
-	// earlier for brighter pixels. Deterministic and far sparser than
-	// rate coding — one spike per pixel per interval.
-	Temporal bool
 	// InputGain scales the synaptic current delivered by each input
 	// spike. PATHFINDER's pixel matrices light only a handful of pixels
 	// (versus hundreds for the MNIST images the Diehl & Cook model was
@@ -72,14 +66,8 @@ type Config struct {
 	// threshold within an interval — the sparsity problem §3.4 discusses.
 	InputGain float64
 	// NuPre and NuPost are the STDP learning rates for the pre- and
-	// post-synaptic updates.
+	// post-synaptic updates of BindsNet's additive PostPre rule.
 	NuPre, NuPost float64
-	// WeightDependent switches STDP to the multiplicative
-	// (weight-dependent) rule: potentiation scales with the headroom
-	// (WMax − w) and depression with the weight itself, a soft-bound
-	// variant common in the STDP literature. The default additive rule
-	// with hard clamping is what BindsNet's PostPre implements.
-	WeightDependent bool
 	// WMax clamps learned weights to [0, WMax].
 	WMax float64
 	// TraceTC is the STDP trace time constant in ticks.
@@ -157,26 +145,12 @@ type Network struct {
 
 	tick int
 
-	// fastOK reports that the configuration satisfies the resting-state
-	// invariants the event-driven fast paths rely on: with no input
-	// drive, potentials decay towards rest strictly below threshold, so
-	// a tick with no pending input spikes, no live refractory counters
-	// and no inhibition hold reduces to three exponential decays. Exotic
-	// configs (reset above threshold, negative theta increments) fall
-	// back to the always-tick reference behaviour. Computed once in New.
-	fastOK bool
-	// monoInh reports Inh >= 0: a fire can only lower the other
-	// potentials, so the above-threshold candidate list of the
-	// winner-take-all loop can only shrink within a tick.
-	monoInh bool
-
 	// Scratch buffers reused across Present calls so the steady-state
 	// hot path performs zero heap allocations. All of this is
 	// per-interval transient state: it is reset or rebuilt by every
 	// Present and deliberately NOT serialized (see serialize.go — only
 	// learned state persists).
 	scrActive   []int     // lit-pixel indices of the current input
-	scrTickOf   []int     // temporal coding: spike tick per active pixel
 	scrSched    []int     // concatenated per-tick input spike schedule
 	scrSchedOff []int     // scrSched offsets; tick t spans [off[t-1], off[t])
 	scrInhHold  []int     // remaining suppression ticks per inhibitory neuron
@@ -205,7 +179,9 @@ type Network struct {
 }
 
 // New constructs a network with uniform-random initial weights in
-// [0, 0.3 × WMax], mirroring BindsNet's initialisation.
+// [0, 0.3 × WMax], mirroring BindsNet's initialisation. It rejects any
+// configuration outside the region the event-driven engine is exact for
+// (see checkRegion).
 func New(cfg Config) (*Network, error) {
 	if cfg.InputSize <= 0 || cfg.Neurons <= 0 {
 		return nil, fmt.Errorf("snn: input size %d and neurons %d must be positive", cfg.InputSize, cfg.Neurons)
@@ -218,6 +194,9 @@ func New(cfg Config) (*Network, error) {
 	}
 	if cfg.InputGain <= 0 {
 		return nil, fmt.Errorf("snn: input gain %v must be positive", cfg.InputGain)
+	}
+	if err := checkRegion(cfg); err != nil {
+		return nil, err
 	}
 	n := &Network{
 		cfg:         cfg,
@@ -236,11 +215,6 @@ func New(cfg Config) (*Network, error) {
 		decayTrace:  math.Exp(-1 / cfg.TraceTC),
 		decayTheta:  1,
 		rand:        newRNG(cfg.Seed),
-
-		fastOK: cfg.RestE < cfg.ThreshE && cfg.ResetE < cfg.ThreshE &&
-			cfg.RestI < cfg.ThreshI && cfg.ResetI < cfg.ThreshI &&
-			cfg.ThetaPlus >= 0 && cfg.TCDecayE > 0 && cfg.TCDecayI > 0,
-		monoInh: cfg.Inh >= 0,
 
 		scrSchedOff: make([]int, cfg.Ticks+1),
 		scrInhHold:  make([]int, cfg.Neurons),
@@ -271,6 +245,41 @@ func New(cfg Config) (*Network, error) {
 	}
 	n.normalize()
 	return n, nil
+}
+
+// checkRegion rejects a configuration outside the region the event-driven
+// engine is exact for: undriven potentials decay towards a rest below
+// threshold, a neuron leaving refractory resets below threshold (theta
+// never goes negative), and a fire only lowers the other potentials. That
+// is what lets a quiet tick reduce to three exponential decays and the
+// winner-take-all loop filter its candidates instead of rescanning (see
+// docs/performance.md). Every comparison fails on NaN.
+func checkRegion(cfg Config) error {
+	for _, c := range [...]struct {
+		field string
+		v     float64
+		ok    bool
+		rel   string
+		bound float64
+	}{
+		{"RestE", cfg.RestE, cfg.RestE < cfg.ThreshE, "below ThreshE", cfg.ThreshE},
+		{"ResetE", cfg.ResetE, cfg.ResetE < cfg.ThreshE, "below ThreshE", cfg.ThreshE},
+		{"RestI", cfg.RestI, cfg.RestI < cfg.ThreshI, "below ThreshI", cfg.ThreshI},
+		{"ResetI", cfg.ResetI, cfg.ResetI < cfg.ThreshI, "below ThreshI", cfg.ThreshI},
+		{"Inh", cfg.Inh, cfg.Inh >= 0, "at least", 0},
+		{"ThetaPlus", cfg.ThetaPlus, cfg.ThetaPlus >= 0, "at least", 0},
+		{"TraceTC", cfg.TraceTC, cfg.TraceTC >= 0, "at least", 0},
+		{"TCTheta", cfg.TCTheta, cfg.TCTheta >= 0, "at least", 0},
+		{"Norm", cfg.Norm, cfg.Norm > 0, "above", 0},
+		{"WMax", cfg.WMax, cfg.WMax > 0, "above", 0},
+		{"TCDecayE", cfg.TCDecayE, cfg.TCDecayE > 0, "above", 0},
+		{"TCDecayI", cfg.TCDecayI, cfg.TCDecayI > 0, "above", 0},
+	} {
+		if !c.ok {
+			return fmt.Errorf("snn: %s %v must be %s %v", c.field, c.v, c.rel, c.bound)
+		}
+	}
+	return nil
 }
 
 // Config returns the network's configuration.
@@ -366,9 +375,8 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 	}
 	n.scrActive = active
 
-	// Pre-draw the whole interval's input spike schedule. Temporal
-	// coding knows every spike tick exactly; rate coding draws its
-	// per-tick Poisson spikes up front in the same tick-major,
+	// Pre-draw the whole interval's input spike schedule: the per-tick
+	// Poisson spikes are drawn up front in the same tick-major,
 	// active-pixel order the reference loop used, so the RNG stream is
 	// consumed identically. Knowing future spike ticks is what lets the
 	// tick loop below fast-forward through quiescent stretches.
@@ -377,11 +385,6 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 	nn := n.cfg.Neurons
 	ticks := n.cfg.Ticks
 	gain := n.cfg.InputGain
-	if n.cfg.Temporal {
-		// A temporal spike carries the whole interval's charge at
-		// once (rate coding delivers ~Ticks × FireProb spikes).
-		gain *= float64(n.cfg.Ticks) * n.cfg.FireProb
-	}
 	restE, dE := n.cfg.RestE, n.decayE
 	restI, dI := n.cfg.RestI, n.decayI
 	dX := n.decayTrace
@@ -427,7 +430,7 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 	refracCntE, refracCntI, holdCnt := 0, 0, 0
 
 	// A monitor must observe every tick, so it disables fast-forwarding.
-	fastOK := n.fastOK && n.monitor == nil
+	skipQuiet := n.monitor == nil
 
 	// Telemetry accumulators: plain locals flushed once after the loop.
 	var mTicks, mFfwd, mFfwdTicks, mCand, mDep, mPot uint64
@@ -437,11 +440,11 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 		// live refractory counter on either layer and no inhibition
 		// hold, a tick is exactly three exponential decays (vE, vI,
 		// xPost) — the winner-take-all loop left every non-refractory
-		// neuron below threshold, and under fastOK decay cannot carry a
-		// potential back above it. Advance all decays to the next event
-		// tick in one pass, replaying the per-tick FP operations so the
-		// state stays bit-identical to ticking through.
-		if fastOK && refracCntE == 0 && refracCntI == 0 && holdCnt == 0 {
+		// neuron below threshold, and inside New's region decay cannot
+		// carry a potential back above it. Advance all decays to the next
+		// event tick in one pass, replaying the per-tick FP operations so
+		// the state stays bit-identical to ticking through.
+		if skipQuiet && refracCntE == 0 && refracCntI == 0 && holdCnt == 0 {
 			if next := n.nextSpikeTick(t); next > t {
 				n.fastForward(next - t)
 				mFfwd++
@@ -500,17 +503,12 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 					others--
 				}
 				if refracE[j] > 0 {
+					// A neuron leaving refractory joins this tick's
+					// scan at its reset potential, which New keeps
+					// below threshold: it cannot be a candidate.
 					if refracE[j]--; refracE[j] == 0 {
 						refracCntE--
 						refracWE.clear(j)
-						// A neuron leaving refractory joins this tick's
-						// scan at its reset potential (the reference loop
-						// decrements before the threshold scan); only
-						// exotic configs with ResetE above threshold can
-						// actually fire from here.
-						if resetE >= thr[j] {
-							cand = append(cand, j)
-						}
 					}
 					vE[j] = resetE
 				} else {
@@ -551,9 +549,6 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 						if refracE[j]--; refracE[j] == 0 {
 							refracCntE--
 							refracWE.clear(j)
-							if resetE >= thr[j] {
-								cand = append(cand, j)
-							}
 						}
 						vE[j] = resetE
 						continue
@@ -573,10 +568,9 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 		// Fire, with immediate same-tick lateral inhibition: the neuron
 		// with the highest potential fires first and suppresses the rest
 		// before they are examined, giving winner-take-all dynamics
-		// within a tick. With monoInh each fire can only shrink the
-		// candidate set (inhibition only lowers potentials), so
-		// subsequent iterations filter the survivors instead of
-		// rescanning all neurons.
+		// within a tick. Inhibition is non-negative (New), so each fire
+		// can only shrink the candidate set and subsequent iterations
+		// filter the survivors instead of rescanning all neurons.
 		tickFired := n.scrTickFire[:0]
 		mCand += uint64(len(cand))
 		for len(cand) > 0 {
@@ -611,24 +605,13 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 					vE[j] -= inh
 				}
 			}
-			if n.monoInh {
-				kept := cand[:0]
-				for _, j := range cand {
-					if j != best && !spikedW.get(j) && refracE[j] == 0 && vE[j] >= thr[j] {
-						kept = append(kept, j)
-					}
-				}
-				cand = kept
-			} else {
-				// Negative inhibition can push new neurons above
-				// threshold mid-tick; rescan like the reference loop.
-				cand = cand[:0]
-				for j := 0; j < nn; j++ {
-					if !spikedW.get(j) && refracE[j] == 0 && vE[j] >= thr[j] {
-						cand = append(cand, j)
-					}
+			kept := cand[:0]
+			for _, j := range cand {
+				if j != best && !spikedW.get(j) && refracE[j] == 0 && vE[j] >= thr[j] {
+					kept = append(kept, j)
 				}
 			}
+			cand = kept
 		}
 		n.scrCand = cand
 		n.scrTickFire = tickFired
@@ -643,9 +626,6 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 				row := n.w[i*nn : (i+1)*nn]
 				for _, j := range firedList {
 					dep := n.cfg.NuPre * xPost[j]
-					if n.cfg.WeightDependent {
-						dep *= row[j] / n.cfg.WMax
-					}
 					w := row[j] - dep
 					if w < 0 {
 						w = 0
@@ -678,9 +658,6 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 				nx := nuPost * n.xPre[i]
 				for _, j := range tickFired {
 					pot := nx
-					if n.cfg.WeightDependent {
-						pot = nx * ((wmax - row[j]) / wmax)
-					}
 					w := row[j] + pot
 					if w > wmax {
 						w = wmax
@@ -694,16 +671,17 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 		// inhibitory spike suppresses the other excitatory neurons for
 		// the next InhHold ticks. Its leak already ran in the fused decay
 		// pass; with no excitatory spike this tick and no refractory
-		// counter live, no inhibitory potential can reach threshold
-		// (fastOK invariant), so the whole pass is skipped.
-		if len(tickFired) > 0 || refracCntI > 0 || !n.fastOK {
+		// counter live, no inhibitory potential can reach threshold (it
+		// decays towards RestI, which New keeps below ThreshI), so the
+		// whole pass is skipped.
+		if len(tickFired) > 0 || refracCntI > 0 {
 			viLive = true
-			if n.fastOK && len(tickFired) == 0 {
+			if len(tickFired) == 0 {
 				// Only refractory countdowns are live this tick: no
-				// excitatory spike arrived and under fastOK no decaying
-				// inhibitory potential can reach threshold (the same
-				// invariant that lets the whole pass be skipped when the
-				// mask is empty too). Walk just the masked neurons.
+				// excitatory spike arrived, so no decaying inhibitory
+				// potential can reach threshold (the same invariant that
+				// lets the whole pass be skipped when the mask is empty
+				// too). Walk just the masked neurons.
 				for wi, wd := range refracWI {
 					base := wi << 6
 					for wd != 0 {
@@ -788,11 +766,11 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 	return nil
 }
 
-// buildSchedule fills scrSched/scrSchedOff with the interval's input
-// spikes: tick t's spiking pixels occupy scrSched[off[t-1]:off[t]], in
-// ascending pixel order within a tick — exactly the order the reference
-// per-tick loop generated them in (and, for rate coding, drawing from the
-// RNG in the identical sequence).
+// buildSchedule fills scrSched/scrSchedOff with the interval's Poisson
+// input spikes: tick t's spiking pixels occupy scrSched[off[t-1]:off[t]],
+// in ascending pixel order within a tick — exactly the order the reference
+// per-tick loop generated them in, drawing from the RNG in the identical
+// sequence.
 func (n *Network) buildSchedule(pixels []float64, active []int) {
 	ticks := n.cfg.Ticks
 	off := n.scrSchedOff
@@ -803,30 +781,14 @@ func (n *Network) buildSchedule(pixels []float64, active []int) {
 		sched = make([]int, 0, want)
 	}
 	off[0] = 0
-	if n.cfg.Temporal {
-		tickOf := n.scrTickOf[:0]
+	fp := n.cfg.FireProb
+	for t := 1; t <= ticks; t++ {
 		for _, i := range active {
-			tickOf = append(tickOf, 1+int((1-pixels[i])*float64(ticks-1)))
-		}
-		n.scrTickOf = tickOf
-		for t := 1; t <= ticks; t++ {
-			for ai, i := range active {
-				if tickOf[ai] == t {
-					sched = append(sched, i)
-				}
+			if n.rand.float64() < fp*pixels[i] {
+				sched = append(sched, i)
 			}
-			off[t] = len(sched)
 		}
-	} else {
-		fp := n.cfg.FireProb
-		for t := 1; t <= ticks; t++ {
-			for _, i := range active {
-				if n.rand.float64() < fp*pixels[i] {
-					sched = append(sched, i)
-				}
-			}
-			off[t] = len(sched)
-		}
+		off[t] = len(sched)
 	}
 	n.scrSched = sched
 }

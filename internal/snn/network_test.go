@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -26,19 +27,48 @@ func pattern(deltas ...int) []float64 {
 }
 
 func TestNewValidatesConfig(t *testing.T) {
-	cases := []func(*Config){
-		func(c *Config) { c.InputSize = 0 },
-		func(c *Config) { c.Neurons = 0 },
-		func(c *Config) { c.Ticks = 0 },
-		func(c *Config) { c.FireProb = 0 },
-		func(c *Config) { c.FireProb = 1.5 },
+	cases := []struct {
+		field  string // "" for the shape checks, whose errors name no field
+		mutate func(*Config)
+	}{
+		{"", func(c *Config) { c.InputSize = 0 }},
+		{"", func(c *Config) { c.Neurons = 0 }},
+		{"", func(c *Config) { c.Ticks = 0 }},
+		{"", func(c *Config) { c.FireProb = 0 }},
+		{"", func(c *Config) { c.FireProb = 1.5 }},
+		// The region the event-driven engine is exact for.
+		{"RestE", func(c *Config) { c.RestE = c.ThreshE }},
+		{"ResetE", func(c *Config) { c.ResetE = c.ThreshE + 1 }},
+		{"ResetE", func(c *Config) { c.ResetE = math.NaN() }},
+		{"RestI", func(c *Config) { c.RestI = c.ThreshI + 5 }},
+		{"ResetI", func(c *Config) { c.ResetI = c.ThreshI }},
+		{"Inh", func(c *Config) { c.Inh = -0.5 }},
+		{"ThetaPlus", func(c *Config) { c.ThetaPlus = -0.05 }},
+		{"TraceTC", func(c *Config) { c.TraceTC = -1 }},
+		{"TCTheta", func(c *Config) { c.TCTheta = -1 }},
+		{"Norm", func(c *Config) { c.Norm = 0 }},
+		{"Norm", func(c *Config) { c.Norm = -38.4 }},
+		{"WMax", func(c *Config) { c.WMax = 0 }},
+		{"TCDecayE", func(c *Config) { c.TCDecayE = 0 }},
+		{"TCDecayI", func(c *Config) { c.TCDecayI = -10 }},
 	}
-	for i, mutate := range cases {
+	for i, c := range cases {
 		cfg := testConfig()
-		mutate(&cfg)
-		if _, err := New(cfg); err == nil {
+		c.mutate(&cfg)
+		_, err := New(cfg)
+		if err == nil {
 			t.Errorf("case %d: New accepted invalid config", i)
+			continue
 		}
+		if c.field != "" && !strings.Contains(err.Error(), c.field+" ") {
+			t.Errorf("case %d: error %q does not name %s", i, err, c.field)
+		}
+	}
+	// The region's edges are inside it.
+	cfg := testConfig()
+	cfg.Inh, cfg.ThetaPlus, cfg.TraceTC, cfg.TCTheta = 0, 0, 0, 0
+	if _, err := New(cfg); err != nil {
+		t.Errorf("New rejected zero Inh, ThetaPlus, TraceTC and TCTheta: %v", err)
 	}
 }
 
@@ -482,7 +512,8 @@ func TestNetworkSaveLoadRoundTrip(t *testing.T) {
 // LoadNetwork: a snapshot whose parameters or learned state lie where no
 // configuration puts them is refused, since under pfdebug the engine's
 // invariant checks would panic on it and in release builds it computes
-// with infinities.
+// with infinities. A configuration outside New's region is refused with
+// an error naming the field.
 func TestLoadNetworkRejectsImplausibleValues(t *testing.T) {
 	cfg := testConfig()
 	n, err := New(cfg)
@@ -497,30 +528,38 @@ func TestLoadNetworkRejectsImplausibleValues(t *testing.T) {
 	if _, err := LoadNetwork(bytes.NewReader(blob)); err != nil {
 		t.Fatalf("LoadNetwork on an unmodified blob: %v", err)
 	}
-	// Layout: magic, 9 ints, 19 floats (Norm is float 2, TCTheta 4, WMax
-	// 9), the weights, then the thresholds; 8 bytes each.
+	// Layout: magic, 9 ints, 19 floats (Norm is float 2, ThetaPlus 3,
+	// TCTheta 4, WMax 9, ResetE 12), the weights, then the thresholds; 8
+	// bytes each.
 	const floats = 4 + 9*8
 	weights := floats + 19*8
 	thetas := weights + 8*cfg.InputSize*cfg.Neurons
 	for _, c := range []struct {
-		what string
-		at   int
-		v    float64
+		what  string
+		at    int
+		v     float64
+		field string // the field an out-of-region error must name, if any
 	}{
-		{"infinite Norm", floats + 2*8, math.Inf(1)},
-		{"Norm of 1e300", floats + 2*8, -1e300},
-		{"negative TCTheta", floats + 4*8, -1},
-		{"negative WMax", floats + 9*8, -1e-250},
-		{"negative weight", weights + 8, -1},
-		{"NaN weight", weights + 16, math.NaN()},
-		{"weight above WMax", weights, cfg.WMax * 2},
-		{"infinite threshold", thetas, math.Inf(1)},
-		{"negative threshold", thetas + 8, -0.5},
+		{"infinite Norm", floats + 2*8, math.Inf(1), ""},
+		{"Norm of 1e300", floats + 2*8, -1e300, ""},
+		{"negative Norm", floats + 2*8, -38.4, "Norm"},
+		{"negative ThetaPlus", floats + 3*8, -0.05, "ThetaPlus"},
+		{"negative TCTheta", floats + 4*8, -1, "TCTheta"},
+		{"negative WMax", floats + 9*8, -1e-250, "WMax"},
+		{"ResetE above ThreshE", floats + 12*8, -40, "ResetE"},
+		{"negative weight", weights + 8, -1, ""},
+		{"NaN weight", weights + 16, math.NaN(), ""},
+		{"weight above WMax", weights, cfg.WMax * 2, ""},
+		{"infinite threshold", thetas, math.Inf(1), ""},
+		{"negative threshold", thetas + 8, -0.5, ""},
 	} {
 		bad := append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint64(bad[c.at:], math.Float64bits(c.v))
-		if _, err := LoadNetwork(bytes.NewReader(bad)); err == nil {
+		_, err := LoadNetwork(bytes.NewReader(bad))
+		if err == nil {
 			t.Errorf("LoadNetwork accepted a snapshot with %s", c.what)
+		} else if c.field != "" && !strings.Contains(err.Error(), c.field+" ") {
+			t.Errorf("LoadNetwork error for %s does not name %s: %v", c.what, c.field, err)
 		}
 	}
 }
@@ -531,133 +570,33 @@ func TestLoadNetworkRejectsBadMagic(t *testing.T) {
 	}
 }
 
-func TestWeightDependentSTDPLearns(t *testing.T) {
-	cfg := testConfig()
-	cfg.WeightDependent = true
-	n, err := New(cfg)
+// TestLoadNetworkRejectsRetiredFlags pins the two retired SNN1 slots (ints
+// 7 and 8, once the weight-dependent STDP and temporal coding switches):
+// Save writes 0 into both, and a file that sets either is refused with an
+// error naming the flag.
+func TestLoadNetworkRejectsRetiredFlags(t *testing.T) {
+	n, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := -1
-	stable := 0
-	for k := 0; k < 10; k++ {
-		res, err := n.Present(pattern(1, 2, 4), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Winner < 0 {
-			continue
-		}
-		if res.Winner == first {
-			stable++
-		}
-		first = res.Winner
-	}
-	if stable < 5 {
-		t.Errorf("weight-dependent STDP winner unstable: %d repeats", stable)
-	}
-	// Soft bounds: weights stay strictly inside (0, WMax) except where
-	// clamped by normalisation.
-	for i := 0; i < cfg.InputSize; i++ {
-		for j := 0; j < cfg.Neurons; j++ {
-			w := n.Weight(i, j)
-			if w < 0 || w > cfg.WMax {
-				t.Fatalf("weight out of bounds: %v", w)
-			}
-		}
-	}
-}
-
-func TestTemporalCodingDeterministic(t *testing.T) {
-	cfg := testConfig()
-	cfg.Temporal = true
-	run := func() Result {
-		n, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last Result
-		for k := 0; k < 5; k++ {
-			var err error
-			last, err = n.Present(pattern(1, 2, 4), true)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return last
-	}
-	a, b := run(), run()
-	if a.Winner != b.Winner || a.FirstFireTick != b.FirstFireTick {
-		t.Fatalf("temporal coding not deterministic: %+v vs %+v", a, b)
-	}
-	if a.Winner < 0 {
-		t.Fatal("temporal coding never fired")
-	}
-}
-
-func TestTemporalCodingLearnsPattern(t *testing.T) {
-	cfg := testConfig()
-	cfg.Temporal = true
-	n, err := New(cfg)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := n.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	first := -1
-	stable := 0
-	for k := 0; k < 10; k++ {
-		res, err := n.Present(pattern(1, 2, 4), true)
-		if err != nil {
-			t.Fatal(err)
+	blob := buf.Bytes()
+	for _, c := range []struct {
+		slot int
+		name string
+	}{{7, "weight-dependent STDP"}, {8, "temporal coding"}} {
+		at := 4 + 8*c.slot
+		if got := binary.LittleEndian.Uint64(blob[at:]); got != 0 {
+			t.Fatalf("Save wrote %d into the retired %s slot, want 0", got, c.name)
 		}
-		if res.Winner >= 0 && res.Winner == first {
-			stable++
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint64(bad[at:], 1)
+		_, err := LoadNetwork(bytes.NewReader(bad))
+		if err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("LoadNetwork with the %s slot set: err %v, want one naming the flag", c.name, err)
 		}
-		if res.Winner >= 0 {
-			first = res.Winner
-		}
 	}
-	if stable < 4 {
-		t.Errorf("temporal-coding winner unstable: %d repeats", stable)
-	}
-}
-
-func TestTemporalCodingBrighterSpikesEarlier(t *testing.T) {
-	// With graded intensities, the bright pixel's spike arrives at tick 1
-	// and the dim one near the end of the interval; the network therefore
-	// integrates the bright pixel's weight first. We verify the encoding
-	// schedule directly through firing: an input with one full-intensity
-	// pixel fires no later than the same input dimmed.
-	cfg := testConfig()
-	cfg.Temporal = true
-	bright, dim := New2(t, cfg), New2(t, cfg)
-	pBright := make([]float64, cfg.InputSize)
-	pDim := make([]float64, cfg.InputSize)
-	for i := 0; i < 20; i++ {
-		pBright[i*3] = 1.0
-		pDim[i*3] = 0.3
-	}
-	rb, err := bright.Present(pBright, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := dim.Present(pDim, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.FirstFireTick == 0 {
-		t.Skip("bright input did not fire with this seed")
-	}
-	if rd.FirstFireTick != 0 && rd.FirstFireTick < rb.FirstFireTick {
-		t.Errorf("dim input fired earlier (%d) than bright (%d)", rd.FirstFireTick, rb.FirstFireTick)
-	}
-}
-
-// New2 is a test helper that fails the test on constructor error.
-func New2(t *testing.T, cfg Config) *Network {
-	t.Helper()
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
 }

@@ -12,39 +12,32 @@ import (
 // equivalence tests pinning the fast paths to the always-tick reference
 // behaviour. Headline before/after numbers live in docs/performance.md.
 
-// BenchmarkPresent measures one full input interval on the Table 4
-// configuration across coding scheme × learning mode, through the
+// BenchmarkPresent measures one full rate-coded input interval on the
+// Table 4 configuration in both learning modes, through the
 // zero-allocation PresentInto path.
 func BenchmarkPresent(b *testing.B) {
-	for _, coding := range []struct {
-		name     string
-		temporal bool
-	}{{"rate", false}, {"temporal", true}} {
-		for _, learn := range []struct {
-			name string
-			on   bool
-		}{{"learn", true}, {"infer", false}} {
-			b.Run(coding.name+"/"+learn.name, func(b *testing.B) {
-				cfg := testConfig()
-				cfg.Temporal = coding.temporal
-				n, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				p := pattern(1, 2, 4)
-				var res Result
+	for _, learn := range []struct {
+		name string
+		on   bool
+	}{{"learn", true}, {"infer", false}} {
+		b.Run("rate/"+learn.name, func(b *testing.B) {
+			n, err := New(testConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := pattern(1, 2, 4)
+			var res Result
+			if err := n.PresentInto(&res, p, learn.on); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := n.PresentInto(&res, p, learn.on); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := n.PresentInto(&res, p, learn.on); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -93,27 +86,23 @@ func BenchmarkPresentTelemetry(b *testing.B) {
 // TestPresentSteadyStateZeroAlloc is the allocation-regression guard: once
 // the scratch buffers have warmed up, PresentInto must not touch the heap.
 func TestPresentSteadyStateZeroAlloc(t *testing.T) {
-	for _, temporal := range []bool{false, true} {
-		cfg := testConfig()
-		cfg.Temporal = temporal
-		n, err := New(cfg)
-		if err != nil {
+	n, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pattern(1, 2, 4)
+	var res Result
+	for i := 0; i < 20; i++ {
+		if err := n.PresentInto(&res, p, true); err != nil {
 			t.Fatal(err)
 		}
-		p := pattern(1, 2, 4)
-		var res Result
-		for i := 0; i < 20; i++ {
-			if err := n.PresentInto(&res, p, true); err != nil {
-				t.Fatal(err)
-			}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := n.PresentInto(&res, p, true); err != nil {
+			t.Fatal(err)
 		}
-		if avg := testing.AllocsPerRun(100, func() {
-			if err := n.PresentInto(&res, p, true); err != nil {
-				t.Fatal(err)
-			}
-		}); avg != 0 {
-			t.Errorf("temporal=%v: steady-state PresentInto allocates %v per run, want 0", temporal, avg)
-		}
+	}); avg != 0 {
+		t.Errorf("steady-state PresentInto allocates %v per run, want 0", avg)
 	}
 }
 
@@ -255,43 +244,40 @@ func TestPresentIntoMatchesPresent(t *testing.T) {
 // the tick-by-tick reference trajectory — including rate-coded RNG state,
 // which must advance identically for the later intervals to agree.
 func TestMonitorDoesNotChangeDynamics(t *testing.T) {
-	for _, temporal := range []bool{false, true} {
-		cfg := testConfig()
-		cfg.Temporal = temporal
-		plain, err := New(cfg)
+	cfg := testConfig()
+	plain, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitored, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Monitor
+	monitored.SetMonitor(&m)
+	for i := 0; i < 30; i++ {
+		p := pattern(1+i%4, 5, 8+i%3)
+		a, err := plain.Present(p, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		monitored, err := New(cfg)
+		b, err := monitored.Present(p, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m Monitor
-		monitored.SetMonitor(&m)
-		for i := 0; i < 30; i++ {
-			p := pattern(1+i%4, 5, 8+i%3)
-			a, err := plain.Present(p, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := monitored.Present(p, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("temporal=%v interval %d: fast path %+v != monitored path %+v", temporal, i, a, b)
-			}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("interval %d: fast path %+v != monitored path %+v", i, a, b)
 		}
+	}
+	for j := 0; j < cfg.Neurons; j++ {
+		if plain.Theta(j) != monitored.Theta(j) {
+			t.Fatalf("theta[%d] diverged", j)
+		}
+	}
+	for i := 0; i < cfg.InputSize; i++ {
 		for j := 0; j < cfg.Neurons; j++ {
-			if plain.Theta(j) != monitored.Theta(j) {
-				t.Fatalf("temporal=%v: theta[%d] diverged", temporal, j)
-			}
-		}
-		for i := 0; i < cfg.InputSize; i++ {
-			for j := 0; j < cfg.Neurons; j++ {
-				if plain.Weight(i, j) != monitored.Weight(i, j) {
-					t.Fatalf("temporal=%v: weight[%d,%d] diverged", temporal, i, j)
-				}
+			if plain.Weight(i, j) != monitored.Weight(i, j) {
+				t.Fatalf("weight[%d,%d] diverged", i, j)
 			}
 		}
 	}

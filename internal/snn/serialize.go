@@ -15,9 +15,13 @@ import (
 // pre-warmed prefetcher. Only learned state (weights, adaptive thresholds)
 // and the configuration are stored; per-interval state (potentials,
 // traces) is transient by design and resets every sample anyway. The
-// engine's scratch buffers and derived fast-path state (scr*, tracePow,
-// fastOK, monoInh — see network.go) are likewise never serialized:
-// LoadNetwork rebuilds them through New from the stored configuration.
+// engine's scratch buffers and derived state (scr*, tracePow — see
+// network.go) are likewise never serialized: LoadNetwork rebuilds them
+// through New from the stored configuration, which also validates it.
+//
+// The SNN1 layout keeps two integer slots (7 and 8) that once held the
+// weight-dependent-STDP and temporal-coding switches. Save writes 0 into
+// both and LoadNetwork rejects a file that sets either.
 
 var snnMagic = [4]byte{'S', 'N', 'N', '1'}
 
@@ -40,19 +44,11 @@ func (n *Network) Save(w io.Writer) error {
 	if _, err := bw.Write(snnMagic[:]); err != nil {
 		return err
 	}
-	// Configuration, fixed-order.
-	wd := int64(0)
-	if n.cfg.WeightDependent {
-		wd = 1
-	}
-	tc := int64(0)
-	if n.cfg.Temporal {
-		tc = 1
-	}
+	// Configuration, fixed-order; the last two slots are retired.
 	ints := []int64{
 		int64(n.cfg.InputSize), int64(n.cfg.Neurons), int64(n.cfg.InhHold),
 		int64(n.cfg.Ticks), int64(n.cfg.RefracE), int64(n.cfg.RefracI),
-		n.cfg.Seed, wd, tc,
+		n.cfg.Seed, 0, 0,
 	}
 	floats := []float64{
 		n.cfg.Exc, n.cfg.Inh, n.cfg.Norm, n.cfg.ThetaPlus, n.cfg.TCTheta,
@@ -118,6 +114,12 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 	if ints[3] <= 0 || ints[3] > 1<<12 {
 		return nil, fmt.Errorf("snn: implausible tick count %d in file", ints[3])
 	}
+	if ints[7] != 0 {
+		return nil, fmt.Errorf("snn: file sets the retired weight-dependent STDP flag (%d)", ints[7])
+	}
+	if ints[8] != 0 {
+		return nil, fmt.Errorf("snn: file sets the retired temporal coding flag (%d)", ints[8])
+	}
 	f := func(i int) float64 { return math.Float64frombits(fbits[i]) }
 	for i := range fbits {
 		if v := f(i); !(math.Abs(v) <= maxLoadMagnitude) {
@@ -126,35 +128,28 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 	}
 	cfg := Config{
 		InputSize: int(ints[0]), Neurons: int(ints[1]), InhHold: int(ints[2]),
-		Ticks: int(ints[3]), RefracE: int(ints[4]), RefracI: int(ints[5]),
-		Seed: ints[6], WeightDependent: ints[7] != 0, Temporal: ints[8] != 0,
+		Ticks: int(ints[3]), RefracE: int(ints[4]), RefracI: int(ints[5]), Seed: ints[6],
 		Exc: f(0), Inh: f(1), Norm: f(2), ThetaPlus: f(3), TCTheta: f(4),
 		FireProb: f(5), InputGain: f(6), NuPre: f(7), NuPost: f(8),
 		WMax: f(9), TraceTC: f(10),
 		RestE: f(11), ResetE: f(12), ThreshE: f(13), TCDecayE: f(14),
 		RestI: f(15), ResetI: f(16), ThreshI: f(17), TCDecayI: f(18),
 	}
-	// WMax must be positive (weights live in [0, WMax]) and the time
-	// constants non-negative: no configuration uses other values, and the
-	// invariants the engine keeps assume them.
-	if !(cfg.WMax > 0) || cfg.TCTheta < 0 || cfg.TraceTC < 0 || cfg.TCDecayE < 0 || cfg.TCDecayI < 0 {
-		return nil, fmt.Errorf("snn: implausible configuration in file (WMax %v, time constants %v/%v/%v/%v)",
-			cfg.WMax, cfg.TCTheta, cfg.TraceTC, cfg.TCDecayE, cfg.TCDecayI)
-	}
+	// New rejects a configuration outside the engine's region, so
+	// construction and loading share one validation.
 	n, err := New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("snn: restoring: %w", err)
 	}
 	// The learned state must lie where the engine keeps it: weights in
-	// [0, WMax] unless a negative Norm scales them negative, thresholds
-	// finite and, with a non-negative ThetaPlus, non-negative.
+	// [0, WMax] and thresholds finite and non-negative.
 	for i := range n.w {
 		var bits uint64
 		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
 			return nil, fmt.Errorf("snn: reading weights: %w", err)
 		}
 		w := math.Float64frombits(bits)
-		if math.IsNaN(w) || math.IsInf(w, 0) || cfg.Norm >= 0 && (w < 0 || w > cfg.WMax) {
+		if !(w >= 0 && w <= cfg.WMax) {
 			return nil, fmt.Errorf("snn: weight %d is %v, outside [0, %v]", i, w, cfg.WMax)
 		}
 		n.w[i] = w
@@ -165,7 +160,7 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 			return nil, fmt.Errorf("snn: reading thetas: %w", err)
 		}
 		th := math.Float64frombits(bits)
-		if math.IsNaN(th) || math.IsInf(th, 0) || cfg.ThetaPlus >= 0 && th < 0 {
+		if !(th >= 0) || math.IsInf(th, 0) {
 			return nil, fmt.Errorf("snn: threshold %d is %v", i, th)
 		}
 		n.theta[i] = th

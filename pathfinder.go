@@ -114,15 +114,6 @@ type (
 // (§4.5: at most 2 prefetches per access).
 const Budget = prefetch.Budget
 
-// Cache replacement policies for SimConfig.LLCPolicy.
-const (
-	// PolicyLRU is true least-recently-used replacement (the default).
-	PolicyLRU = sim.PolicyLRU
-	// PolicySRRIP is re-reference interval prediction with prefetch-aware
-	// distant insertion.
-	PolicySRRIP = sim.PolicySRRIP
-)
-
 // DefaultConfig returns the paper's high-accuracy PATHFINDER configuration
 // (Figure 4): 50 neurons, 2 labels per neuron, delta range ±63, 32-tick
 // interval, degree 2.
