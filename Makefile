@@ -124,17 +124,25 @@ bench-micro:
 
 # Regression gate: rerun the hot-path benchmarks and diff against the
 # committed BENCH_*.json. A >25% ns/op slowdown (min of BENCHCOUNT runs)
-# or any allocs/op increase fails the target.
+# or any allocs/op increase fails a gate. Every gate runs and prints its
+# verdict; the target then fails naming the gates that failed.
 bench-check:
-	$(GO) test ./internal/sim ./internal/runner -run '^$$' -bench 'BenchmarkRun|BenchmarkEval' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
-	  $(GO) run ./cmd/benchdiff -pkg internal/sim=BENCH_sim.json -pkg internal/runner=BENCH_runner.json
-	$(GO) test ./internal/prefetch -run '^$$' -bench 'BenchmarkAdvise' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
-	  $(GO) run ./cmd/benchdiff -pkg internal/prefetch=BENCH_prefetch.json
-	$(GO) test ./internal/core -run '^$$' -bench '^BenchmarkPathfinderAdvise$$/^ManyPC$$' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
-	  $(GO) run ./cmd/benchdiff -pkg internal/core=BENCH_core.json
-	$(GO) test ./internal/snn -run '^$$' -bench 'BenchmarkPresent' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
-	  $(GO) run ./cmd/benchdiff -pkg internal/snn=BENCH_snn.json
-	$(GO) test ./internal/experiments -run '^$$' -bench '^BenchmarkFig4Grid$$' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
-	  $(GO) run ./cmd/benchdiff -pkg internal/experiments=BENCH_experiments.json
+	@failed=""; \
+	echo "== bench-check gate: sim/runner"; \
+	if ! $(GO) test ./internal/sim ./internal/runner -run '^$$' -bench 'BenchmarkRun|BenchmarkEval' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
+	  $(GO) run ./cmd/benchdiff -pkg internal/sim=BENCH_sim.json -pkg internal/runner=BENCH_runner.json; then failed="$$failed sim/runner"; fi; \
+	echo "== bench-check gate: prefetch"; \
+	if ! $(GO) test ./internal/prefetch -run '^$$' -bench 'BenchmarkAdvise' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
+	  $(GO) run ./cmd/benchdiff -pkg internal/prefetch=BENCH_prefetch.json; then failed="$$failed prefetch"; fi; \
+	echo "== bench-check gate: core"; \
+	if ! $(GO) test ./internal/core -run '^$$' -bench '^BenchmarkPathfinderAdvise$$/^ManyPC$$' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
+	  $(GO) run ./cmd/benchdiff -pkg internal/core=BENCH_core.json; then failed="$$failed core"; fi; \
+	echo "== bench-check gate: snn"; \
+	if ! $(GO) test ./internal/snn -run '^$$' -bench 'BenchmarkPresent' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
+	  $(GO) run ./cmd/benchdiff -pkg internal/snn=BENCH_snn.json; then failed="$$failed snn"; fi; \
+	echo "== bench-check gate: experiments"; \
+	if ! $(GO) test ./internal/experiments -run '^$$' -bench '^BenchmarkFig4Grid$$' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
+	  $(GO) run ./cmd/benchdiff -pkg internal/experiments=BENCH_experiments.json; then failed="$$failed experiments"; fi; \
+	if [ -n "$$failed" ]; then echo "bench-check: failing gates:$$failed" >&2; exit 1; fi
 
 verify: build test vet race pfdebug

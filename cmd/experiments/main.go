@@ -19,10 +19,8 @@
 // Ctrl-C, continue with -journal run.journal -resume: cells already
 // journaled are served from disk instead of re-simulated. -retries and
 // -job-timeout bound transient failures and hung cells (see
-// docs/resilience.md). -distributed N routes each grid through the
-// distributed sweep engine (a coordinator plus N loopback workers; see
-// docs/distributed.md) with bit-identical results; cmd/pfsweep runs the
-// same engine across real machines.
+// docs/resilience.md). cmd/pfsweep runs the same grids across machines
+// through the distributed sweep engine (see docs/distributed.md).
 package main
 
 import (
@@ -84,7 +82,6 @@ func main() {
 		fullSim     = flag.Bool("fullsim", false, "use the full Table 3 hierarchy instead of the trace-scaled one")
 		seeds       = flag.Int("seeds", 3, "seeds for the seed-variance study (-run seeds)")
 		par         = flag.Int("par", 0, "evaluation workers (0 = GOMAXPROCS; 1 = serial)")
-		distributed = flag.Int("distributed", 0, "run each grid through the distributed sweep engine with this many loopback workers (0 = in-process; results are bit-identical)")
 		retries     = flag.Int("retries", 1, "attempts per evaluation cell (transient failures only)")
 		jobTimeout  = flag.Duration("job-timeout", 0, "deadline per evaluation attempt (0 = none)")
 		journalPath = flag.String("journal", "", "record completed cells to this JSONL journal")
@@ -152,7 +149,6 @@ func main() {
 		experiments.WithParallelism(*par),
 		experiments.WithRetries(*retries),
 		experiments.WithJobTimeout(*jobTimeout),
-		experiments.WithDistributed(*distributed),
 	}
 	if *journalPath != "" {
 		// Without -resume a leftover journal would silently replay a previous

@@ -260,39 +260,57 @@ func TestNewPathfinderValidation(t *testing.T) {
 }
 
 // TestNewAcceptsOnlyLoadableConfigs pins that New refuses negative Ticks
-// and TrainingTableSize and an unknown input mode, rather than running
-// them as a default while Save writes the raw value for Load to refuse,
-// and that every configuration New accepts round-trips Save → Load → Save
-// byte for byte.
+// and TrainingTableSize, an unknown input mode and every value above
+// load's caps, naming the field, rather than building a prefetcher whose
+// Save Load refuses; and that every configuration New accepts, at-cap
+// values included, round-trips Save → Load → Save byte for byte.
 func TestNewAcceptsOnlyLoadableConfigs(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		mutate func(*Config)
-		reject bool
+		reject string // "": accepted; else the field the error must name
 	}{
-		{"default", func(*Config) {}, false},
-		{"ticks-default", func(c *Config) { c.Ticks = 0 }, false},
-		{"ticks-negative", func(c *Config) { c.Ticks = -5 }, true},
-		{"table-default", func(c *Config) { c.TrainingTableSize = 0 }, false},
-		{"table-negative", func(c *Config) { c.TrainingTableSize = -1 }, true},
-		{"inputs-pc", func(c *Config) { c.Inputs = InputPCDelta }, false},
-		{"inputs-footprint", func(c *Config) { c.Inputs = InputFootprint }, false},
-		{"inputs-unknown", func(c *Config) { c.Inputs = 7 }, true},
-		{"inputs-negative", func(c *Config) { c.Inputs = -1 }, true},
+		{"default", func(*Config) {}, ""},
+		{"ticks-default", func(c *Config) { c.Ticks = 0 }, ""},
+		{"ticks-negative", func(c *Config) { c.Ticks = -5 }, "ticks"},
+		{"table-default", func(c *Config) { c.TrainingTableSize = 0 }, ""},
+		{"table-negative", func(c *Config) { c.TrainingTableSize = -1 }, "training table size"},
+		{"inputs-pc", func(c *Config) { c.Inputs = InputPCDelta }, ""},
+		{"inputs-footprint", func(c *Config) { c.Inputs = InputFootprint }, ""},
+		{"inputs-unknown", func(c *Config) { c.Inputs = 7 }, "input mode"},
+		{"inputs-negative", func(c *Config) { c.Inputs = -1 }, "input mode"},
 		{"variants", func(c *Config) {
 			c.OneTick, c.Enlarged, c.Reorder, c.MultiFire, c.CompareOneTick = true, true, true, true, true
 			c.ColdPage, c.MiddleShift, c.LabelsPerNeuron, c.Degree = false, 5, 1, 3
 			c.STDPOn, c.STDPPeriod = 3, 10
-		}, false},
+		}, ""},
+		{"delta-range-cap", func(c *Config) { c.DeltaRange = maxDeltaRange - 1 }, ""},
+		{"delta-range-over", func(c *Config) { c.DeltaRange = maxDeltaRange + 1 }, "delta range"},
+		{"history-cap", func(c *Config) { c.History = maxHistory }, ""},
+		{"history-over", func(c *Config) { c.History = maxHistory + 1 }, "history"},
+		{"neurons-over", func(c *Config) { c.Neurons = maxNeurons + 1 }, "neurons"},
+		{"labels-cap", func(c *Config) { c.LabelsPerNeuron = maxLabels }, ""},
+		{"labels-over", func(c *Config) { c.LabelsPerNeuron = maxLabels + 1 }, "labels per neuron"},
+		{"label-cells-over", func(c *Config) { c.Neurons, c.LabelsPerNeuron = maxLabelCells/maxLabels+1, maxLabels }, "neurons × labels per neuron"},
+		{"degree-cap", func(c *Config) { c.Degree = maxDegree }, ""},
+		{"degree-over", func(c *Config) { c.Degree = maxDegree + 1 }, "degree"},
+		{"ticks-cap", func(c *Config) { c.Ticks = maxTicks }, ""},
+		{"ticks-over", func(c *Config) { c.Ticks = maxTicks + 1 }, "ticks"},
+		{"table-cap", func(c *Config) { c.TrainingTableSize = maxTableSize }, ""},
+		{"table-over", func(c *Config) { c.TrainingTableSize = maxTableSize + 1 }, "training table size"},
+		{"synapses-over", func(c *Config) { c.DeltaRange, c.History, c.Neurons = maxDeltaRange-1, maxHistory, 65 }, "delta range × history × neurons"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.DeltaRange, cfg.Neurons, cfg.Ticks = 15, 10, 8
 			c.mutate(&cfg)
 			p, err := New(cfg)
-			if c.reject {
+			if c.reject != "" {
 				if err == nil {
 					t.Fatalf("New accepted %+v", cfg)
+				}
+				if !strings.Contains(err.Error(), c.reject) {
+					t.Fatalf("New's error %q does not name %s", err, c.reject)
 				}
 				return
 			}

@@ -165,28 +165,64 @@ type Pathfinder struct {
 	outBuf   []uint64   // the returned suggestions
 }
 
-// New builds a PATHFINDER instance from the configuration.
-func New(cfg Config) (*Pathfinder, error) {
-	if cfg.LabelsPerNeuron < 1 {
-		return nil, fmt.Errorf("core: labels per neuron %d must be >= 1", cfg.LabelsPerNeuron)
+// Caps on a configuration. They sit far above every configuration the
+// paper sweeps (delta range ±63, 50-400 neurons, 1-4 labels per neuron)
+// and bound what a PFS1 file can make load allocate.
+const (
+	maxDeltaRange = 1 << 12
+	maxHistory    = 64
+	maxNeurons    = 1 << 14
+	maxLabels     = 1 << 10
+	maxLabelCells = 1 << 20 // neurons × labels per neuron
+	maxTableSize  = 1 << 20
+	maxDegree     = 1 << 8
+	maxTicks      = 1 << 12
+	// The SNN's weight matrix is (DeltaRange × History) × Neurons; the
+	// individual caps above still admit a multi-gigabyte product, so the
+	// derived synapse count is capped too (mirroring snn.maxLoadSynapses).
+	maxSynapses = 1 << 24
+)
+
+// validate checks cfg against the caps and the lower bounds New needs,
+// without allocating. Zero Ticks and TrainingTableSize select the
+// defaults; a value out of range, or an unknown input mode, is an error
+// rather than something Save would write and Load refuse.
+func (cfg Config) validate() error {
+	for _, f := range [...]struct {
+		name      string
+		v, lo, hi int
+	}{
+		{"delta range", cfg.DeltaRange, 3, maxDeltaRange},
+		{"history", cfg.History, 1, maxHistory},
+		{"neurons", cfg.Neurons, 1, maxNeurons},
+		{"labels per neuron", cfg.LabelsPerNeuron, 1, maxLabels},
+		{"degree", cfg.Degree, 1, maxDegree},
+		{"ticks", cfg.Ticks, 0, maxTicks},
+		{"training table size", cfg.TrainingTableSize, 0, maxTableSize},
+	} {
+		if f.v < f.lo || f.v > f.hi {
+			return fmt.Errorf("core: %s %d outside [%d, %d]", f.name, f.v, f.lo, f.hi)
+		}
 	}
-	if cfg.Degree < 1 {
-		return nil, fmt.Errorf("core: degree %d must be >= 1", cfg.Degree)
+	if n := cfg.Neurons * cfg.LabelsPerNeuron; n > maxLabelCells {
+		return fmt.Errorf("core: neurons × labels per neuron is %d, above %d", n, maxLabelCells)
+	}
+	if n := cfg.DeltaRange * cfg.History * cfg.Neurons; n > maxSynapses {
+		return fmt.Errorf("core: delta range × history × neurons is %d, above %d", n, maxSynapses)
 	}
 	if cfg.STDPPeriod > 0 && cfg.STDPOn <= 0 {
-		return nil, fmt.Errorf("core: STDP duty cycle needs STDPOn > 0 (got %d)", cfg.STDPOn)
-	}
-	// Zero Ticks and TrainingTableSize select the defaults; a negative
-	// one, or an unknown input mode, is an error rather than a silent
-	// default that Save would write and Load refuse.
-	if cfg.Ticks < 0 {
-		return nil, fmt.Errorf("core: ticks %d must be >= 0", cfg.Ticks)
-	}
-	if cfg.TrainingTableSize < 0 {
-		return nil, fmt.Errorf("core: training table size %d must be >= 0", cfg.TrainingTableSize)
+		return fmt.Errorf("core: STDP duty cycle needs STDPOn > 0 (got %d)", cfg.STDPOn)
 	}
 	if cfg.Inputs < 0 || cfg.Inputs >= numInputModes {
-		return nil, fmt.Errorf("core: unknown input mode %d", cfg.Inputs)
+		return fmt.Errorf("core: unknown input mode %d", cfg.Inputs)
+	}
+	return nil
+}
+
+// New builds a PATHFINDER instance from the configuration.
+func New(cfg Config) (*Pathfinder, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	enc, err := NewEncoder(cfg.DeltaRange, cfg.History)
 	if err != nil {

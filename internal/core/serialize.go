@@ -43,25 +43,6 @@ var retiredFloats = [...]struct {
 	{"multi-fire inhibition scale", multiFireInhibition},
 }
 
-// Sanity caps on a decoded configuration, checked before any allocation:
-// a corrupt or hostile file must fail with an error, never an OOM. They
-// sit far above every configuration the paper sweeps (delta range ±63,
-// 50-400 neurons, 1-4 labels per neuron).
-const (
-	maxLoadDeltaRange = 1 << 12
-	maxLoadHistory    = 64
-	maxLoadNeurons    = 1 << 14
-	maxLoadLabels     = 1 << 10
-	maxLoadLabelCells = 1 << 20
-	maxLoadTableSize  = 1 << 20
-	maxLoadDegree     = 1 << 8
-	maxLoadTicks      = 1 << 12
-	// The SNN's weight matrix is (DeltaRange × History) × Neurons; the
-	// individual caps above still admit a multi-gigabyte product, so the
-	// derived synapse count is capped too (mirroring snn.maxLoadSynapses).
-	maxLoadSynapses = 1 << 24
-)
-
 // Save writes the prefetcher's learned state to w.
 func (p *Pathfinder) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -138,19 +119,6 @@ func load(br *bufio.Reader) (*Pathfinder, error) {
 			return nil, fmt.Errorf("core: reading config: %w", err)
 		}
 	}
-	switch {
-	case ints[0] < 0 || ints[0] > maxLoadDeltaRange,
-		ints[1] < 0 || ints[1] > maxLoadHistory,
-		ints[2] < 0 || ints[2] > maxLoadNeurons,
-		ints[3] < 1 || ints[3] > maxLoadLabels,
-		ints[2]*ints[3] > maxLoadLabelCells,
-		ints[4] < 1 || ints[4] > maxLoadDegree,
-		ints[5] < 0 || ints[5] > maxLoadTicks,
-		ints[8] < 0 || ints[8] > maxLoadTableSize,
-		ints[0]*ints[1]*ints[2] > maxLoadSynapses:
-		return nil, fmt.Errorf("core: implausible configuration in file (delta range %d, history %d, neurons %d, labels %d, degree %d, ticks %d, table %d)",
-			ints[0], ints[1], ints[2], ints[3], ints[4], ints[5], ints[8])
-	}
 	for _, r := range retiredInts {
 		if ints[r.slot] != r.want {
 			return nil, fmt.Errorf("core: retired %s in file is %d, want %d", r.name, ints[r.slot], r.want)
@@ -161,6 +129,9 @@ func load(br *bufio.Reader) (*Pathfinder, error) {
 			return nil, fmt.Errorf("core: retired %s in file is %v, want %v", r.name, floats[i], r.want)
 		}
 	}
+	// New checks the configuration against the caps before it allocates
+	// anything, so a corrupt or hostile file fails with an error, never
+	// an OOM.
 	cfg := Config{
 		DeltaRange: int(ints[0]), History: int(ints[1]), Neurons: int(ints[2]),
 		LabelsPerNeuron: int(ints[3]), Degree: int(ints[4]), Ticks: int(ints[5]),
@@ -210,8 +181,8 @@ func boolInt(b bool) int64 {
 
 // Session snapshots extend Save with the transient state Save's portable
 // format deliberately drops: the SNN RNG stream position and the live
-// Training Table (per-(PC, page) delta histories, their LRU order, and
-// the table clock). Save's contract is a pre-warmed prefetcher that
+// Training Table (per-(PC, page) delta histories and their LRU order).
+// Save's contract is a pre-warmed prefetcher that
 // re-warms transients; SaveSession's contract is exact continuation — a
 // prefetcher restored by LoadSession advises bit-identically to one that
 // was never serialized, which is what lets a serving daemon evict an idle

@@ -38,10 +38,6 @@ type TrainingEntry struct {
 	// footprint is the touched-offset bitmap of the page (for the
 	// InputFootprint encoding).
 	footprint uint64
-	// lastUse is the table clock at the entry's last touch. The recency
-	// list already orders entries for replacement; the stamps persist the
-	// clock into PFX1 snapshots.
-	lastUse uint64
 	// chain is the next entry whose (pc, page) hashes to the same index
 	// key, or 0.
 	chain int32
@@ -64,7 +60,6 @@ type TrainingTable struct {
 	order flat.List
 	cap   int
 	h     int
-	clock uint64
 }
 
 // NewTrainingTable returns a table with the given capacity (entries) and
@@ -101,22 +96,18 @@ func (t *TrainingTable) find(pc, page uint64) int32 {
 // Lookup finds the entry for (pc, page), if present, refreshing its LRU
 // position. The entry is valid until the next Insert.
 func (t *TrainingTable) Lookup(pc, page uint64) (*TrainingEntry, bool) {
-	t.clock++
 	i := t.find(pc, page)
 	if i == 0 {
 		return nil, false
 	}
 	t.order.Touch(i)
-	e := &t.ents[i]
-	e.lastUse = t.clock
-	return e, true
+	return &t.ents[i], true
 }
 
 // Insert allocates an entry for (pc, page), which must be absent, with the
 // given first offset, evicting the LRU entry if the table is full. The
 // entry is valid until the next Insert.
 func (t *TrainingTable) Insert(pc, page uint64, offset int) *TrainingEntry {
-	t.clock++
 	if t.order.Len() >= t.cap {
 		t.remove(t.order.Oldest())
 	}
@@ -138,7 +129,6 @@ func (t *TrainingTable) Insert(pc, page uint64, offset int) *TrainingEntry {
 		footprint:  1 << uint(offset),
 		deltas:     t.hist[base : base : base+t.h],
 		lastNeuron: -1,
-		lastUse:    t.clock,
 		chain:      chain,
 	}
 	return &t.ents[i]
@@ -220,20 +210,24 @@ func (e *TrainingEntry) Ready(h int) bool {
 // owned by the entry; callers must not modify it.
 func (e *TrainingEntry) Deltas() []int { return e.deltas }
 
-// save writes the table's live entries in LRU order, oldest first. The
-// clock advances on every touch, so that is ascending lastUse order and
-// the byte stream is deterministic. Part of the SaveSession extension;
-// see serialize.go.
+// save writes the table's live entries in LRU order, oldest first. PFX1
+// gives the table a clock and each entry a last-use stamp; the recency
+// list is the only order the table keeps, so save writes the entry count
+// as the clock and stamps the k-th oldest entry k. Part of the
+// SaveSession extension; see serialize.go.
 func (t *TrainingTable) save(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, t.clock); err != nil {
+	n := uint64(t.order.Len())
+	if err := binary.Write(w, binary.LittleEndian, n); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, int64(t.order.Len())); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, int64(n)); err != nil {
 		return err
 	}
+	stamp := uint64(0)
 	for i := t.order.Oldest(); i != 0; i = t.order.Newer(i) {
 		e := &t.ents[i]
-		hdr := []uint64{e.pc, e.page, e.footprint, e.lastUse}
+		stamp++
+		hdr := []uint64{e.pc, e.page, e.footprint, stamp}
 		for _, v := range hdr {
 			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
 				return err
@@ -258,8 +252,8 @@ func (t *TrainingTable) save(w io.Writer) error {
 // validating every field against the table's own geometry and the
 // network's neuron count before any allocation (a corrupt snapshot must
 // fail loudly, never OOM, corrupt the restored stream state or make a
-// later Advise index past the network). save writes unique lastUse stamps
-// in ascending order, and load requires exactly that, inserting the
+// later Advise index past the network). save writes unique last-use
+// stamps in ascending order, and load requires exactly that, inserting the
 // entries in that order so the recency list matches the stamps.
 func (t *TrainingTable) load(r io.Reader, neurons int) error {
 	var clock uint64
@@ -295,17 +289,17 @@ func (t *TrainingTable) load(r io.Reader, neurons int) error {
 			lastNeuron < -1 || lastNeuron >= int64(neurons),
 			nd < 0 || nd > int64(t.h),
 			hdr[3] > clock:
-			return fmt.Errorf("core: implausible training table entry (offset %d, broken %d, neuron %d, %d deltas, lastUse %d)",
+			return fmt.Errorf("core: implausible training table entry (offset %d, broken %d, neuron %d, %d deltas, last use %d)",
 				lastOffset, broken, lastNeuron, nd, hdr[3])
 		case i > 0 && hdr[3] <= prevUse:
-			return fmt.Errorf("core: training table lastUse %d not above the previous entry's %d (duplicate or out of order)", hdr[3], prevUse)
+			return fmt.Errorf("core: training table last use %d not above the previous entry's %d (duplicate or out of order)", hdr[3], prevUse)
 		}
 		prevUse = hdr[3]
 		if fresh.find(hdr[0], hdr[1]) != 0 {
 			return fmt.Errorf("core: duplicate training table entry (pc %#x, page %#x)", hdr[0], hdr[1])
 		}
 		e := fresh.Insert(hdr[0], hdr[1], int(lastOffset))
-		e.footprint, e.lastUse = hdr[2], hdr[3]
+		e.footprint = hdr[2]
 		e.broken, e.lastNeuron = int(broken), int(lastNeuron)
 		e.deltas = e.deltas[:nd]
 		for j := range e.deltas {
@@ -316,7 +310,6 @@ func (t *TrainingTable) load(r io.Reader, neurons int) error {
 			e.deltas[j] = int(d)
 		}
 	}
-	fresh.clock = clock
 	*t = *fresh
 	return nil
 }

@@ -295,11 +295,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // RunLocal runs a whole sweep in-process: a coordinator plus a fleet of
 // workers over loopback TCP, all sharing one evaluation engine (and so
-// one set of trace/baseline caches) — the `-distributed` mode of
-// cmd/experiments, and the shape the chaos harness perturbs. cfg is the
-// single-process runner configuration it mirrors: Journal becomes the
-// sweep ledger, Progress receives the coordinator's terminal events, and
-// everything else configures the workers' shared engine.
+// one set of trace/baseline caches) — the shape the chaos harness
+// perturbs, and the cheapest way to drive the whole wire path on one
+// machine. cfg is the single-process runner configuration it mirrors:
+// Journal becomes the sweep ledger, Progress receives the coordinator's
+// terminal events, and everything else configures the workers' shared
+// engine.
 func RunLocal(ctx context.Context, cfg runner.Config, jobs []runner.Job, workers int) ([]runner.Result, *runner.RunReport, error) {
 	if workers <= 0 {
 		workers = cfg.Parallelism

@@ -27,7 +27,7 @@ func BenchmarkFig4Grid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := o.newRunner().Run(o.ctx, jobs); err != nil {
+		if _, err := o.run(jobs); err != nil {
 			b.Fatal(err)
 		}
 	}

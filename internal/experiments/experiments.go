@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"pathfinder/internal/core"
-	"pathfinder/internal/dist"
 	"pathfinder/internal/runner"
 	"pathfinder/internal/serve"
 	"pathfinder/internal/sim"
@@ -51,7 +50,6 @@ type options struct {
 	maxAttempts int
 	jobTimeout  time.Duration
 	journal     *runner.Journal
-	distributed int
 }
 
 // newOptions applies the options over the defaults: 50 K loads, seed 1,
@@ -149,18 +147,10 @@ func WithJournal(j *runner.Journal) Option {
 	return func(o *options) { o.journal = j }
 }
 
-// WithDistributed routes the sweep through the distributed engine
-// (internal/dist): a coordinator plus n loopback workers sharing one
-// evaluation engine, exercising leases, the ledger, and the wire
-// protocol end to end. Results are bit-identical to the in-process
-// engine; n <= 0 keeps the default in-process path.
-func WithDistributed(n int) Option {
-	return func(o *options) { o.distributed = n }
-}
-
-// runnerConfig resolves this run's evaluation-engine configuration.
-func (o options) runnerConfig() runner.Config {
-	return runner.Config{
+// run submits one grid to the parallel evaluation engine. A cell failure
+// fails the sweep, and results come back in grid order.
+func (o options) run(jobs []runner.Job) ([]runner.Result, error) {
+	return runner.New(runner.Config{
 		Loads:       o.loads,
 		Seed:        o.seed,
 		Sim:         o.sim,
@@ -169,30 +159,7 @@ func (o options) runnerConfig() runner.Config {
 		MaxAttempts: o.maxAttempts,
 		JobTimeout:  o.jobTimeout,
 		Journal:     o.journal,
-	}
-}
-
-// newRunner builds the evaluation engine for this run's configuration.
-func (o options) newRunner() *runner.Runner {
-	return runner.New(o.runnerConfig())
-}
-
-// run submits one grid: to the in-process parallel engine by default, or
-// through the distributed sweep engine under WithDistributed. Either
-// way a cell failure fails the sweep, and results come back in grid
-// order.
-func (o options) run(jobs []runner.Job) ([]runner.Result, error) {
-	if o.distributed <= 0 {
-		return o.newRunner().Run(o.ctx, jobs)
-	}
-	results, report, err := dist.RunLocal(o.ctx, o.runnerConfig(), jobs, o.distributed)
-	if err != nil {
-		return nil, err
-	}
-	if rerr := report.Err(); rerr != nil {
-		return nil, rerr
-	}
-	return results, nil
+	}).Run(o.ctx, jobs)
 }
 
 // job resolves a technique of the registry (serve.JobFor) into one grid

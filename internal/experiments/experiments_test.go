@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -66,24 +65,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := mean(nil); got != 0 {
 		t.Errorf("mean(nil) = %v", got)
-	}
-}
-
-// TestDistributedMatchesInProcess routes a sweep through the distributed
-// engine (coordinator + loopback workers) and requires the exact metrics
-// the in-process engine produces — the WithDistributed contract.
-func TestDistributedMatchesInProcess(t *testing.T) {
-	var a, b bytes.Buffer
-	ref, err := Extended(&a, smallOpts()...)
-	if err != nil {
-		t.Fatalf("in-process Extended: %v", err)
-	}
-	got, err := Extended(&b, withExtra(WithDistributed(3))...)
-	if err != nil {
-		t.Fatalf("distributed Extended: %v", err)
-	}
-	if !reflect.DeepEqual(ref.Rows, got.Rows) {
-		t.Errorf("distributed sweep diverged:\nin-process: %+v\ndistributed: %+v", ref.Rows, got.Rows)
 	}
 }
 

@@ -160,17 +160,19 @@ func (t *LRU[V]) Insert(key uint64) (v *V, existed bool) {
 	for int(*i) >= len(t.nodes) {
 		t.nodes = append(t.nodes, lruNode[V]{})
 	}
-	n := &t.nodes[*i]
-	*n = lruNode[V]{key: key}
+	n := &t.nodes[*i] // zero: fresh, or cleared by Delete
+	n.key = key
 	return &n.val, false
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present. The entry's slot
+// is zeroed, so a deleted value that holds pointers keeps nothing alive.
 func (t *LRU[V]) Delete(key uint64) bool {
 	i := t.index.Get(key)
 	if i == nil {
 		return false
 	}
+	t.nodes[*i] = lruNode[V]{}
 	t.order.Remove(*i)
 	t.index.Delete(key)
 	return true

@@ -18,12 +18,6 @@ type DynamicEnsemble struct {
 	Members []Prefetcher
 	// Label overrides the derived name.
 	Label string
-	// Window is the sliding evaluation window in accesses (default 256).
-	Window int
-	// Epsilon is the fraction of accesses on which the priority order is
-	// rotated to keep gathering evidence for out-of-favour members
-	// (default 1/16).
-	Epsilon float64
 
 	// scores hold exponentially-decayed usefulness credit per member.
 	scores []float64
@@ -46,12 +40,14 @@ type dynPendingNode struct {
 	next   int32 // next node for the same block, -1 = end
 }
 
+// dynWindow is the sliding evaluation window in accesses: a suggestion is
+// credited if its block is demanded within it.
+const dynWindow = 256
+
 // NewDynamicEnsemble builds a usefulness-scored ensemble.
 func NewDynamicEnsemble(members ...Prefetcher) *DynamicEnsemble {
 	return &DynamicEnsemble{
 		Members: members,
-		Window:  256,
-		Epsilon: 1.0 / 16,
 		scores:  make([]float64, len(members)),
 		pending: flat.NewTable[int32](1024),
 		free:    -1,
@@ -108,7 +104,7 @@ func (d *DynamicEnsemble) Advise(a trace.Access, budget int) []uint64 {
 	if head := d.pending.Get(block); head != nil {
 		for idx := *head; idx >= 0; {
 			node := &d.nodes[idx]
-			if d.n-node.at <= uint64(d.Window) {
+			if d.n-node.at <= dynWindow {
 				d.scores[node.member]++
 			}
 			next := node.next
@@ -164,9 +160,10 @@ func (d *DynamicEnsemble) Advise(a trace.Access, budget int) []uint64 {
 	return out
 }
 
-// priorityOrder returns member indexes sorted by descending score, with an
-// occasional rotation for exploration. The returned slice is scratch,
-// valid until the next call.
+// priorityOrder returns member indexes sorted by descending score. On the
+// first 64 of every 1,024 accesses (1/16 of them) the order is rotated, to
+// keep gathering evidence for out-of-favour members. The returned slice is
+// scratch, valid until the next call.
 func (d *DynamicEnsemble) priorityOrder() []int {
 	order := d.order
 	for i := range order {
@@ -177,7 +174,7 @@ func (d *DynamicEnsemble) priorityOrder() []int {
 			order[k], order[k-1] = order[k-1], order[k]
 		}
 	}
-	if d.Epsilon > 0 && float64(d.n%1024)/1024 < d.Epsilon && len(order) > 1 {
+	if d.n%1024 < 64 && len(order) > 1 {
 		d.rotate = (d.rotate + 1) % len(order)
 		order[0], order[d.rotate] = order[d.rotate], order[0]
 	}
@@ -188,7 +185,7 @@ func (d *DynamicEnsemble) priorityOrder() []int {
 func (d *DynamicEnsemble) gc() {
 	d.pending.DeleteIf(func(_ uint64, head *int32) bool {
 		idx := *head
-		for idx >= 0 && d.n-d.nodes[idx].at > uint64(d.Window) {
+		for idx >= 0 && d.n-d.nodes[idx].at > dynWindow {
 			next := d.nodes[idx].next
 			d.freeNode(idx)
 			idx = next
@@ -199,7 +196,7 @@ func (d *DynamicEnsemble) gc() {
 		*head = idx
 		for cur := idx; cur >= 0; {
 			next := d.nodes[cur].next
-			if next >= 0 && d.n-d.nodes[next].at > uint64(d.Window) {
+			if next >= 0 && d.n-d.nodes[next].at > dynWindow {
 				d.nodes[cur].next = d.nodes[next].next
 				d.freeNode(next)
 				continue

@@ -233,7 +233,7 @@ func TestDynamicEnsemblePendingBounded(t *testing.T) {
 	for i := uint64(0); i < 10_000; i++ {
 		d.Advise(acc(i+1, 1, i*17%(1<<22)), 2)
 	}
-	if d.pending.Len() > 4*d.Window {
+	if d.pending.Len() > 4*dynWindow {
 		t.Errorf("pending table grew to %d entries", d.pending.Len())
 	}
 }
@@ -376,28 +376,6 @@ func TestISBWeakerThanSISBWhenBounded(t *testing.T) {
 	}
 }
 
-func TestPythiaConfigurable(t *testing.T) {
-	cfg := DefaultPythiaConfig(3)
-	cfg.Actions = []int{0, 1}
-	cfg.Features = []PythiaFeature{FeaturePCOffset, FeatureDeltaPath}
-	cfg.Epsilon = 0
-	p := NewPythiaWithConfig(cfg)
-	issued := 0
-	for i := uint64(0); i < 3000; i++ {
-		issued += len(p.Advise(acc(i+1, 1, 100+i), 2))
-	}
-	if issued == 0 {
-		t.Error("configured Pythia never issued")
-	}
-}
-
-func TestPythiaDefaultsFilled(t *testing.T) {
-	p := NewPythiaWithConfig(PythiaConfig{Seed: 1})
-	if len(p.cfg.Actions) == 0 || len(p.cfg.Features) == 0 || p.cfg.States == 0 {
-		t.Errorf("defaults not filled: %+v", p.cfg)
-	}
-}
-
 func TestThrottleSilencesInaccuratePrefetcher(t *testing.T) {
 	junk := &fixedPrefetcher{blocks: []uint64{1 << 40}} // never right
 	th := NewThrottle(junk)
@@ -410,7 +388,7 @@ func TestThrottleSilencesInaccuratePrefetcher(t *testing.T) {
 		t.Errorf("level = %d, want 2 (silenced); log %v", level, log)
 	}
 	// Only the first epoch-ish worth of junk should have escaped.
-	if issued > 3*th.Epoch {
+	if issued > 3*throttleEpoch {
 		t.Errorf("issued %d junk prefetches; throttle too permissive", issued)
 	}
 }

@@ -7,60 +7,29 @@ import (
 	"pathfinder/internal/trace"
 )
 
-// PythiaFeature selects a program feature used to index a Q-value table.
-// Pythia's defining property is its modular feature set (§2.2: "a modular
-// set of variables that can be used to train the Reinforcement Learning
-// model"); the default configuration uses PC⊕Delta and the recent delta
-// path, the combination the Pythia paper found strongest.
-type PythiaFeature int
-
+// Pythia's configuration: the one §4.3 kept of "several diverse
+// configurations that primarily varied the action list and the alpha,
+// gamma, and epsilon values".
 const (
-	// FeaturePCDelta hashes the load PC with the last within-page delta.
-	FeaturePCDelta PythiaFeature = iota
-	// FeaturePCOffset hashes the load PC with the page offset.
-	FeaturePCOffset
-	// FeatureDeltaPath hashes the last three within-page deltas.
-	FeatureDeltaPath
+	pythiaAlpha   = 0.0065 // Q-learning rate
+	pythiaGamma   = 0.556  // discount
+	pythiaEpsilon = 0.02   // exploration probability
+
+	// Pythia's reward levels.
+	pythiaRewardAccurate   = 20
+	pythiaRewardInaccurate = -8
+	pythiaRewardNoPrefetch = -1
+
+	pythiaFeatures = 2    // Q-tables: PC⊕Delta, then the delta path
+	pythiaStates   = 4096 // entries per feature table
+	pythiaEQSize   = 256  // evaluation queue capacity
 )
 
-// PythiaConfig holds the tunable knobs of §4.3 ("several diverse
-// configurations that primarily varied the action list and the alpha,
-// gamma, and epsilon values").
-type PythiaConfig struct {
-	// Alpha, Gamma and Epsilon are the Q-learning rate, discount and
-	// exploration probability.
-	Alpha, Gamma, Epsilon float64
-	// RewardAccurate, RewardInaccurate and RewardNoPrefetch follow
-	// Pythia's reward levels.
-	RewardAccurate, RewardInaccurate, RewardNoPrefetch float64
-	// Actions is the candidate block-offset list (0 = no prefetch).
-	Actions []int
-	// Features are the Q-table indexes; the Q-value of an action is the
-	// sum over feature tables (Pythia's QVStore).
-	Features []PythiaFeature
-	// States is the per-feature table size; EQSize the evaluation queue
-	// capacity.
-	States, EQSize int
-	// Seed drives exploration.
-	Seed int64
-}
+// pythiaActions is the candidate block-offset list (0 = no prefetch).
+var pythiaActions = [...]int{0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 32, -1, -2, -3, -6}
 
-// DefaultPythiaConfig returns the configuration used in the evaluation.
-func DefaultPythiaConfig(seed int64) PythiaConfig {
-	return PythiaConfig{
-		Alpha:            0.0065,
-		Gamma:            0.556,
-		Epsilon:          0.02,
-		RewardAccurate:   20,
-		RewardInaccurate: -8,
-		RewardNoPrefetch: -1,
-		Actions:          []int{0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 32, -1, -2, -3, -6},
-		Features:         []PythiaFeature{FeaturePCDelta, FeatureDeltaPath},
-		States:           4096,
-		EQSize:           256,
-		Seed:             seed,
-	}
-}
+// pythiaState holds one access's state in each feature table.
+type pythiaState [pythiaFeatures]int
 
 // Pythia is a tabular-Q-learning delta prefetcher after Bera et al. (MICRO
 // 2021), the reinforcement-learning baseline of §4.3 (ported to the LLC as
@@ -71,13 +40,11 @@ func DefaultPythiaConfig(seed int64) PythiaConfig {
 // aggressiveness — high coverage, and occasionally wasted bandwidth
 // chasing hard-to-predict patterns (§5).
 type Pythia struct {
-	cfg PythiaConfig
-
 	// q[f] is feature f's table: [state][action]. The Q-value of an
-	// action is the sum across features.
-	q [][][]float64
+	// action is the sum across features (Pythia's QVStore).
+	q *[pythiaFeatures][pythiaStates][len(pythiaActions)]float64
 
-	eq     []pythiaEQEntry // evaluation queue (ring)
+	eq     [pythiaEQSize]pythiaEQEntry // evaluation queue (ring)
 	eqHead int
 	eqLen  int
 	// pending maps a target block to its chain of EQ entries, linked
@@ -88,13 +55,12 @@ type Pythia struct {
 	deltaPath  *flat.Table[[3]int] // page -> last three deltas
 	rng        *rand.Rand
 
-	curStates []int        // scratch: feature states of the current access
-	cands     []pythiaCand // scratch: action candidates for selection
-	advBuf    []uint64
+	cands  [len(pythiaActions)]pythiaCand // scratch: action candidates for selection
+	advBuf []uint64
 }
 
 type pythiaEQEntry struct {
-	states []int // owned; copied from the current states on enqueue
+	states pythiaState
 	action int
 	target uint64 // block; 0 target means no-prefetch action
 	next   int32  // next EQ index in this target's pending chain, -1 = end
@@ -106,84 +72,44 @@ type pythiaCand struct {
 	q      float64
 }
 
-// NewPythia returns a Pythia with the default configuration.
-func NewPythia(seed int64) *Pythia { return NewPythiaWithConfig(DefaultPythiaConfig(seed)) }
-
-// NewPythiaWithConfig returns a Pythia with an explicit configuration.
-func NewPythiaWithConfig(cfg PythiaConfig) *Pythia {
-	if cfg.States <= 0 {
-		cfg.States = 4096
-	}
-	if cfg.EQSize <= 0 {
-		cfg.EQSize = 256
-	}
-	if len(cfg.Actions) == 0 {
-		cfg.Actions = DefaultPythiaConfig(cfg.Seed).Actions
-	}
-	if len(cfg.Features) == 0 {
-		cfg.Features = []PythiaFeature{FeaturePCDelta}
-	}
-	p := &Pythia{
-		cfg:        cfg,
-		eq:         make([]pythiaEQEntry, cfg.EQSize),
-		pending:    flat.NewTable[int32](cfg.EQSize),
+// NewPythia returns a Pythia whose exploration is driven by seed.
+func NewPythia(seed int64) *Pythia {
+	return &Pythia{
+		q:          new([pythiaFeatures][pythiaStates][len(pythiaActions)]float64),
+		pending:    flat.NewTable[int32](pythiaEQSize),
 		lastOffset: flat.NewTable[int](4096),
 		deltaPath:  flat.NewTable[[3]int](4096),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		curStates:  make([]int, len(cfg.Features)),
-		cands:      make([]pythiaCand, len(cfg.Actions)),
+		rng:        rand.New(rand.NewSource(seed)),
 	}
-	for i := range p.eq {
-		p.eq[i].states = make([]int, len(cfg.Features))
-	}
-	p.q = make([][][]float64, len(cfg.Features))
-	for f := range p.q {
-		p.q[f] = make([][]float64, cfg.States)
-		for s := range p.q[f] {
-			p.q[f][s] = make([]float64, len(cfg.Actions))
-		}
-	}
-	return p
 }
 
 // Name implements Prefetcher.
 func (p *Pythia) Name() string { return "Pythia" }
 
-// states hashes the current program context through every feature into the
-// reused curStates scratch.
-func (p *Pythia) states(pc uint64, delta int, offset int, path [3]int) []int {
-	out := p.curStates
-	for i, f := range p.cfg.Features {
-		var h uint64
-		switch f {
-		case FeaturePCDelta:
-			h = pc*0x9E3779B97F4A7C15 ^ uint64(uint32(delta))*0xBF58476D1CE4E5B9
-		case FeaturePCOffset:
-			h = pc*0x94D049BB133111EB ^ uint64(offset)*0x9E3779B97F4A7C15
-		case FeatureDeltaPath:
-			h = 0xCBF29CE484222325
-			for _, d := range path {
-				h = (h ^ uint64(uint32(d))) * 0x100000001B3
-			}
-		}
-		out[i] = int(h % uint64(p.cfg.States))
+// newPythiaState hashes the current program context through both features:
+// PC⊕Delta, then the last three within-page deltas.
+func newPythiaState(pc uint64, delta int, path [3]int) pythiaState {
+	pcDelta := pc*0x9E3779B97F4A7C15 ^ uint64(uint32(delta))*0xBF58476D1CE4E5B9
+	deltaPath := uint64(0xCBF29CE484222325)
+	for _, d := range path {
+		deltaPath = (deltaPath ^ uint64(uint32(d))) * 0x100000001B3
 	}
-	return out
+	return pythiaState{int(pcDelta % pythiaStates), int(deltaPath % pythiaStates)}
 }
 
 // qValue sums an action's Q across the feature tables.
-func (p *Pythia) qValue(states []int, action int) float64 {
+func (p *Pythia) qValue(s pythiaState, action int) float64 {
 	v := 0.0
-	for f, s := range states {
-		v += p.q[f][s][action]
+	for f, st := range s {
+		v += p.q[f][st][action]
 	}
 	return v
 }
 
-func (p *Pythia) maxQ(states []int) float64 {
-	best := p.qValue(states, 0)
-	for a := 1; a < len(p.cfg.Actions); a++ {
-		if v := p.qValue(states, a); v > best {
+func (p *Pythia) maxQ(s pythiaState) float64 {
+	best := p.qValue(s, 0)
+	for a := 1; a < len(pythiaActions); a++ {
+		if v := p.qValue(s, a); v > best {
 			best = v
 		}
 	}
@@ -192,19 +118,19 @@ func (p *Pythia) maxQ(states []int) float64 {
 
 // resolve applies a reward to an EQ entry: a Q update on every feature
 // table, bootstrapping with the value of the current state.
-func (p *Pythia) resolve(idx int, reward float64, curStates []int) {
+func (p *Pythia) resolve(idx int, reward float64, cur pythiaState) {
 	e := &p.eq[idx]
 	if !e.live {
 		return
 	}
 	e.live = false
-	target := reward + p.cfg.Gamma*p.maxQ(curStates)
+	target := reward + pythiaGamma*p.maxQ(cur)
 	// The TD error is against the summed Q; spread the update evenly
 	// across feature tables (Pythia's QVStore update).
-	cur := p.qValue(e.states, e.action)
-	step := p.cfg.Alpha * (target - cur) / float64(len(e.states))
-	for f, s := range e.states {
-		p.q[f][s][e.action] += step
+	q := p.qValue(e.states, e.action)
+	step := pythiaAlpha * (target - q) / pythiaFeatures
+	for f, st := range e.states {
+		p.q[f][st][e.action] += step
 	}
 }
 
@@ -235,13 +161,13 @@ func (p *Pythia) Advise(a trace.Access, budget int) []uint64 {
 		*dp = path
 	}
 
-	s := p.states(a.PC, delta, off, path)
+	s := newPythiaState(a.PC, delta, path)
 
 	// Reward any outstanding prefetch that predicted this demand, in
 	// enqueue order.
 	if head := p.pending.Get(block); head != nil {
 		for idx := *head; idx >= 0; idx = p.eq[idx].next {
-			p.resolve(int(idx), p.cfg.RewardAccurate, s)
+			p.resolve(int(idx), pythiaRewardAccurate, s)
 		}
 		p.pending.Delete(block)
 	}
@@ -249,7 +175,7 @@ func (p *Pythia) Advise(a trace.Access, budget int) []uint64 {
 	// Choose up to budget actions: the top-Q actions, with epsilon-greedy
 	// exploration.
 	cands := p.cands[:0]
-	for i := range p.cfg.Actions {
+	for i := range pythiaActions {
 		cands = append(cands, pythiaCand{i, p.qValue(s, i)})
 	}
 	for i := 0; i < budget && i < len(cands); i++ {
@@ -265,10 +191,10 @@ func (p *Pythia) Advise(a trace.Access, budget int) []uint64 {
 	out := p.advBuf[:0]
 	for i := 0; i < budget && i < len(cands); i++ {
 		actIdx := cands[i].action
-		if p.rng.Float64() < p.cfg.Epsilon {
-			actIdx = p.rng.Intn(len(p.cfg.Actions))
+		if p.rng.Float64() < pythiaEpsilon {
+			actIdx = p.rng.Intn(len(pythiaActions))
 		}
-		offset := p.cfg.Actions[actIdx]
+		offset := pythiaActions[actIdx]
 		target := uint64(0)
 		if offset != 0 {
 			t := int64(block) + int64(offset)
@@ -289,16 +215,16 @@ func (p *Pythia) Advise(a trace.Access, budget int) []uint64 {
 }
 
 // enqueue pushes an action outcome tracker, resolving the entry it evicts.
-func (p *Pythia) enqueue(states []int, action int, target uint64) {
+func (p *Pythia) enqueue(s pythiaState, action int, target uint64) {
 	if p.eqLen == len(p.eq) {
 		idx := p.eqHead
 		e := &p.eq[idx]
 		if e.live {
-			reward := p.cfg.RewardInaccurate
+			reward := float64(pythiaRewardInaccurate)
 			if e.target == 0 {
-				reward = p.cfg.RewardNoPrefetch
+				reward = pythiaRewardNoPrefetch
 			}
-			p.resolve(idx, reward, states)
+			p.resolve(idx, reward, s)
 			if e.target != 0 {
 				p.removePending(e.target, int32(idx))
 			}
@@ -308,7 +234,7 @@ func (p *Pythia) enqueue(states []int, action int, target uint64) {
 	}
 	idx := (p.eqHead + p.eqLen) % len(p.eq)
 	e := &p.eq[idx]
-	copy(e.states, states)
+	e.states = s
 	e.action = action
 	e.target = target
 	e.next = -1

@@ -16,14 +16,6 @@ type Throttle struct {
 	// Inner is the wrapped prefetcher (it observes every access even
 	// while fully throttled, so it keeps learning).
 	Inner Prefetcher
-	// Epoch is the evaluation window in accesses.
-	Epoch int
-	// HighWater and LowWater are the accuracy thresholds separating the
-	// full-budget, reduced-budget and silenced regimes.
-	HighWater, LowWater float64
-	// Window bounds how long an unconsumed suggestion stays eligible to
-	// count as accurate.
-	Window int
 
 	pending  *flat.Table[uint64] // suggested block -> access count when suggested
 	n        uint64
@@ -33,16 +25,22 @@ type Throttle struct {
 	levelLog [3]uint64
 }
 
-// NewThrottle wraps a prefetcher with default feedback parameters.
+// Throttle's feedback parameters.
+const (
+	// throttleEpoch is the evaluation window in accesses.
+	throttleEpoch = 512
+	// throttleHighWater and throttleLowWater are the accuracy thresholds
+	// separating the full-budget, reduced-budget and silenced regimes.
+	throttleHighWater = 0.40
+	throttleLowWater  = 0.10
+	// throttleWindow bounds how long an unconsumed suggestion stays
+	// eligible to count as accurate.
+	throttleWindow = 256
+)
+
+// NewThrottle wraps a prefetcher.
 func NewThrottle(inner Prefetcher) *Throttle {
-	return &Throttle{
-		Inner:     inner,
-		Epoch:     512,
-		HighWater: 0.40,
-		LowWater:  0.10,
-		Window:    256,
-		pending:   flat.NewTable[uint64](1024),
-	}
+	return &Throttle{Inner: inner, pending: flat.NewTable[uint64](1024)}
 }
 
 // Name implements Prefetcher.
@@ -58,21 +56,21 @@ func (t *Throttle) Advise(a trace.Access, budget int) []uint64 {
 	t.levelLog[t.level]++
 
 	// Score previous suggestions against this demand.
-	if at := t.pending.Get(a.Block()); at != nil && t.n-*at <= uint64(t.Window) {
+	if at := t.pending.Get(a.Block()); at != nil && t.n-*at <= throttleWindow {
 		t.hits++
 		t.pending.Delete(a.Block())
 	}
 
 	// Re-evaluate the level each epoch.
-	if t.n%uint64(t.Epoch) == 0 {
+	if t.n%throttleEpoch == 0 {
 		if t.issued > 0 {
 			// No evidence means no level change; silenced prefetchers
 			// keep probing (below) so evidence keeps flowing.
 			acc := float64(t.hits) / float64(t.issued)
 			switch {
-			case acc >= t.HighWater:
+			case acc >= throttleHighWater:
 				t.level = 0
-			case acc >= t.LowWater:
+			case acc >= throttleLowWater:
 				t.level = 1
 			default:
 				t.level = 2
@@ -81,7 +79,7 @@ func (t *Throttle) Advise(a trace.Access, budget int) []uint64 {
 		t.hits, t.issued = 0, 0
 		// Expire stale suggestions so the table stays bounded.
 		t.pending.DeleteIf(func(_ uint64, at *uint64) bool {
-			return t.n-*at > uint64(t.Window)
+			return t.n-*at > throttleWindow
 		})
 	}
 

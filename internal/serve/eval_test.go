@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -233,6 +236,66 @@ func TestCallerBuiltPathfinderAdvisedLive(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if !sameCell(res[i], res[i+2]) {
 			t.Errorf("registry cell %+v, caller-built %+v", res[i].Metrics, res[i+2].Metrics)
+		}
+	}
+}
+
+// registryAdviceGolden pins the exact advice of every online registry
+// technique: an FNV-1a hash over the (ID, Addr) pairs of its prefetch
+// file on cc-5 and on 605-mcf-s1, at 10K loads with trace and technique
+// seed 1. No other test pins the table prefetchers' output; PATHFINDER's
+// is also pinned by core's golden hashes. To regenerate after an
+// intentional change, run the test and copy the hashes it reports.
+var registryAdviceGolden = map[string][2]uint64{
+	"none":             {0xcbf29ce484222325, 0xcbf29ce484222325},
+	"nextline":         {0x1d2ad78398f00ebc, 0x5917637f58e7286f},
+	"bo":               {0x56f19f1b422b542f, 0xa210253ede2d79a7},
+	"bo-throttled":     {0xb18f3c1b69f6a81a, 0xbef4b6ffd3aa3cb0},
+	"spp":              {0x6e0482d86e27af34, 0x6b503e4602878eb8},
+	"sisb":             {0xa8cdeae6da623dd, 0x43933ace982a10c0},
+	"isb":              {0x7cd40d44e7912089, 0xd405529130c9ae90},
+	"pythia":           {0x43a522f475d9596b, 0xdf6fe0822d1b8b3d},
+	"stride":           {0x9fd1105054fa1bb6, 0xd2d79ddbf3ad26c8},
+	"vldp":             {0xd65b6307130762ff, 0xfe68e1d3bb239248},
+	"sms":              {0x4c0f3bb459be1c0d, 0xdf37e4d755d9c651},
+	"nextpage":         {0x7eb50ab7d599e89e, 0xa59e9f4e70e35f6a},
+	"pathfinder":       {0x9a0f97fa2bd1e26e, 0x1ef07f5a42f53d24},
+	"pathfinder-1tick": {0xb0e7880c22256b, 0x70573d1d5dfa31e0},
+	"pf+nl":            {0x107301770a695e86, 0xb041cd17c0664625},
+	"pf+nl+sisb":       {0xa21ade3ef8aa2b3f, 0xeaf822bcf627330},
+	"dynamic-ensemble": {0x590e5b91b922f3b8, 0x3a2e5c772add5fc4},
+}
+
+// TestRegistryAdviceGolden replays each golden trace through every online
+// registry technique and compares its prefetch file's hash with
+// registryAdviceGolden.
+func TestRegistryAdviceGolden(t *testing.T) {
+	names := make([]string, 0, len(registryAdviceGolden))
+	for name := range registryAdviceGolden {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, tr := range []string{"cc-5", "605-mcf-s1"} {
+		accs := genTrace(t, tr, 10_000, 1)
+		for _, name := range names {
+			p, err := NewPrefetcherByName(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pfs, err := prefetch.GenerateFileCtx(context.Background(), p, accs, prefetch.Budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			var buf [16]byte
+			for _, pf := range pfs {
+				binary.LittleEndian.PutUint64(buf[:8], pf.ID)
+				binary.LittleEndian.PutUint64(buf[8:], pf.Addr)
+				h.Write(buf[:])
+			}
+			if got, want := h.Sum64(), registryAdviceGolden[name][i]; got != want {
+				t.Errorf("%s on %s: advice hash %#x, want %#x", name, tr, got, want)
+			}
 		}
 	}
 }

@@ -36,9 +36,10 @@ type Config struct {
 	Shards int
 	// MaxSessions caps resident sessions; admission enforces
 	// ceil(MaxSessions/Shards) per shard (default 1024). When a shard is
-	// full, its least-recently-used idle session is evicted to make room;
-	// if every resident session has work in flight the new session is
-	// rejected with RejectMaxSessions.
+	// full, its least-recently-used idle session is evicted to make room
+	// (a PATHFINDER session is first spilled, so it can resume; see
+	// spillSessions); if every resident session has work in flight the
+	// new session is rejected with RejectMaxSessions.
 	MaxSessions int
 	// QueueDepth bounds each session's event queue (default 256). An
 	// event arriving at a full queue is rejected with RejectQueueFull.
@@ -51,33 +52,37 @@ type Config struct {
 	// MaxInFlight caps queued events across all sessions (0: no extra
 	// cap; the table is already bounded by MaxSessions x QueueDepth).
 	MaxInFlight int
-	// SpillSessions caps the server-wide ring of evicted-session
-	// snapshots (default 64; negative disables spilling). When LRU
-	// pressure evicts an idle session whose prefetcher is a PATHFINDER
-	// (*core.Pathfinder, whichever factory built it), its learned weights,
-	// transient state and duplicate-detection watermark are spilled into
-	// the ring; if the same session id returns while the snapshot is
-	// still resident, core.LoadSession rebuilds it and the session
-	// resumes exactly where it left off instead of relearning from
-	// scratch. Sessions with any other prefetcher are discarded on
-	// eviction. When the ring overflows, the oldest snapshot is dropped.
-	SpillSessions int
-	// RetryHintMillis is the retry-after hint attached to queue-full and
-	// overloaded rejects (default 5).
-	RetryHintMillis int
 	// DrainTimeout bounds Close's graceful drain (default 10s).
 	DrainTimeout time.Duration
 	// Runner evaluates one-shot FrameEval jobs (default: a fresh
 	// runner.New with default config, sharing its caches across jobs).
 	Runner *runner.Runner
-	// MaxConcurrentEvals caps evaluation jobs running at once (default 2;
-	// each job already parallelises internally via the runner pool).
-	MaxConcurrentEvals int
 	// Fault, if non-nil, is consulted at fault.SiteServe before each
 	// event is processed; injected hangs and latency delay predictions
 	// but never change them. Chaos testing only.
 	Fault fault.Injector
 }
+
+// The daemon's fixed settings.
+const (
+	// spillSessions caps the server-wide ring of evicted-session
+	// snapshots. When LRU pressure evicts an idle session whose
+	// prefetcher is a PATHFINDER (*core.Pathfinder, whichever factory
+	// built it), its learned weights, transient state and
+	// duplicate-detection watermark are spilled into the ring; if the same
+	// session id returns while the snapshot is still resident,
+	// core.LoadSession rebuilds it and the session resumes exactly where
+	// it left off instead of relearning from scratch. Sessions with any
+	// other prefetcher are discarded on eviction. When the ring overflows,
+	// the oldest snapshot is dropped.
+	spillSessions = 64
+	// retryHintMillis is the retry-after hint attached to queue-full and
+	// overloaded rejects.
+	retryHintMillis = 5
+	// maxConcurrentEvals caps evaluation jobs running at once; each job
+	// already parallelises internally via the runner pool.
+	maxConcurrentEvals = 2
+)
 
 // withDefaults returns cfg with zero fields filled in.
 func (cfg Config) withDefaults() Config {
@@ -86,9 +91,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.NewPrefetcher == nil {
 		cfg.NewPrefetcher = DefaultSessionPrefetcher
-	}
-	if cfg.SpillSessions == 0 {
-		cfg.SpillSessions = 64
 	}
 	if cfg.Budget <= 0 {
 		cfg.Budget = prefetch.Budget
@@ -110,14 +112,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.OutboundDepth <= 0 {
 		cfg.OutboundDepth = 256
 	}
-	if cfg.RetryHintMillis <= 0 {
-		cfg.RetryHintMillis = 5
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
-	}
-	if cfg.MaxConcurrentEvals <= 0 {
-		cfg.MaxConcurrentEvals = 2
 	}
 	if cfg.Runner == nil {
 		cfg.Runner = runner.New(runner.Config{})
@@ -159,7 +155,7 @@ type Server struct {
 	cancel  context.CancelFunc
 
 	table    *table
-	spill    *spillStore // nil: eviction spilling disabled
+	spill    *spillStore
 	draining atomic.Bool
 	inflight atomic.Int64
 
@@ -191,7 +187,8 @@ func New(cfg Config) (*Server, error) {
 		ln:      ln,
 		baseCtx: ctx,
 		cancel:  cancel,
-		evalSem: make(chan struct{}, cfg.MaxConcurrentEvals),
+		evalSem: make(chan struct{}, maxConcurrentEvals),
+		spill:   newSpillStore(spillSessions),
 		conns:   make(map[*conn]struct{}),
 	}
 	perShard := (cfg.MaxSessions + cfg.Shards - 1) / cfg.Shards
@@ -199,9 +196,6 @@ func New(cfg Config) (*Server, error) {
 		perShard = 1
 	}
 	s.table = newTable(s, cfg.Shards, perShard)
-	if cfg.SpillSessions > 0 {
-		s.spill = newSpillStore(cfg.SpillSessions)
-	}
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -484,7 +478,7 @@ func (c *conn) dispatch(f *Frame) bool {
 		if code != 0 {
 			var retry uint64
 			if code == RejectQueueFull || code == RejectOverloaded {
-				retry = uint64(c.srv.cfg.RetryHintMillis)
+				retry = retryHintMillis
 			}
 			if m := serveTele.Load(); m != nil {
 				m.shedFor(code).Inc()

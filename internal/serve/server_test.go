@@ -202,6 +202,10 @@ func TestMaxSessionsRejectsWhenAllBusy(t *testing.T) {
 	srv.Shutdown(ctx)
 }
 
+// TestLRUEvictionAdmitsNewSessionAndResetsWatermark fills a one-shard
+// table, touches its older session, and admits a third: the session left
+// least recently used is evicted, returns fresh, and the touched one keeps
+// rejecting its old id as stale.
 func TestLRUEvictionAdmitsNewSessionAndResetsWatermark(t *testing.T) {
 	reg := withRegistry(t)
 	srv := newTestServer(t, Config{
@@ -212,51 +216,47 @@ func TestLRUEvictionAdmitsNewSessionAndResetsWatermark(t *testing.T) {
 	c := dialBinary(t, srv.Addr())
 	defer c.close()
 
-	// Sessions 1 then 2 complete one event each; both are idle, 1 is LRU.
-	for sid := uint64(1); sid <= 2; sid++ {
-		if err := c.writeEvent(sid, acc(5)); err != nil {
+	send := func(sid, id uint64) Frame {
+		t.Helper()
+		if err := c.writeEvent(sid, acc(id)); err != nil {
 			t.Fatal(err)
 		}
-		f := c.mustRead()
-		if f.Kind != FramePredict || f.Session != sid || f.ID != 5 {
-			t.Fatalf("session %d: want predict for id 5, got %+v", sid, f)
+		return c.mustRead()
+	}
+	// admit sends a new session's first event once every resident session
+	// is quiescent, so eviction picks by recency alone. The workers
+	// decrement pending just after handing over the reply, so wait for
+	// that instead of assuming it landed before our next frame.
+	admit := func(sid, id uint64) {
+		t.Helper()
+		waitFor(t, 2*time.Second, func() bool { return srv.inflight.Load() == 0 })
+		if f := send(sid, id); f.Kind != FramePredict || f.Session != sid || f.ID != id {
+			t.Fatalf("session %d admission: want predict for id %d, got kind %#x code %s", sid, id, f.Kind, RejectCodeName(f.Code))
 		}
 	}
-	// Session 3 must evict session 1. The workers decrement pending just
-	// after handing over the reply, so poll the (unwedging) retry loop
-	// instead of assuming the decrement landed before our next frame.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if err := c.writeEvent(3, acc(1)); err != nil {
-			t.Fatal(err)
-		}
-		f := c.mustRead()
-		if f.Kind == FramePredict && f.Session == 3 {
-			break
-		}
-		if f.Kind != FrameReject || f.Code != RejectMaxSessions {
-			t.Fatalf("session 3 admission: got kind %#x code %s", f.Kind, RejectCodeName(f.Code))
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("session 3 never admitted; eviction did not free a slot")
-		}
-		time.Sleep(time.Millisecond)
+
+	// Sessions 1 then 2 complete one event each, then session 1 sends
+	// again: both are idle, and 2 is the least recently used.
+	admit(1, 5)
+	admit(2, 5)
+	if f := send(1, 6); f.Kind != FramePredict || f.Session != 1 || f.ID != 6 {
+		t.Fatalf("session 1: want predict for id 6, got %+v", f)
 	}
+	// Session 3 must evict session 2.
+	admit(3, 1)
 	if got := reg.Snapshot().Counters["serve.sessions_evicted"]; got != 1 {
 		t.Fatalf("sessions_evicted = %d, want 1", got)
 	}
 	if n := srv.SessionCount(); n != 2 {
 		t.Fatalf("SessionCount = %d, want 2", n)
 	}
-	// Session 1 returns: it starts fresh — the duplicate-detection
+	// Session 1 was kept: it still rejects its old id.
+	if f := send(1, 5); f.Kind != FrameReject || f.Session != 1 || f.Code != RejectStale {
+		t.Fatalf("kept session 1 accepted a stale id: %+v", f)
+	}
+	// Session 2 returns: it starts fresh — the duplicate-detection
 	// watermark is gone with the learned state, so its old id is accepted.
-	if err := c.writeEvent(1, acc(5)); err != nil {
-		t.Fatal(err)
-	}
-	f := c.mustRead()
-	if f.Kind != FramePredict || f.Session != 1 || f.ID != 5 {
-		t.Fatalf("re-created session 1 rejected its stream: %+v", f)
-	}
+	admit(2, 5)
 }
 
 func TestStaleDuplicatesRejected(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"pathfinder/internal/core"
 	"pathfinder/internal/fault"
+	"pathfinder/internal/flat"
 	"pathfinder/internal/prefetch"
 	"pathfinder/internal/trace"
 )
@@ -51,9 +52,6 @@ type session struct {
 	// id next (go-back-N), so a shed in the middle of a pipelined burst
 	// cannot silently skip an event. Cleared on the next acceptance.
 	shedID uint64
-
-	// LRU links within the shard (head = most recently used).
-	prev, next *session
 }
 
 // faultKey names one event for the SiteServe injector: "session/id".
@@ -119,85 +117,48 @@ func (s *session) process(srv *Server, ev queuedEvent) {
 	srv.inflight.Add(-1)
 }
 
-// shard is one power-of-two slice of the session table: a map plus an
-// intrusive LRU list, under one mutex.
+// shard is one power-of-two slice of the session table: its resident
+// sessions in recency order, under one mutex.
 type shard struct {
-	mu     sync.Mutex
-	m      map[uint64]*session
-	head   *session // most recently used
-	tail   *session // least recently used
-	cap    int
-	closed bool
-}
-
-// pushFront inserts s at the MRU end (shard mutex held).
-func (sh *shard) pushFront(s *session) {
-	s.prev = nil
-	s.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = s
-	}
-	sh.head = s
-	if sh.tail == nil {
-		sh.tail = s
-	}
-}
-
-// remove unlinks s (shard mutex held).
-func (sh *shard) remove(s *session) {
-	if s.prev != nil {
-		s.prev.next = s.next
-	} else {
-		sh.head = s.next
-	}
-	if s.next != nil {
-		s.next.prev = s.prev
-	} else {
-		sh.tail = s.prev
-	}
-	s.prev, s.next = nil, nil
-}
-
-// moveFront marks s most recently used (shard mutex held).
-func (sh *shard) moveFront(s *session) {
-	if sh.head == s {
-		return
-	}
-	sh.remove(s)
-	sh.pushFront(s)
+	mu       sync.Mutex
+	sessions flat.LRU[*session] // session id -> session
+	cap      int
+	closed   bool
 }
 
 // evictIdle evicts the least-recently-used quiescent session, returning
 // false when every resident session still has events in flight (shard
-// mutex held). The evicted worker exits via its stop channel. With a
-// spill store, the session's learned state and protocol watermarks are
-// snapshotted first, so a returning session resumes instead of starting
-// fresh (see docs/serving.md); without one (or when the prefetcher cannot
-// serialize itself) the state is discarded. Quiescence (pending == 0)
+// mutex held). The evicted worker exits via its stop channel. The
+// session's learned state and protocol watermarks are snapshotted into
+// the spill store first, so a returning session resumes instead of
+// starting fresh (see docs/serving.md); when the prefetcher cannot
+// serialize itself, the state is discarded. Quiescence (pending == 0)
 // makes the snapshot safe: the worker only touches the prefetcher while
 // an accepted event is pending.
 func (sh *shard) evictIdle(spill *spillStore) bool {
-	for s := sh.tail; s != nil; s = s.prev {
-		if s.pending.Load() == 0 {
-			close(s.stop)
-			sh.remove(s)
-			delete(sh.m, s.id)
-			m := serveTele.Load()
-			if m != nil {
-				m.evicted.Inc()
-			}
-			if spill != nil {
-				if e := snapshot(s); e != nil {
-					spill.put(e)
-					if m != nil {
-						m.spilled.Inc()
-					}
-				}
-			}
-			return true
+	var victim *session
+	sh.sessions.Range(func(_ uint64, s **session) bool {
+		if (*s).pending.Load() == 0 {
+			victim = *s
+		}
+		return victim == nil
+	})
+	if victim == nil {
+		return false
+	}
+	close(victim.stop)
+	sh.sessions.Delete(victim.id)
+	m := serveTele.Load()
+	if m != nil {
+		m.evicted.Inc()
+	}
+	if e := snapshot(victim); e != nil {
+		spill.put(e)
+		if m != nil {
+			m.spilled.Inc()
 		}
 	}
-	return false
+	return true
 }
 
 // table is the sharded session table.
@@ -211,7 +172,6 @@ type table struct {
 func newTable(srv *Server, shards, perShardCap int) *table {
 	t := &table{srv: srv, shards: make([]shard, shards), mask: uint64(shards - 1)}
 	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]*session)
 		t.shards[i].cap = perShardCap
 	}
 	return t
@@ -238,28 +198,28 @@ func (t *table) enqueue(c *conn, sid uint64, acc trace.Access, start int64) byte
 		return RejectDraining
 	}
 	m := serveTele.Load()
-	s := sh.m[sid]
-	if s == nil {
-		if len(sh.m) >= sh.cap && !sh.evictIdle(t.srv.spill) {
+	var s *session
+	if ps := sh.sessions.Get(sid); ps != nil {
+		s = *ps // Get made it the most recently used
+	} else {
+		if sh.sessions.Len() >= sh.cap && !sh.evictIdle(t.srv.spill) {
 			return RejectMaxSessions
 		}
 		var (
 			pf       prefetch.Prefetcher
 			restored *spillEntry
 		)
-		if t.srv.spill != nil {
-			if e, ok := t.srv.spill.take(sid); ok {
-				if rpf, err := core.LoadSession(bytes.NewReader(e.blob)); err == nil {
-					pf, restored = rpf, e
-					if m != nil {
-						m.restored.Inc()
-					}
-				} else if m != nil {
-					// A corrupt snapshot falls back to a fresh session —
-					// exactly what the id would have gotten without a spill
-					// store — but the failure is counted, not swallowed.
-					m.restoreErrors.Inc()
+		if e, ok := t.srv.spill.take(sid); ok {
+			if rpf, err := core.LoadSession(bytes.NewReader(e.blob)); err == nil {
+				pf, restored = rpf, e
+				if m != nil {
+					m.restored.Inc()
 				}
+			} else if m != nil {
+				// A corrupt snapshot falls back to a fresh session —
+				// exactly what the id would have gotten without a spill
+				// store — but the failure is counted, not swallowed.
+				m.restoreErrors.Inc()
 			}
 		}
 		if pf == nil {
@@ -277,8 +237,8 @@ func (t *table) enqueue(c *conn, sid uint64, acc trace.Access, start int64) byte
 		if restored != nil {
 			s.lastID, s.shedID = restored.lastID, restored.shedID
 		}
-		sh.m[sid] = s
-		sh.pushFront(s)
+		ps, _ := sh.sessions.Insert(sid)
+		*ps = s
 		if m != nil {
 			m.sessions.Add(1)
 			m.sessionsPeak.SetMax(m.sessions.Value())
@@ -286,8 +246,6 @@ func (t *table) enqueue(c *conn, sid uint64, acc trace.Access, start int64) byte
 		}
 		t.srv.workers.Add(1)
 		go s.run(t.srv)
-	} else {
-		sh.moveFront(s)
 	}
 	if acc.ID <= s.lastID {
 		return RejectStale
@@ -331,9 +289,10 @@ func (t *table) closeAll() {
 		sh.mu.Lock()
 		if !sh.closed {
 			sh.closed = true
-			for _, s := range sh.m {
-				close(s.q)
-			}
+			sh.sessions.Range(func(_ uint64, s **session) bool {
+				close((*s).q)
+				return true
+			})
 		}
 		sh.mu.Unlock()
 	}
@@ -346,7 +305,7 @@ func (t *table) sessionCount() int {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		n += len(sh.m)
+		n += sh.sessions.Len()
 		sh.mu.Unlock()
 	}
 	return n

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"pathfinder/internal/core"
+	"pathfinder/internal/flat"
 )
 
 // spillEntry is one evicted session's snapshot: the serialized prefetcher
@@ -12,11 +13,10 @@ import (
 // so a restored session rejects exactly the ids the evicted one would
 // have.
 type spillEntry struct {
-	id         uint64
-	blob       []byte
-	lastID     uint64
-	shedID     uint64
-	prev, next *spillEntry
+	id     uint64
+	blob   []byte
+	lastID uint64
+	shedID uint64
 }
 
 // spillStore is a bounded LRU ring of evicted-session snapshots, shared
@@ -25,40 +25,24 @@ type spillEntry struct {
 // state it would have lost without the store, just later. Lock order:
 // shard.mu, then spillStore.mu (never the reverse).
 type spillStore struct {
-	mu         sync.Mutex
-	m          map[uint64]*spillEntry
-	head, tail *spillEntry // head = most recently spilled
-	cap        int
-	dropped    int // snapshots pushed out by capacity (stats/tests)
+	mu      sync.Mutex
+	ring    flat.LRU[spillEntry] // session id -> snapshot
+	cap     int
+	dropped int // snapshots pushed out by capacity (stats/tests)
 }
 
-func newSpillStore(cap int) *spillStore {
-	return &spillStore{m: make(map[uint64]*spillEntry, cap), cap: cap}
-}
+func newSpillStore(cap int) *spillStore { return &spillStore{cap: cap} }
 
 // put admits a snapshot, replacing any previous snapshot for the same
 // session and evicting the oldest entry when past capacity.
 func (st *spillStore) put(e *spillEntry) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if old, ok := st.m[e.id]; ok {
-		st.unlink(old)
-		delete(st.m, old.id)
-	}
-	st.m[e.id] = e
-	e.prev = nil
-	e.next = st.head
-	if st.head != nil {
-		st.head.prev = e
-	}
-	st.head = e
-	if st.tail == nil {
-		st.tail = e
-	}
-	for len(st.m) > st.cap {
-		old := st.tail
-		st.unlink(old)
-		delete(st.m, old.id)
+	v, _ := st.ring.Insert(e.id)
+	*v = *e
+	for st.ring.Len() > st.cap {
+		old, _ := st.ring.Oldest()
+		st.ring.Delete(old)
 		st.dropped++
 	}
 }
@@ -67,35 +51,20 @@ func (st *spillStore) put(e *spillEntry) {
 func (st *spillStore) take(id uint64) (*spillEntry, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	e, ok := st.m[id]
-	if !ok {
+	v := st.ring.Peek(id)
+	if v == nil {
 		return nil, false
 	}
-	st.unlink(e)
-	delete(st.m, id)
-	return e, true
-}
-
-// unlink removes e from the recency list (st.mu held).
-func (st *spillStore) unlink(e *spillEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		st.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		st.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+	e := *v
+	st.ring.Delete(id)
+	return &e, true
 }
 
 // len returns the number of held snapshots (for tests).
 func (st *spillStore) len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return len(st.m)
+	return st.ring.Len()
 }
 
 // snapshot serializes a quiescent session into a spill entry, or nil when

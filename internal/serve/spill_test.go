@@ -107,19 +107,6 @@ func TestEvictedRegistrySessionRestoresLearnedState(t *testing.T) {
 	assertPredictionsMatch(t, 1, got, want)
 }
 
-// TestSpillDisabled pins the opt-out: with SpillSessions negative an
-// evicted session's state is discarded and nothing is retained.
-func TestSpillDisabled(t *testing.T) {
-	srv, err := New(Config{Shards: 1, MaxSessions: 1, SpillSessions: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if srv.spill != nil {
-		t.Fatal("negative SpillSessions should disable the spill store")
-	}
-}
-
 // TestSpillStoreBounded pins the ring's capacity behaviour: the oldest
 // snapshot is dropped when a new one would exceed the cap, and re-spilling
 // a session replaces its previous snapshot instead of duplicating it.
