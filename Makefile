@@ -20,8 +20,8 @@
 # BENCH_experiments.json (see docs/performance.md; the streaming-replay
 # benchmark lands in BENCH_sim.json, the decoder/encoder ones in
 # BENCH_trace.json). `make bench-check` re-runs the simulator, runner,
-# prefetcher, PATHFINDER-advise, SNN-kernel and Fig. 4-lineup grid
-# benchmarks and compares them against the committed records, failing on
+# prefetcher, PATHFINDER-advise, SNN-kernel, trace-codec and Fig. 4-lineup
+# grid benchmarks and compares them against the committed records, failing on
 # >25% ns/op or allocs/op regressions, or on a recorded benchmark missing
 # from the run (cmd/benchdiff). BENCH_simulate.json is recorded but not
 # gated.
@@ -140,6 +140,9 @@ bench-check:
 	echo "== bench-check gate: snn"; \
 	if ! $(GO) test ./internal/snn -run '^$$' -bench 'BenchmarkPresent' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
 	  $(GO) run ./cmd/benchdiff -pkg internal/snn=BENCH_snn.json; then failed="$$failed snn"; fi; \
+	echo "== bench-check gate: trace"; \
+	if ! $(GO) test ./internal/trace -run '^$$' -bench 'BenchmarkReaderNext|BenchmarkRead$$|BenchmarkStreamEncode' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
+	  $(GO) run ./cmd/benchdiff -pkg internal/trace=BENCH_trace.json; then failed="$$failed trace"; fi; \
 	echo "== bench-check gate: experiments"; \
 	if ! $(GO) test ./internal/experiments -run '^$$' -bench '^BenchmarkFig4Grid$$' -benchmem -count=$(BENCHCOUNT) -timeout 30m | \
 	  $(GO) run ./cmd/benchdiff -pkg internal/experiments=BENCH_experiments.json; then failed="$$failed experiments"; fi; \

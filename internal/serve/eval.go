@@ -24,6 +24,8 @@ type EvalRequest struct {
 	// Prefetcher names the technique (see NewPrefetcherByName).
 	Prefetcher string `json:"prefetcher"`
 	// Loads / Seed / Budget override the runner defaults when non-zero.
+	// Budget, the prefetches allowed per access, may not exceed 256, the
+	// protocol's per-event address cap.
 	Loads  int   `json:"loads,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`
 	Budget int   `json:"budget,omitempty"`
@@ -85,7 +87,8 @@ func NewPrefetcherByName(name string, seed int64) (prefetch.Prefetcher, error) {
 // coordinator-granted cells from serializable specs through it) and the
 // experiments build their jobs here. An online technique becomes a
 // job.New factory, an offline one (Delta-LSTM / Voyager) a job.GenFile;
-// an unknown name fails here, before any cell runs.
+// an unknown name, or a budget above the per-event address cap, fails
+// here, before any cell runs.
 //
 // The PATHFINDER of pathfinder, pathfinder-1tick, pf+nl, pf+nl+sisb and
 // dynamic-ensemble is built as a prefetch.Shared keyed by its full
@@ -94,6 +97,11 @@ func NewPrefetcherByName(name string, seed int64) (prefetch.Prefetcher, error) {
 // budget and replays the recording to every cell holding it, with
 // bit-identical results; the network is built only for the recording.
 func JobFor(req EvalRequest) (runner.Job, error) {
+	if req.Budget > maxPredictAddrs {
+		// An online prefetcher may return up to budget addresses per
+		// access, so the budget bounds a cell's prefetch file.
+		return runner.Job{}, fmt.Errorf("serve: budget %d exceeds the per-access cap of %d", req.Budget, maxPredictAddrs)
+	}
 	t, err := lookup(req.Prefetcher, req.Seed)
 	if err != nil {
 		return runner.Job{}, err

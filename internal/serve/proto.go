@@ -40,7 +40,7 @@ const MaxFrameBytes = 64 << 10
 
 const (
 	// maxPredictAddrs bounds the address list of one predict frame (far
-	// above any sane per-access budget).
+	// above any sane per-access budget) and the budget JobFor accepts.
 	maxPredictAddrs = 256
 	// maxRejectMsg bounds the free-text message of a reject frame.
 	maxRejectMsg = 256

@@ -14,6 +14,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -488,6 +489,40 @@ func TestEvalJobMatchesDirectRunnerBitForBit(t *testing.T) {
 	var errResp EvalResponse
 	if err := json.Unmarshal(f.Body, &errResp); err != nil || errResp.Req != 78 || errResp.Error == "" {
 		t.Fatalf("want an error reply for req 78, got %+v (err %v)", errResp, err)
+	}
+}
+
+// TestEvalBudgetCap pins the per-access budget an eval request may ask
+// for at the protocol's per-event address cap: 256 is evaluated, 257 is
+// refused, naming the field, by JobFor and through an eval frame.
+func TestEvalBudgetCap(t *testing.T) {
+	for _, budget := range []int{maxPredictAddrs, maxPredictAddrs + 1} {
+		_, err := JobFor(EvalRequest{Trace: "cc-5", Prefetcher: "nextline", Budget: budget})
+		if refuse := budget > maxPredictAddrs; refuse != (err != nil) || err != nil && !strings.Contains(err.Error(), "budget") {
+			t.Errorf("JobFor(budget %d) = %v; want refused %v, naming the budget", budget, err, refuse)
+		}
+	}
+
+	srv := newTestServer(t, Config{NewPrefetcher: nextLineFactory})
+	c := dialBinary(t, srv.Addr())
+	defer c.close()
+	for _, budget := range []int{maxPredictAddrs, maxPredictAddrs + 1} {
+		body, err := json.Marshal(EvalRequest{Req: uint64(budget), Trace: "cc-5", Prefetcher: "nextline", Loads: 2000, Seed: 3, Budget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(c.nc, AppendEvalFrame(nil, body)); err != nil {
+			t.Fatal(err)
+		}
+		c.nc.SetReadDeadline(time.Now().Add(time.Minute))
+		f := c.mustRead()
+		var resp EvalResponse
+		if err := json.Unmarshal(f.Body, &resp); err != nil || f.Kind != FrameEvalResult || resp.Req != uint64(budget) {
+			t.Fatalf("budget %d: want its eval result, got kind %#x %+v (err %v)", budget, f.Kind, resp, err)
+		}
+		if refuse := budget > maxPredictAddrs; refuse != (resp.Error != "") || refuse && !strings.Contains(resp.Error, "budget") {
+			t.Errorf("eval frame with budget %d: error %q; want refused %v, naming the budget", budget, resp.Error, refuse)
+		}
 	}
 }
 

@@ -46,10 +46,13 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// FuzzStreamRead drives the streaming decoder over arbitrary input and
-// checks it agrees with the slice path record-for-record and
-// error-for-error — the fuzzing form of the differential parity test.
-// Seeds include both container formats plus the corrupt-record corpus.
+// FuzzStreamRead drives the streaming decoder over arbitrary input, fed
+// through a reader that returns at most k bytes per Read (k = 0: the
+// whole input at once), and checks it record-for-record and
+// error-for-error against refDecode, the independent reference decoder;
+// the slice path Read is checked against the same reference. Seeds
+// include both container formats, the corrupt-record corpus and a long
+// stream whose corrupt record the word-at-a-time fast path must refuse.
 func FuzzStreamRead(f *testing.F) {
 	var counted bytes.Buffer
 	accs := []Access{{ID: 1, PC: 2, Addr: 192, Chain: 3}, {ID: 9, PC: 4, Addr: 4096}}
@@ -60,54 +63,32 @@ func FuzzStreamRead(f *testing.F) {
 	if err := Encode(&stream, NewSliceSource(accs)); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(counted.Bytes())
-	f.Add(stream.Bytes())
-	f.Add([]byte("PFT2"))
-	f.Add([]byte("PFT3"))
-	f.Add([]byte{})
-	f.Add(corruptTrace(1, 0, MaxAddr+1, 0, 0))
-	f.Add(corruptTrace(1, 0, 0, MaxAddr+1, 0))
-	f.Add(corruptTrace(2, 5, 0, 0, 0, ^uint64(0), 0, 0, 0))
-	f.Add(corruptTrace(1, 0, 0, 0, 1<<32))
-	f.Add(counted.Bytes()[:counted.Len()-2])
-	f.Add(stream.Bytes()[:stream.Len()-2])
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(counted.Bytes(), uint16(0))
+	f.Add(stream.Bytes(), uint16(1))
+	f.Add([]byte("PFT2"), uint16(0))
+	f.Add([]byte("PFT3"), uint16(0))
+	f.Add([]byte{}, uint16(0))
+	f.Add(corruptTrace(1, 0, MaxAddr+1, 0, 0), uint16(0))
+	f.Add(corruptTrace(1, 0, 0, MaxAddr+1, 0), uint16(2))
+	f.Add(corruptTrace(2, 5, 0, 0, 0, ^uint64(0), 0, 0, 0), uint16(0))
+	f.Add(corruptTrace(1, 0, 0, 0, 1<<32), uint16(3))
+	f.Add(counted.Bytes()[:counted.Len()-2], uint16(0))
+	f.Add(stream.Bytes()[:stream.Len()-2], uint16(5))
+	long := pft3(recordBytes(genAccesses(1000, 23)), uvarints(0, 0, 0, 1<<32), recordBytes(genAccesses(20, 24)))
+	f.Add(long, uint16(0))
+	f.Add(long, uint16(4093))
+	f.Fuzz(func(t *testing.T, data []byte, k uint16) {
+		want, wantErr := refDecode(data, io.EOF)
+		_, got, err := decodeAll(&stubReader{data: data, k: int(k), err: io.EOF})
+		if d := diffDecode(got, err, want, wantErr); d != "" {
+			t.Fatalf("Reader (k=%d) vs reference: %s", k, d)
+		}
 		sliceAccs, sliceErr := Read(bytes.NewReader(data))
-
-		var streamAccs []Access
-		var streamErr error
-		rd, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			streamErr = err
-		} else {
-			var a Access
-			for {
-				if err := rd.Next(&a); err != nil {
-					if err != io.EOF {
-						streamErr = err
-					}
-					break
-				}
-				streamAccs = append(streamAccs, a)
-			}
+		if wantErr != nil {
+			want = nil
 		}
-
-		if (sliceErr == nil) != (streamErr == nil) {
-			t.Fatalf("slice err %v vs stream err %v", sliceErr, streamErr)
-		}
-		if sliceErr != nil {
-			if sliceErr.Error() != streamErr.Error() {
-				t.Fatalf("positioned errors differ:\n  slice:  %v\n  stream: %v", sliceErr, streamErr)
-			}
-			return
-		}
-		if len(sliceAccs) != len(streamAccs) {
-			t.Fatalf("%d slice records vs %d stream records", len(sliceAccs), len(streamAccs))
-		}
-		for i := range sliceAccs {
-			if sliceAccs[i] != streamAccs[i] {
-				t.Fatalf("record %d differs: %+v vs %+v", i, sliceAccs[i], streamAccs[i])
-			}
+		if d := diffDecode(sliceAccs, sliceErr, want, wantErr); d != "" {
+			t.Fatalf("Read vs reference: %s", d)
 		}
 	})
 }

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Source is the pull-based trace iterator the streaming stack is built on:
@@ -217,6 +218,14 @@ func (r *Reader) finish(err error) error {
 
 // Next implements Source: it decodes one record into *a, returning io.EOF
 // after the final record and positioned errors for corrupt ones.
+//
+// While a whole record's worth of bytes (maxRecordLen) is buffered, Next
+// decodes the record word-at-a-time straight out of the bufio.Reader's
+// buffer (decodeWindow). That fast path only ever accepts a record the
+// byte-wise path would decode identically; every other record, and every
+// record of the last maxRecordLen bytes before a refill or the end of the
+// stream, is left unconsumed for readRecord, which positions the errors.
+// Neither path waits for more bytes than the record it returns.
 func (r *Reader) Next(a *Access) error {
 	if r.err != nil {
 		return r.err
@@ -224,46 +233,126 @@ func (r *Reader) Next(a *Access) error {
 	if r.counted && r.n == 0 {
 		return r.finish(io.EOF)
 	}
-	d, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		if !r.counted && err == io.EOF {
-			// A clean end at a record boundary terminates a PFT3 stream.
-			return r.finish(io.EOF)
-		}
-		return r.finish(fmt.Errorf("trace: record %d id: %w", r.i, err))
+	n := 0
+	if r.br.Buffered() >= maxRecordLen {
+		w, _ := r.br.Peek(maxRecordLen) // buffered: cannot fail
+		n = decodeWindow((*[maxRecordLen]byte)(w), r.id, a)
 	}
-	if d > ^uint64(0)-r.id {
-		return r.finish(fmt.Errorf("trace: record %d: id delta %d overflows the id sequence", r.i, d))
+	if n > 0 {
+		r.br.Discard(n) // n bytes are buffered: cannot fail
+	} else if err := r.readRecord(a); err != nil {
+		return r.finish(err)
 	}
-	id := r.id + d
-	pc, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return r.finish(fmt.Errorf("trace: record %d pc: %w", r.i, err))
-	}
-	if pc > MaxAddr {
-		return r.finish(fmt.Errorf("trace: record %d: pc %#x beyond the canonical address space", r.i, pc))
-	}
-	addr, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return r.finish(fmt.Errorf("trace: record %d addr: %w", r.i, err))
-	}
-	if addr > MaxAddr {
-		return r.finish(fmt.Errorf("trace: record %d: addr %#x beyond the canonical address space", r.i, addr))
-	}
-	chain, err := binary.ReadUvarint(r.br)
-	if err != nil {
-		return r.finish(fmt.Errorf("trace: record %d chain: %w", r.i, err))
-	}
-	if chain > 1<<32-1 {
-		return r.finish(fmt.Errorf("trace: record %d chain %d overflows uint32", r.i, chain))
-	}
-	r.id = id
+	r.id = a.ID
 	r.i++
 	if r.counted {
 		r.n--
 	}
-	*a = Access{ID: id, PC: pc, Addr: addr, Chain: uint32(chain)}
 	return nil
+}
+
+// readRecord decodes the next record into *a byte by byte through
+// binary.ReadUvarint, validating each field as it arrives. *a is written
+// only when the whole record is valid. A clean EOF before the first byte
+// of a PFT3 record is returned bare; every other failure is positioned
+// at record r.i.
+func (r *Reader) readRecord(a *Access) error {
+	d, err := binary.ReadUvarint(r.br)
+	if err != nil {
+		if !r.counted && err == io.EOF {
+			// A clean end at a record boundary terminates a PFT3 stream.
+			return io.EOF
+		}
+		return fmt.Errorf("trace: record %d id: %w", r.i, err)
+	}
+	if d > ^uint64(0)-r.id {
+		return fmt.Errorf("trace: record %d: id delta %d overflows the id sequence", r.i, d)
+	}
+	pc, err := binary.ReadUvarint(r.br)
+	if err != nil {
+		return fmt.Errorf("trace: record %d pc: %w", r.i, err)
+	}
+	if pc > MaxAddr {
+		return fmt.Errorf("trace: record %d: pc %#x beyond the canonical address space", r.i, pc)
+	}
+	addr, err := binary.ReadUvarint(r.br)
+	if err != nil {
+		return fmt.Errorf("trace: record %d addr: %w", r.i, err)
+	}
+	if addr > MaxAddr {
+		return fmt.Errorf("trace: record %d: addr %#x beyond the canonical address space", r.i, addr)
+	}
+	chain, err := binary.ReadUvarint(r.br)
+	if err != nil {
+		return fmt.Errorf("trace: record %d chain: %w", r.i, err)
+	}
+	if chain > 1<<32-1 {
+		return fmt.Errorf("trace: record %d chain %d overflows uint32", r.i, chain)
+	}
+	*a = Access{ID: r.id + d, PC: pc, Addr: addr, Chain: uint32(chain)}
+	return nil
+}
+
+// maxRecordLen bounds one encoded record: four uvarints of at most
+// binary.MaxVarintLen64 bytes each.
+const maxRecordLen = 4 * binary.MaxVarintLen64
+
+// decodeWindow decodes the record at the start of w, whose ID delta
+// counts from id, into *a and returns its encoded length. It returns 0,
+// leaving *a untouched, for a record it does not accept: a field longer
+// than 8 bytes, an ID delta that overflows the ID sequence, a PC or
+// address above MaxAddr, or a chain above 2^32-1.
+//
+// A uvarint ends at the first byte whose high bit is clear. The four
+// fields' stop bytes are found together in the first 32 bytes (four
+// fields of at most 8 bytes fit there), then each field is one 8-byte
+// little-endian load whose 7-bit groups are compacted by shifts and masks.
+func decodeWindow(w *[maxRecordLen]byte, id uint64, a *Access) int {
+	le := binary.LittleEndian
+	stops := stopBytes(le.Uint64(w[0:])) | stopBytes(le.Uint64(w[8:]))<<8 |
+		stopBytes(le.Uint64(w[16:]))<<16 | stopBytes(le.Uint64(w[24:]))<<24
+	// e0..e3 index the fields' stop bytes, 64 once stops runs out. With
+	// fewer than four stops the first missing field's length is then at
+	// least 64-31, so the length check below refuses the record.
+	e0 := uint(bits.TrailingZeros64(stops))
+	stops &= stops - 1
+	e1 := uint(bits.TrailingZeros64(stops))
+	stops &= stops - 1
+	e2 := uint(bits.TrailingZeros64(stops))
+	stops &= stops - 1
+	e3 := uint(bits.TrailingZeros64(stops))
+	if e0 >= 8 || e1-e0 > 8 || e2-e1 > 8 || e3-e2 > 8 {
+		return 0
+	}
+	// Masking the offsets (each at most 24) with 31 changes none of them
+	// but lets the compiler drop the loads' bounds checks.
+	d := uvarintWord(le.Uint64(w[0:]), e0+1)
+	pc := uvarintWord(le.Uint64(w[(e0+1)&31:]), e1-e0)
+	addr := uvarintWord(le.Uint64(w[(e1+1)&31:]), e2-e1)
+	chain := uvarintWord(le.Uint64(w[(e2+1)&31:]), e3-e2)
+	if d > ^uint64(0)-id || pc > MaxAddr || addr > MaxAddr || chain > 1<<32-1 {
+		return 0
+	}
+	*a = Access{ID: id + d, PC: pc, Addr: addr, Chain: uint32(chain)}
+	return int(e3 + 1)
+}
+
+// stopBytes returns one bit per byte of the little-endian word x, set for
+// each byte that ends a uvarint (its continuation bit is clear). The
+// multiply gathers the eight isolated bits into the top byte without
+// carries.
+func stopBytes(x uint64) uint64 {
+	return (^x & 0x8080808080808080 >> 7) * 0x0102040810204080 >> 56
+}
+
+// uvarintWord decodes the uvarint held in the low n bytes (1 <= n <= 8) of
+// the little-endian word x: it drops the other bytes and the continuation
+// bits, then packs the 7-bit groups pairwise into 14-, 28- and 56-bit runs.
+func uvarintWord(x uint64, n uint) uint64 {
+	x &= ^uint64(0) >> ((64 - 8*n) & 63) & 0x7f7f7f7f7f7f7f7f
+	x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+	x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+	return x&0x000000000fffffff | x&0x0fffffff00000000>>4
 }
 
 // Writer is the streaming binary trace encoder. It emits the unbounded
@@ -273,32 +362,18 @@ func (r *Reader) Next(a *Access) error {
 // positioned errors as the slice encoder; a validation or I/O error is
 // sticky and nothing further is written.
 type Writer struct {
-	bw      *bufio.Writer
-	buf     [binary.MaxVarintLen64]byte
-	i       uint64 // records written (error positions)
-	prevID  uint64
-	started bool // magic written
-	err     error
+	bw  *bufio.Writer
+	enc recordEncoder
+	err error
 }
 
 // NewWriter returns a streaming encoder writing the PFT3 container to w.
-// The magic is emitted with the first record (or Flush), so constructing a
+// The magic waits in the buffer until the first flush, so constructing a
 // Writer performs no I/O.
-func NewWriter(w io.Writer) *Writer { return &Writer{bw: bufio.NewWriter(w)} }
-
-func (w *Writer) start() error {
-	if w.started {
-		return nil
-	}
-	w.started = true
-	_, err := w.bw.Write(magic3[:])
-	return err
-}
-
-func (w *Writer) put(v uint64) error {
-	n := binary.PutUvarint(w.buf[:], v)
-	_, err := w.bw.Write(w.buf[:n])
-	return err
+func NewWriter(w io.Writer) *Writer {
+	bw := bufio.NewWriter(w)
+	bw.Write(magic3[:]) // an empty buffer takes 4 bytes without I/O or error
+	return &Writer{bw: bw}
 }
 
 // Write validates and encodes one record. Validation mirrors the slice
@@ -307,55 +382,57 @@ func (w *Writer) Write(a Access) error {
 	if w.err != nil {
 		return w.err
 	}
-	fail := func(err error) error {
+	if err := w.enc.write(w.bw, a); err != nil {
 		w.err = err
 		return err
 	}
-	if a.ID < w.prevID {
-		return fail(fmt.Errorf("trace: access %d has ID %d < previous ID %d", w.i, a.ID, w.prevID))
-	}
-	if a.PC > MaxAddr {
-		return fail(fmt.Errorf("trace: access %d has pc %#x beyond the canonical address space", w.i, a.PC))
-	}
-	if a.Addr > MaxAddr {
-		return fail(fmt.Errorf("trace: access %d has addr %#x beyond the canonical address space", w.i, a.Addr))
-	}
-	if err := w.start(); err != nil {
-		return fail(err)
-	}
-	if err := w.put(a.ID - w.prevID); err != nil {
-		return fail(err)
-	}
-	w.prevID = a.ID
-	if err := w.put(a.PC); err != nil {
-		return fail(err)
-	}
-	if err := w.put(a.Addr); err != nil {
-		return fail(err)
-	}
-	if err := w.put(uint64(a.Chain)); err != nil {
-		return fail(err)
-	}
-	w.i++
 	return nil
 }
 
-// Flush completes the stream: it emits the magic if no record was written
-// (an empty but valid PFT3 trace) and drains the buffer to the underlying
-// writer. Call it once after the last record.
+// Flush completes the stream: it drains the buffer, the magic included,
+// to the underlying writer, so a Writer with no records still emits an
+// empty but valid PFT3 trace. Call it once after the last record.
 func (w *Writer) Flush() error {
 	if w.err != nil {
 		return w.err
-	}
-	if err := w.start(); err != nil {
-		w.err = err
-		return err
 	}
 	if err := w.bw.Flush(); err != nil {
 		w.err = err
 		return err
 	}
 	return nil
+}
+
+// recordEncoder validates records in order and writes each one as a
+// single buffered write of its four uvarints. Write (PFT2) and Writer
+// (PFT3) both encode through it, so their record bytes and their
+// positioned errors are the same.
+type recordEncoder struct {
+	buf    [maxRecordLen]byte
+	i      uint64 // records written (error positions)
+	prevID uint64
+}
+
+// write validates a (non-decreasing IDs, canonical-address-space PC and
+// Addr) and writes its encoding to bw.
+func (e *recordEncoder) write(bw *bufio.Writer, a Access) error {
+	if a.ID < e.prevID {
+		return fmt.Errorf("trace: access %d has ID %d < previous ID %d", e.i, a.ID, e.prevID)
+	}
+	if a.PC > MaxAddr {
+		return fmt.Errorf("trace: access %d has pc %#x beyond the canonical address space", e.i, a.PC)
+	}
+	if a.Addr > MaxAddr {
+		return fmt.Errorf("trace: access %d has addr %#x beyond the canonical address space", e.i, a.Addr)
+	}
+	b := binary.AppendUvarint(e.buf[:0], a.ID-e.prevID)
+	b = binary.AppendUvarint(b, a.PC)
+	b = binary.AppendUvarint(b, a.Addr)
+	b = binary.AppendUvarint(b, uint64(a.Chain))
+	e.prevID = a.ID
+	e.i++
+	_, err := bw.Write(b)
+	return err
 }
 
 // Encode drains src through a streaming Writer into w — the constant-memory

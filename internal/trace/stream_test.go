@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -70,6 +71,26 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStreamWriterMatchesWrite pins that both containers carry the same
+// record bytes: Write's after its magic and count equal Encode's after its
+// magic, down to the widest fields either encoder accepts.
+func TestStreamWriterMatchesWrite(t *testing.T) {
+	accs := genAccesses(1000, 14)
+	last := accs[len(accs)-1].ID
+	accs = append(accs, Access{ID: last + 1<<60, PC: MaxAddr, Addr: MaxAddr, Chain: 1<<32 - 1})
+	var counted, stream bytes.Buffer
+	if err := Write(&counted, accs); err != nil {
+		t.Fatal(err)
+	}
+	if err := Encode(&stream, NewSliceSource(accs)); err != nil {
+		t.Fatal(err)
+	}
+	header := len(magic) + len(binary.AppendUvarint(nil, uint64(len(accs))))
+	if !bytes.Equal(counted.Bytes()[header:], stream.Bytes()[len(magic3):]) {
+		t.Fatal("Write and Encode encode the same records differently")
+	}
+}
+
 func TestStreamWriterEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -126,12 +147,11 @@ func TestStreamWriterFailurePaths(t *testing.T) {
 	}
 }
 
-// TestStreamSliceDecodeParity is the differential decode test of the
-// issue: over valid, corrupt, and truncated containers, the streaming
-// Reader and the slice Read must yield identical accesses or identical
-// positioned errors. Since Read delegates to Reader this holds by
-// construction, but the test pins it against regressions that split the
-// paths again.
+// TestStreamSliceDecodeParity is the differential decode test: over
+// valid, corrupt, and truncated containers, the streaming Reader must
+// yield the reference decoder's accesses or positioned error, and the
+// slice Read the Reader's. Read delegates to Reader, so the second half
+// holds by construction; it pins the paths against splitting again.
 func TestStreamSliceDecodeParity(t *testing.T) {
 	var valid bytes.Buffer
 	if err := Write(&valid, genAccesses(200, 3)); err != nil {
@@ -157,45 +177,17 @@ func TestStreamSliceDecodeParity(t *testing.T) {
 		"implausible count":         corruptTrace(sanityMaxRecords + 1),
 	}
 	for name, data := range cases {
+		want, wantErr := refDecode(data, io.EOF)
+		_, streamAccs, streamErr := decodeAll(bytes.NewReader(data))
+		if d := diffDecode(streamAccs, streamErr, want, wantErr); d != "" {
+			t.Errorf("%s: stream vs reference: %s", name, d)
+		}
+		if streamErr != nil {
+			streamAccs = nil
+		}
 		sliceAccs, sliceErr := Read(bytes.NewReader(data))
-
-		var streamAccs []Access
-		var streamErr error
-		rd, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			streamErr = err
-		} else {
-			for {
-				var a Access
-				if err := rd.Next(&a); err != nil {
-					if err != io.EOF {
-						streamErr = err
-					}
-					break
-				}
-				streamAccs = append(streamAccs, a)
-			}
-		}
-
-		if (sliceErr == nil) != (streamErr == nil) {
-			t.Errorf("%s: slice err %v vs stream err %v", name, sliceErr, streamErr)
-			continue
-		}
-		if sliceErr != nil {
-			if sliceErr.Error() != streamErr.Error() {
-				t.Errorf("%s: positioned errors differ:\n  slice:  %v\n  stream: %v", name, sliceErr, streamErr)
-			}
-			continue
-		}
-		if len(sliceAccs) != len(streamAccs) {
-			t.Errorf("%s: %d slice records vs %d stream records", name, len(sliceAccs), len(streamAccs))
-			continue
-		}
-		for i := range sliceAccs {
-			if sliceAccs[i] != streamAccs[i] {
-				t.Errorf("%s: record %d differs: %+v vs %+v", name, i, sliceAccs[i], streamAccs[i])
-				break
-			}
+		if d := diffDecode(sliceAccs, sliceErr, streamAccs, streamErr); d != "" {
+			t.Errorf("%s: slice vs stream: %s", name, d)
 		}
 	}
 }

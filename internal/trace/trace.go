@@ -107,44 +107,17 @@ var magic = [4]byte{'P', 'F', 'T', '2'}
 
 // Write encodes accesses to w in the binary trace container format.
 // The format is a 4-byte magic, a uvarint count, then per record uvarint
-// deltas of ID and raw uvarints for PC and Addr. Delta-encoding IDs keeps
-// typical traces compact without external compression.
+// deltas of ID and raw uvarints for PC, Addr and Chain. Delta-encoding
+// IDs keeps typical traces compact without external compression.
 func Write(w io.Writer, accs []Access) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
+	var hdr [len(magic) + binary.MaxVarintLen64]byte
+	if _, err := bw.Write(binary.AppendUvarint(append(hdr[:0], magic[:]...), uint64(len(accs)))); err != nil {
 		return err
 	}
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(accs))); err != nil {
-		return err
-	}
-	prevID := uint64(0)
-	for i, a := range accs {
-		if a.ID < prevID {
-			return fmt.Errorf("trace: access %d has ID %d < previous ID %d", i, a.ID, prevID)
-		}
-		if a.PC > MaxAddr {
-			return fmt.Errorf("trace: access %d has pc %#x beyond the canonical address space", i, a.PC)
-		}
-		if a.Addr > MaxAddr {
-			return fmt.Errorf("trace: access %d has addr %#x beyond the canonical address space", i, a.Addr)
-		}
-		if err := put(a.ID - prevID); err != nil {
-			return err
-		}
-		prevID = a.ID
-		if err := put(a.PC); err != nil {
-			return err
-		}
-		if err := put(a.Addr); err != nil {
-			return err
-		}
-		if err := put(uint64(a.Chain)); err != nil {
+	var enc recordEncoder
+	for _, a := range accs {
+		if err := enc.write(bw, a); err != nil {
 			return err
 		}
 	}
