@@ -51,9 +51,11 @@ pfdebug:
 
 # The chaos suite: the evaluation engine under injected panics, transient
 # failures, hangs and trace corruption, plus the fault framework itself,
-# all with the race detector on.
+# all with the race detector on. The overlapped-cell tests (a cell's
+# baseline beside its generation and timed replay) run ten times over.
 chaos:
 	$(GO) test -race -run 'Chaos|Journal|Flight|Progress' ./internal/runner/...
+	$(GO) test -race -count=10 -run 'Overlap' ./internal/runner/...
 	$(GO) test -race ./internal/fault/...
 
 # Give each native fuzz target a short budget, with invariant assertions on.

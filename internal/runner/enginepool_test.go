@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"pathfinder/internal/prefetch"
@@ -71,7 +72,7 @@ func TestEnginePoolReuseAfterPanic(t *testing.T) {
 }
 
 // TestEnginePoolRetriedJobBitIdentical runs the same property through the
-// runner: a job whose timed replay panics on the first attempt (via a
+// runner: a job whose simulation panics on the first attempt (via a
 // panicking Source) both attempts on one worker, so the retry replays on
 // the engine the panicked attempt abandoned. Panics are deterministic and
 // not retried by policy, so the "retry" here is a second Eval of an
@@ -94,15 +95,16 @@ func TestEnginePoolRetriedJobBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A job whose third Source resolution (the timed replay, after the
-	// baseline and the prefetch generation) panics mid-stream.
+	// A job whose third Source call panics mid-stream: the timed replay or
+	// the baseline, whichever of the two simulations opens its stream
+	// later (the first call resolves the input). The factory is called
+	// from both of the cell's goroutines, so it counts atomically.
 	r := New(Config{Parallelism: 1})
-	calls := 0
+	var calls atomic.Int32
 	faulty := healthy
 	faulty.Source = func(context.Context) (trace.Source, error) {
-		calls++
 		src := trace.Source(trace.NewSliceSource(accs))
-		if calls == 3 {
+		if calls.Add(1) == 3 {
 			src = &panicSource{inner: src, left: 1500}
 		}
 		return src, nil

@@ -11,8 +11,10 @@
 // Determinism contract: every job is evaluated in isolation — its trace is
 // generated (or taken) read-only, its prefetcher is constructed fresh from
 // the job's deterministic seed, and the simulator shares no mutable state
-// between jobs — so Run returns bit-identical Metrics for any Parallelism,
-// in the submitted job order. A replayed member is no exception: its
+// between jobs or between a job's two goroutines (its baseline runs beside
+// its prefetch generation and timed replay, neither of which reads it) —
+// so Run returns bit-identical Metrics for any Parallelism, in the
+// submitted job order. A replayed member is no exception: its
 // advice depends only on its configuration, the accesses it observes and
 // the budget, and the composites pass it every access unchanged, so the
 // recording holds exactly what a fresh copy would advise.
@@ -69,7 +71,9 @@ type Result struct {
 	// Cycles is the simulated cycle count of the prefetch run.
 	Cycles uint64
 	// Wall is the host wall-clock time the job took, including its share
-	// of cached trace/baseline builds.
+	// of cached trace/baseline builds. The baseline overlaps prefetch
+	// generation and the timed replay, so Wall is not the sum of the
+	// stages.
 	Wall time.Duration
 }
 
@@ -109,7 +113,10 @@ type Config struct {
 	Seed int64
 	// Sim is the default machine configuration.
 	Sim sim.Config
-	// Parallelism is the worker count (default GOMAXPROCS).
+	// Parallelism is the worker count, the number of cells in flight at
+	// once (default GOMAXPROCS). A cell that runs its own baseline runs it
+	// on a second goroutine beside its prefetch generation and timed
+	// replay, so up to two simulations per cell may be running.
 	Parallelism int
 	// Progress, if set, receives one event per completed job.
 	Progress ProgressFunc
@@ -150,9 +157,11 @@ type Job struct {
 	// the trace up to three times (baseline, generation, timed run), and
 	// once more to record a shareable member's advice, so every call must
 	// return a fresh Source positioned at the first record with identical
-	// records. Source supersedes Accs and Trace-generation; Trace remains
-	// the result label. When the stream's length is unknown (no
-	// Remaining), the default 10%-of-trace warmup is resolved from a
+	// records. The baseline runs on its own goroutine beside the other
+	// passes, so the factory may be called from two goroutines at once and
+	// must be safe for that. Source supersedes Accs and Trace-generation;
+	// Trace remains the result label. When the stream's length is unknown
+	// (no Remaining), the default 10%-of-trace warmup is resolved from a
 	// length the runner memoized for this SourceKey during an earlier full
 	// replay; with no memo either, the job fails loudly unless Job.Warmup
 	// or Sim.Warmup pins warmup explicitly (negative Job.Warmup disables
@@ -580,7 +589,10 @@ type input struct {
 	key    string // baseline-cache identity; "" leaves the baseline uncached
 }
 
-// open returns a fresh stream positioned at the first record.
+// open returns a fresh stream positioned at the first record. Only the
+// goroutine that owns the input calls it, so the resolved stream goes to
+// exactly one stage; the baseline's goroutine opens streams from a copy
+// that does not hold it.
 func (in *input) open(ctx context.Context) (trace.Source, error) {
 	if src := in.first; src != nil {
 		in.first = nil
@@ -597,7 +609,7 @@ func (in *input) open(ctx context.Context) (trace.Source, error) {
 // keyed by that triple. Source and Accs jobs are keyed only by their
 // SourceKey: a Trace label does not identify records. A Source is opened
 // once here to learn its length (or recall one memoized under its key),
-// and that unread stream feeds the first stage.
+// and that unread stream feeds the cell's first stream-reading stage.
 func (r *Runner) resolve(ctx context.Context, job Job, c cell) (input, error) {
 	var in input
 	if job.SourceKey != "" {
@@ -650,8 +662,12 @@ func (r *Runner) resolve(ctx context.Context, job Job, c cell) (input, error) {
 }
 
 // eval runs one job end to end: trace, baseline, prefetch file, timed
-// replay.
-func (r *Runner) eval(ctx context.Context, job Job, c cell) (Result, error) {
+// replay. Once the input is resolved, the baseline runs on its own
+// goroutine beside prefetch generation and the timed replay, which run on
+// the caller's: neither reads the baseline, so a cell takes about the
+// longer of the two paths rather than their sum. The paths join before
+// the Result is built.
+func (r *Runner) eval(ctx context.Context, job Job, c cell) (res Result, err error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -674,14 +690,10 @@ func (r *Runner) eval(ctx context.Context, job Job, c cell) (Result, error) {
 	}
 	cfg.Warmup = resolveWarmup(job.Warmup, cfg.Warmup, in.n)
 
-	var base baselineInfo
-	if job.Baseline != nil {
-		base.misses = *job.Baseline
-	} else {
-		base, err = r.baseline(ctx, job, cfg, &in, c)
-		if err != nil {
-			return Result{}, err
-		}
+	var base *pendingBaseline
+	if job.Baseline == nil {
+		base = r.startBaseline(ctx, job, cfg, &in, c)
+		defer base.join(&res, &err)
 	}
 
 	pfs, label, err := r.prefetchFile(ctx, job, &in, c)
@@ -706,35 +718,88 @@ func (r *Runner) eval(ctx context.Context, job Job, c cell) (Result, error) {
 	}
 	eng, release := sim.AcquireEngine(cfg)
 	defer release()
-	res, err := eng.RunStreamCtx(ctx, timed, pfs)
+	sr, err := eng.RunStreamCtx(ctx, timed, pfs)
 	if err != nil {
 		return Result{}, err
 	}
 	if counter != nil {
 		r.srcLens.Store(in.key, counter.n)
 	}
+	var b baselineInfo
+	if base != nil {
+		base.done.Wait()
+		if base.err != nil {
+			return Result{}, base.err
+		}
+		b = base.info
+	} else {
+		b.misses = *job.Baseline
+	}
 	return Result{
 		Metrics: Metrics{
 			Prefetcher:     label,
 			Trace:          job.Trace,
-			IPC:            res.IPC,
-			Accuracy:       res.Accuracy(),
-			Coverage:       res.Coverage(base.misses),
-			Issued:         res.PrefIssued,
-			Useful:         res.PrefUseful,
-			BaselineMisses: base.misses,
+			IPC:            sr.IPC,
+			Accuracy:       sr.Accuracy(),
+			Coverage:       sr.Coverage(b.misses),
+			Issued:         sr.PrefIssued,
+			Useful:         sr.PrefUseful,
+			BaselineMisses: b.misses,
 		},
-		BaselineIPC: base.ipc,
-		Cycles:      res.Cycles,
+		BaselineIPC: b.ipc,
+		Cycles:      sr.Cycles,
 		Wall:        time.Since(start),
 	}, nil
+}
+
+// pendingBaseline is a cell's baseline running on its own goroutine: the
+// goroutine's own copies of the stage's arguments, and its outcome.
+type pendingBaseline struct {
+	job  Job
+	cfg  sim.Config
+	in   input
+	c    cell
+	done sync.WaitGroup
+	info baselineInfo
+	err  error
+}
+
+// startBaseline starts the cell's baseline on a new goroutine. Its copy of
+// the input leaves the resolved stream to the cell's goroutine, so the two
+// share no mutable state. A panic there becomes the baseline's
+// *PanicError, as safeEval does for the cell.
+func (r *Runner) startBaseline(ctx context.Context, job Job, cfg sim.Config, in *input, c cell) *pendingBaseline {
+	b := &pendingBaseline{job: job, cfg: cfg, in: *in, c: c}
+	b.in.first = nil
+	b.done.Add(1)
+	go func() {
+		defer b.done.Done()
+		defer func() {
+			if p := recover(); p != nil {
+				b.err = &PanicError{Value: p, Stack: debug.Stack()}
+			}
+		}()
+		b.info, b.err = r.baseline(ctx, b.job, b.cfg, &b.in, b.c)
+	}()
+	return b
+}
+
+// join is deferred by eval, so the cell returns on no path — success,
+// error or a prefetch-path panic — before its baseline goroutine has
+// exited. It keeps the serial precedence: a baseline failure is the
+// cell's failure even when the prefetch path failed or panicked too.
+func (b *pendingBaseline) join(res *Result, err *error) {
+	b.done.Wait()
+	if b.err != nil {
+		recover() // a prefetch-path panic, if any, is outranked
+		*res, *err = Result{}, b.err
+	}
 }
 
 // baseline returns the input's no-prefetch simulation, through the
 // single-flight cache when the input has a cache identity and the job runs
 // on the shared machine configuration. When another cell already holds or
-// is building the entry, the input's unread first stream is left for the
-// next stage.
+// is building the entry, no stream is opened.
 func (r *Runner) baseline(ctx context.Context, job Job, cfg sim.Config, in *input, c cell) (baselineInfo, error) {
 	run := func() (baselineInfo, error) {
 		if err := r.inject(ctx, fault.SiteBaseline, c.key, c.attempt); err != nil {

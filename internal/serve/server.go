@@ -29,7 +29,9 @@ type Config struct {
 	// default builds a DefaultConfig PATHFINDER seeded from the session id
 	// (deterministic per id, independent across ids).
 	NewPrefetcher func(session uint64) (prefetch.Prefetcher, error)
-	// Budget caps predictions per event (default prefetch.Budget).
+	// Budget caps predictions per event (default prefetch.Budget). New
+	// refuses a budget above 256, the most addresses a predict frame
+	// carries.
 	Budget int
 	// Shards is the session-table shard count, rounded up to a power of
 	// two (default 8).
@@ -176,6 +178,11 @@ type Server struct {
 // New binds cfg.Addr and starts serving. The returned server is live:
 // connect to Addr(), or call Shutdown/Close to stop it.
 func New(cfg Config) (*Server, error) {
+	if cfg.Budget > maxPredictAddrs {
+		// A larger budget would answer events with predict frames the
+		// protocol's own FrameReader refuses.
+		return nil, fmt.Errorf("serve: Config.Budget %d exceeds the %d addresses a predict frame carries", cfg.Budget, maxPredictAddrs)
+	}
 	cfg = cfg.withDefaults()
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"pathfinder/internal/fault"
+	"pathfinder/internal/prefetch"
 	"pathfinder/internal/telemetry"
 	"pathfinder/internal/trace"
 	"pathfinder/internal/workload"
@@ -523,6 +524,29 @@ func TestEvalBudgetCap(t *testing.T) {
 		if refuse := budget > maxPredictAddrs; refuse != (resp.Error != "") || refuse && !strings.Contains(resp.Error, "budget") {
 			t.Errorf("eval frame with budget %d: error %q; want refused %v, naming the budget", budget, resp.Error, refuse)
 		}
+	}
+}
+
+// TestSessionBudgetCap pins the session budget at the predict frame's
+// address cap: a daemon at budget 256 starts and answers an event with
+// 256 addresses its client reads, and budget 257 is refused before the
+// daemon listens, naming the field.
+func TestSessionBudgetCap(t *testing.T) {
+	if _, err := New(Config{Budget: maxPredictAddrs + 1}); err == nil || !strings.Contains(err.Error(), "Budget") {
+		t.Fatalf("New(Budget %d) = %v; want refused, naming the Budget", maxPredictAddrs+1, err)
+	}
+	srv := newTestServer(t, Config{
+		NewPrefetcher: func(uint64) (prefetch.Prefetcher, error) { return &prefetch.NextLine{Degree: 2 * maxPredictAddrs}, nil },
+		Budget:        maxPredictAddrs,
+	})
+	c := dialBinary(t, srv.Addr())
+	defer c.close()
+	if err := c.writeEvent(1, acc(1)); err != nil {
+		t.Fatal(err)
+	}
+	c.nc.SetReadDeadline(time.Now().Add(time.Minute))
+	if f := c.mustRead(); f.Kind != FramePredict || len(f.Addrs) != maxPredictAddrs {
+		t.Fatalf("want a predict of %d addresses, got kind %#x with %d", maxPredictAddrs, f.Kind, len(f.Addrs))
 	}
 }
 
