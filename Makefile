@@ -51,11 +51,12 @@ pfdebug:
 
 # The chaos suite: the evaluation engine under injected panics, transient
 # failures, hangs and trace corruption, plus the fault framework itself,
-# all with the race detector on. The overlapped-cell tests (a cell's
-# baseline beside its generation and timed replay) run ten times over.
+# all with the race detector on. The overlapped and pipelined cell tests (a
+# cell's baseline, generation and timed replay side by side, the replay
+# reading the file chunk by chunk) run ten times over.
 chaos:
 	$(GO) test -race -run 'Chaos|Journal|Flight|Progress' ./internal/runner/...
-	$(GO) test -race -count=10 -run 'Overlap' ./internal/runner/...
+	$(GO) test -race -count=10 -run 'Overlap|Pipeline' ./internal/runner/...
 	$(GO) test -race ./internal/fault/...
 
 # Give each native fuzz target a short budget, with invariant assertions on.
@@ -63,6 +64,7 @@ chaos:
 fuzz-short:
 	$(GO) test -tags pfdebug ./internal/refmodel/ -run '^$$' -fuzz FuzzPresent -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/refmodel/ -run '^$$' -fuzz FuzzCacheAccess -fuzztime $(FUZZTIME)
+	$(GO) test -tags pfdebug ./internal/sim/ -run '^$$' -fuzz FuzzPrefetchFeed -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/trace/ -run '^$$' -fuzz FuzzStreamRead -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/trace/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME)
 	$(GO) test -tags pfdebug ./internal/trace/ -run '^$$' -fuzz FuzzReadText -fuzztime $(FUZZTIME)

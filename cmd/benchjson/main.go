@@ -5,8 +5,9 @@
 //
 // Repeated runs of the same benchmark (-count=N) are aggregated: ns/op is
 // reported as both the minimum (the least-noise estimate conventionally
-// quoted for comparisons) and the mean; allocs/op and B/op must be stable
-// across runs and are carried through as-is.
+// quoted for comparisons) and the mean; allocs/op and B/op are the maximum
+// over the runs, since a garbage collection cycle inside one run's loop
+// can add to its counts.
 //
 // With -by-pkg <dir>, a multi-package `go test` run is split on its `pkg:`
 // headers and each package's benchmarks land in <dir>/BENCH_<name>.json

@@ -89,6 +89,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	trName := traceLabel(flag.CommandLine, *traceName, *traceFile)
 	ti, err := resolveTrace(*traceFile, *traceName, *loads, *seed)
 	if err != nil {
 		fatal(err)
@@ -170,7 +171,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("trace            %s (%d loads), co-runner %s\n", *traceName, len(accs), *coRunner)
+		fmt.Printf("trace            %s (%d loads), co-runner %s\n", trName, len(accs), *coRunner)
 		fmt.Printf("prefetcher       %s\n", label)
 		fmt.Printf("solo   baseline  IPC %.3f\n", base.IPC)
 		fmt.Printf("shared IPC       %.3f (accuracy %.3f, coverage vs solo misses %.3f)\n",
@@ -214,19 +215,32 @@ func main() {
 		pfs = []pathfinder.PrefetchEntry{} // an explicitly empty prefetch file
 	}
 	res, err := r.Eval(ctx, pathfinder.EvalJob{
-		Trace: *traceName, Source: ti.open, SourceKey: ti.key, Label: label, File: pfs,
+		Trace: trName, Source: ti.open, SourceKey: ti.key, Label: label, File: pfs,
 	})
 	if err != nil {
 		fatal(err)
 	}
 
-	fmt.Printf("trace            %s (%d loads)\n", *traceName, ti.loads)
+	fmt.Printf("trace            %s (%d loads)\n", trName, ti.loads)
 	fmt.Printf("prefetcher       %s\n", label)
 	fmt.Printf("baseline IPC     %.3f (LLC misses %d)\n", res.BaselineIPC, res.BaselineMisses)
 	fmt.Printf("IPC              %.3f (%+.1f%%)\n", res.IPC, 100*(res.IPC/res.BaselineIPC-1))
 	fmt.Printf("accuracy         %.3f\n", res.Accuracy)
 	fmt.Printf("coverage         %.3f\n", res.Coverage)
 	fmt.Printf("issued / useful  %d / %d\n", res.Issued, res.Useful)
+}
+
+// traceLabel names the run's trace in its output and its journal cell key:
+// the -trace benchmark, or for a -trace-file run the file's path unless
+// -trace was set explicitly, so a file's results never appear under the
+// flag's default benchmark.
+func traceLabel(fs *flag.FlagSet, name, file string) string {
+	explicit := false
+	fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "trace" })
+	if file == "" || explicit {
+		return name
+	}
+	return file
 }
 
 // traceInput is the evaluation's view of the trace: a known length, a

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -147,5 +148,32 @@ func TestGenerateRegistryName(t *testing.T) {
 	}
 	if len(pfs) == 0 {
 		t.Fatal("pf+nl generated no prefetches")
+	}
+}
+
+// TestTraceLabel pins the run's trace label: the -trace benchmark, its
+// default when nothing is given, and a -trace-file run's path unless
+// -trace names the trace explicitly.
+func TestTraceLabel(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "cc-5"},
+		{[]string{"-trace", "bfs-10"}, "bfs-10"},
+		{[]string{"-trace-file", "runs/mcf.pft"}, "runs/mcf.pft"},
+		{[]string{"-trace-file", "-"}, "-"},
+		{[]string{"-trace-file", "runs/mcf.pft", "-trace", "605-mcf-s1"}, "605-mcf-s1"},
+		{[]string{"-trace", "cc-5", "-trace-file", "runs/mcf.pft"}, "cc-5"},
+	} {
+		fs := flag.NewFlagSet("pfsim", flag.ContinueOnError)
+		name := fs.String("trace", "cc-5", "")
+		file := fs.String("trace-file", "", "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if got := traceLabel(fs, *name, *file); got != tc.want {
+			t.Errorf("%v: label %q, want %q", tc.args, got, tc.want)
+		}
 	}
 }

@@ -20,8 +20,10 @@ import (
 //
 // Repeated runs of the same benchmark (-count=N) are aggregated: ns/op is
 // reported as both the minimum (the least-noise estimate conventionally
-// quoted for comparisons) and the mean; allocs/op and B/op must be stable
-// across runs and are carried through as-is.
+// quoted for comparisons) and the mean; allocs/op and B/op are the maximum
+// over the runs, because a run that happens to fit a garbage collection
+// cycle into its loop counts the allocations it causes, and another run
+// may not.
 type Entry struct {
 	Name        string  `json:"name"`
 	Runs        int     `json:"runs"`
@@ -141,8 +143,8 @@ func Parse(r io.Reader, echo io.Writer) (*Set, error) {
 				e.NsPerOpMin = r.NsPerOp
 			}
 			if r.HasAllocs {
-				e.AllocsPerOp = r.Allocs
-				e.BytesPerOp = r.Bytes
+				e.AllocsPerOp = max(e.AllocsPerOp, r.Allocs)
+				e.BytesPerOp = max(e.BytesPerOp, r.Bytes)
 			}
 		}
 		e.NsPerOpMean = sum / float64(len(runs))

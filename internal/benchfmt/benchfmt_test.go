@@ -82,6 +82,25 @@ func TestParseAggregatesByPackage(t *testing.T) {
 	}
 }
 
+// TestParseKeepsMostAllocs pins the alloc aggregation: a count that moves
+// with garbage collection cycles is recorded at its highest, so a record
+// taken on a quiet run cannot fail every later run.
+func TestParseKeepsMostAllocs(t *testing.T) {
+	const run = `pkg: pathfinder/internal/trace
+BenchmarkRead-2   100   2000 ns/op   4096 B/op   7 allocs/op
+BenchmarkRead-2   100   2100 ns/op   4160 B/op   8 allocs/op
+BenchmarkRead-2   100   1900 ns/op   4096 B/op   7 allocs/op
+`
+	set, err := Parse(strings.NewReader(run), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := set.Entries("pathfinder/internal/trace")
+	if len(es) != 1 || es[0].AllocsPerOp != 8 || es[0].BytesPerOp != 4160 {
+		t.Fatalf("entries = %+v, want allocs/op 8 and B/op 4160 (the most over the runs)", es)
+	}
+}
+
 func TestMarshalReadFileRoundTrip(t *testing.T) {
 	entries := []Entry{
 		{Name: "BenchmarkB", Runs: 1, NsPerOpMin: 2, NsPerOpMean: 2},

@@ -8,6 +8,7 @@ package prefetch
 import (
 	"context"
 	"io"
+	"math"
 
 	"pathfinder/internal/trace"
 )
@@ -42,13 +43,12 @@ func GenerateFileCtx(ctx context.Context, p Prefetcher, accs []trace.Access, bud
 }
 
 // GenerateFileStreamCtx drives a Prefetcher over a trace.Source, one
-// access at a time, collecting its suggestions into a prefetch file. Only
-// the prefetch file is materialized — it is what the simulator replays —
-// so generation over an arbitrarily long trace holds one Access at a time
-// plus the file itself. Sources exposing Remaining() (uint64, bool) get
-// an output pre-sized for their declared count, capped by trace.Presize
-// so a lying count cannot force a huge allocation; the per-access advice
-// slice is truncated in place rather than copied.
+// access at a time, collecting its suggestions into a prefetch file: it
+// gathers GenerateChunksCtx's chunks in one slice. Only the prefetch file
+// is materialized, so generation over an arbitrarily long trace holds one
+// Access at a time plus the file itself. Sources exposing Remaining()
+// (uint64, bool) get an output pre-sized for their declared count, capped
+// by trace.Presize so a lying count cannot force a huge allocation.
 func GenerateFileStreamCtx(ctx context.Context, p Prefetcher, src trace.Source, budget int) ([]trace.Prefetch, error) {
 	if budget <= 0 {
 		budget = Budget
@@ -57,23 +57,56 @@ func GenerateFileStreamCtx(ctx context.Context, p Prefetcher, src trace.Source, 
 	if n, ok := trace.Presize(src); ok {
 		out = make([]trace.Prefetch, 0, n*uint64(budget))
 	}
+	// Each chunk is the file so far: appending goes on after it.
+	err := GenerateChunksCtx(ctx, p, src, budget, out, func(file []trace.Prefetch, _ uint64) ([]trace.Prefetch, error) {
+		out = file
+		return file, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ChunkAccesses is how many accesses' entries GenerateChunksCtx hands over
+// at a time.
+const ChunkAccesses = 4096
+
+// GenerateChunksCtx is the generation loop, the first phase of the
+// two-phase flow of §4.1: it advises p on each access of src in turn and
+// appends the access's suggestions to buf as prefetch entries keyed by its
+// instruction id, block-aligned and cut to the per-access budget in place
+// rather than copied. After every ChunkAccesses accesses, and once at the
+// end of the stream, it hands the entries appended so far to emit with
+// the instruction id through which the file is then complete (the last
+// advised access's, math.MaxUint64 at the end) and appends on to the
+// buffer emit returns. An online prefetcher's entries depend only on the
+// accesses up to their own, so a consumer may replay each chunk as soon as
+// it is emitted. It polls ctx every few thousand accesses and returns
+// ctx.Err() when cancelled; an error from src or emit ends it too.
+// Telemetry is recorded once, when the stream ends cleanly.
+func GenerateChunksCtx(ctx context.Context, p Prefetcher, src trace.Source, budget int, buf []trace.Prefetch,
+	emit func(chunk []trace.Prefetch, through uint64) ([]trace.Prefetch, error)) error {
+	if budget <= 0 {
+		budget = Budget
+	}
 	// Telemetry accumulators: per-access degrees land in a small local
 	// bucket array (degree is budget-bounded) flushed once at the end.
-	var truncations uint64
+	var truncations, issued uint64
 	var degCounts [16]uint64
 	var consumed uint64
 	var a trace.Access
 	for i := 0; ; i++ {
 		if i&2047 == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if err := src.Next(&a); err != nil {
 			if err == io.EOF {
 				break
 			}
-			return nil, err
+			return err
 		}
 		consumed++
 		addrs := p.Advise(a, budget)
@@ -82,24 +115,32 @@ func GenerateFileStreamCtx(ctx context.Context, p Prefetcher, src trace.Source, 
 			truncations++
 		}
 		d := len(addrs)
+		issued += uint64(d)
 		if d >= len(degCounts) {
 			d = len(degCounts) - 1
 		}
 		degCounts[d]++
 		for _, addr := range addrs {
-			out = append(out, trace.Prefetch{ID: a.ID, Addr: addr &^ (trace.BlockBytes - 1)})
+			buf = append(buf, trace.Prefetch{ID: a.ID, Addr: addr &^ (trace.BlockBytes - 1)})
+		}
+		if consumed%ChunkAccesses == 0 {
+			var err error
+			if buf, err = emit(buf, a.ID); err != nil {
+				return err
+			}
 		}
 	}
 	if m := prefetchTele.Load(); m != nil {
 		m.generations.Inc()
 		m.advises.Add(consumed)
-		m.issued.Add(uint64(len(out)))
+		m.issued.Add(issued)
 		m.truncated.Add(truncations)
 		for d, n := range degCounts {
 			m.degree.ObserveN(uint64(d), n)
 		}
 	}
-	return out, nil
+	_, err := emit(buf, math.MaxUint64)
+	return err
 }
 
 // NoPrefetch is the no-prefetching baseline.

@@ -6,11 +6,11 @@ import (
 	"pathfinder/internal/telemetry"
 )
 
-// prefetchMetrics is the package's bound telemetry handles. GenerateFileCtx
+// prefetchMetrics is the package's bound telemetry handles. GenerateChunksCtx
 // accumulates plain locals over the whole trace and flushes once, so the
 // per-access cost is an integer add with telemetry on or off.
 type prefetchMetrics struct {
-	generations *telemetry.Counter   // GenerateFileCtx calls completed
+	generations *telemetry.Counter   // GenerateChunksCtx calls completed
 	advises     *telemetry.Counter   // Advise calls made
 	issued      *telemetry.Counter   // prefetch entries emitted (post-budget)
 	truncated   *telemetry.Counter   // advice slices cut down to the budget

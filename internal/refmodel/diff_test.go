@@ -3,7 +3,9 @@ package refmodel
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"pathfinder/internal/prefetch"
@@ -288,8 +290,57 @@ func TestDiffRun(t *testing.T) {
 			if err := DiffRun(cfg, cores, pfs); err != nil {
 				t.Fatalf("cfg %+v cores=%d: %v", cfg, nCores, err)
 			}
+			if nCores == 1 {
+				cuts := make([]int, r.Intn(20))
+				for k := range cuts {
+					cuts[k] = r.Intn(len(pfs[0]) + 1)
+				}
+				sort.Ints(cuts)
+				if err := diffRunChunked(cfg, cores[0], pfs[0], cuts); err != nil {
+					t.Fatalf("cfg %+v, file cut at %v: %v", cfg, cuts, err)
+				}
+			}
 		})
 	}
+}
+
+// chunkedFile delivers a prefetch file in the chunks that end at cuts,
+// ascending indices into file, each complete through the id just below
+// the next undelivered entry's, the last through math.MaxUint64.
+type chunkedFile struct {
+	file []trace.Prefetch
+	cuts []int
+	pos  int
+}
+
+func (f *chunkedFile) Next() ([]trace.Prefetch, uint64, error) {
+	end := len(f.file)
+	if len(f.cuts) > 0 {
+		end, f.cuts = f.cuts[0], f.cuts[1:]
+	}
+	chunk := f.file[f.pos:end]
+	f.pos = end
+	if end == len(f.file) {
+		return chunk, math.MaxUint64, nil
+	}
+	return chunk, max(f.file[end].ID, 1) - 1, nil
+}
+
+// diffRunChunked is single-core DiffRun with the simulator reading the
+// file in the chunks cuts makes, the way a cell's timed replay reads the
+// file its generation writes.
+func diffRunChunked(cfg sim.Config, accs []trace.Access, pfs []trace.Prefetch, cuts []int) error {
+	eng, release := sim.AcquireEngine(cfg)
+	defer release()
+	r1, e1 := eng.RunFeedCtx(context.Background(), trace.NewSliceSource(accs), &chunkedFile{file: pfs, cuts: cuts})
+	r2, e2 := RunMulti(cfg, [][]trace.Access{accs}, [][]trace.Prefetch{pfs})
+	if (e1 == nil) != (e2 == nil) {
+		return fmt.Errorf("error divergence: sim %v, refmodel %v", e1, e2)
+	}
+	if e1 == nil && r1 != r2[0] {
+		return fmt.Errorf("result %+v, reference %+v", r1, r2[0])
+	}
+	return nil
 }
 
 // TestDiffRunStream drives the streaming replay pipeline (encode →

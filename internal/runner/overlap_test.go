@@ -44,6 +44,16 @@ func pft3Factory(t testing.TB, accs []trace.Access) func(context.Context) (trace
 // timed RunStreamCtx, each over a fresh stream from open.
 func stageByStage(t *testing.T, name string, open func(context.Context) (trace.Source, error), cfg sim.Config, p prefetch.Prefetcher) Result {
 	t.Helper()
+	return composed(t, name, p.Name(), open, cfg, func(ctx context.Context, src trace.Source) ([]trace.Prefetch, error) {
+		return prefetch.GenerateFileStreamCtx(ctx, p, src, prefetch.Budget)
+	})
+}
+
+// composed is stageByStage with the prefetch file written by file from a
+// stream of its own, and the result labelled label.
+func composed(t *testing.T, name, label string, open func(context.Context) (trace.Source, error), cfg sim.Config,
+	file func(context.Context, trace.Source) ([]trace.Prefetch, error)) Result {
+	t.Helper()
 	ctx := context.Background()
 	stream := func() trace.Source {
 		src, err := open(ctx)
@@ -62,14 +72,14 @@ func stageByStage(t *testing.T, name string, open func(context.Context) (trace.S
 		return res
 	}
 	base := simulate(nil)
-	pfs, err := prefetch.GenerateFileStreamCtx(ctx, p, stream(), prefetch.Budget)
+	pfs, err := file(ctx, stream())
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := simulate(pfs)
 	return Result{
 		Metrics: Metrics{
-			Prefetcher:     p.Name(),
+			Prefetcher:     label,
 			Trace:          name,
 			IPC:            res.IPC,
 			Accuracy:       res.Accuracy(),
@@ -159,12 +169,15 @@ func sliceFactory(accs []trace.Access) func(context.Context) (trace.Source, erro
 type streamGauge struct {
 	mu               sync.Mutex
 	opened, now, max int
-	second           chan struct{} // closed when the second stream opens
+	third            chan struct{} // closed when the third stream opens
 }
 
 // gauged wraps a factory so every stream it returns is counted. The first
-// stream holds its end until a second is open, for at most five seconds,
-// so an overlap is seen however the goroutines are scheduled.
+// two streams hold their ends until a third is open, so an overlap is seen
+// however the goroutines are scheduled: the first for at most five
+// seconds, the second for at most one. The second's shorter hold keeps a
+// stage that runs after the first stream's from ever seeing the second
+// still open.
 func (g *streamGauge) gauged(open func(context.Context) (trace.Source, error)) func(context.Context) (trace.Source, error) {
 	return func(ctx context.Context) (trace.Source, error) {
 		src, err := open(ctx)
@@ -177,26 +190,33 @@ func (g *streamGauge) gauged(open func(context.Context) (trace.Source, error)) f
 		if g.now++; g.now > g.max {
 			g.max = g.now
 		}
-		if g.opened == 2 {
-			close(g.second)
+		var hold time.Duration
+		switch g.opened {
+		case 1:
+			hold = 5 * time.Second
+		case 2:
+			hold = time.Second
+		case 3:
+			close(g.third)
 		}
-		return &gaugedSource{Source: src, g: g, hold: g.opened == 1}, nil
+		return &gaugedSource{Source: src, g: g, hold: hold}, nil
 	}
 }
 
 type gaugedSource struct {
 	trace.Source
-	g          *streamGauge
-	hold, done bool
+	g    *streamGauge
+	hold time.Duration
+	done bool
 }
 
 func (s *gaugedSource) Next(a *trace.Access) error {
 	err := s.Source.Next(a)
 	if err != nil && !s.done {
-		if s.hold {
+		if s.hold > 0 {
 			select {
-			case <-s.g.second:
-			case <-time.After(5 * time.Second):
+			case <-s.g.third:
+			case <-time.After(s.hold):
 			}
 		}
 		s.done = true
@@ -207,16 +227,18 @@ func (s *gaugedSource) Next(a *trace.Access) error {
 	return err
 }
 
-// TestOverlapStreamsOpenAtOnce pins the overlap itself: on a cold cell the
-// baseline opens its stream while the prefetch path still reads the
-// resolved one, so the factory sees two streams open at once. A serial
+// TestOverlapStreamsOpenAtOnce pins the overlap itself: on a cold cell
+// generation reads the resolved stream while the baseline and the timed
+// replay read their own, so the factory sees three streams open at once.
+// A cell whose replay waited for the whole file would open the replay's
+// stream only after generation's had ended and see two; a serial
 // evaluation reads its streams one after another and sees one.
 func TestOverlapStreamsOpenAtOnce(t *testing.T) {
 	accs, err := workload.Generate("cc-5", 4000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &streamGauge{second: make(chan struct{})}
+	g := &streamGauge{third: make(chan struct{})}
 	job := Job{
 		Trace: "cc-5", Source: g.gauged(sourceFactory(t, accs)), SourceKey: "cc-5#2", Warmup: 400,
 		New: func() (prefetch.Prefetcher, error) { return prefetch.NewStride(), nil },
@@ -226,8 +248,8 @@ func TestOverlapStreamsOpenAtOnce(t *testing.T) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.opened != 3 || g.max != 2 {
-		t.Errorf("cold cell opened %d streams, at most %d at once; want 3, with 2 at once", g.opened, g.max)
+	if g.opened != 3 || g.max != 3 {
+		t.Errorf("cold cell opened %d streams, at most %d at once; want 3, all at once", g.opened, g.max)
 	}
 }
 

@@ -11,10 +11,11 @@
 // Determinism contract: every job is evaluated in isolation — its trace is
 // generated (or taken) read-only, its prefetcher is constructed fresh from
 // the job's deterministic seed, and the simulator shares no mutable state
-// between jobs or between a job's two goroutines (its baseline runs beside
-// its prefetch generation and timed replay, neither of which reads it) —
-// so Run returns bit-identical Metrics for any Parallelism, in the
-// submitted job order. A replayed member is no exception: its
+// between jobs or between a job's three goroutines (its baseline, its
+// prefetch generation and its timed replay run side by side; the replay
+// reads the generation's file chunk by chunk, in file order, and nothing
+// reads the baseline) — so Run returns bit-identical Metrics for any
+// Parallelism, in the submitted job order. A replayed member is no exception: its
 // advice depends only on its configuration, the accesses it observes and
 // the budget, and the composites pass it every access unchanged, so the
 // recording holds exactly what a fresh copy would advise.
@@ -32,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -71,9 +73,10 @@ type Result struct {
 	// Cycles is the simulated cycle count of the prefetch run.
 	Cycles uint64
 	// Wall is the host wall-clock time the job took, including its share
-	// of cached trace/baseline builds. The baseline overlaps prefetch
-	// generation and the timed replay, so Wall is not the sum of the
-	// stages.
+	// of cached trace/baseline builds. The baseline, prefetch generation
+	// and the timed replay run side by side, the replay reading each chunk
+	// of the prefetch file as it is written, so Wall is about the longest
+	// of the three stages, not their sum.
 	Wall time.Duration
 }
 
@@ -113,10 +116,11 @@ type Config struct {
 	Seed int64
 	// Sim is the default machine configuration.
 	Sim sim.Config
-	// Parallelism is the worker count, the number of cells in flight at
-	// once (default GOMAXPROCS). A cell that runs its own baseline runs it
-	// on a second goroutine beside its prefetch generation and timed
-	// replay, so up to two simulations per cell may be running.
+	// Parallelism is the worker count: it bounds the cells in flight at
+	// once (default GOMAXPROCS), not their goroutines. A cell runs its
+	// prefetch generation, and its baseline unless the job supplies one,
+	// on goroutines of their own beside its timed replay, so up to three
+	// goroutines per cell may be busy, two of them simulating.
 	Parallelism int
 	// Progress, if set, receives one event per completed job.
 	Progress ProgressFunc
@@ -157,9 +161,10 @@ type Job struct {
 	// the trace up to three times (baseline, generation, timed run), and
 	// once more to record a shareable member's advice, so every call must
 	// return a fresh Source positioned at the first record with identical
-	// records. The baseline runs on its own goroutine beside the other
-	// passes, so the factory may be called from two goroutines at once and
-	// must be safe for that. Source supersedes Accs and Trace-generation;
+	// records. The three passes run side by side on goroutines of their
+	// own, so the factory may be called from three goroutines at once,
+	// three of its streams may be open at once, and it must be safe for
+	// that. Source supersedes Accs and Trace-generation;
 	// Trace remains the result label. When the stream's length is unknown
 	// (no Remaining), the default 10%-of-trace warmup is resolved from a
 	// length the runner memoized for this SourceKey during an earlier full
@@ -589,10 +594,10 @@ type input struct {
 	key    string // baseline-cache identity; "" leaves the baseline uncached
 }
 
-// open returns a fresh stream positioned at the first record. Only the
-// goroutine that owns the input calls it, so the resolved stream goes to
-// exactly one stage; the baseline's goroutine opens streams from a copy
-// that does not hold it.
+// open returns a fresh stream positioned at the first record. Each of a
+// cell's goroutines opens streams from its own copy of the input, and only
+// the generation goroutine's copy holds the resolved stream, so that
+// stream goes to exactly one stage.
 func (in *input) open(ctx context.Context) (trace.Source, error) {
 	if src := in.first; src != nil {
 		in.first = nil
@@ -609,7 +614,8 @@ func (in *input) open(ctx context.Context) (trace.Source, error) {
 // keyed by that triple. Source and Accs jobs are keyed only by their
 // SourceKey: a Trace label does not identify records. A Source is opened
 // once here to learn its length (or recall one memoized under its key),
-// and that unread stream feeds the cell's first stream-reading stage.
+// and that unread stream feeds the generation goroutine's first
+// stream-reading stage.
 func (r *Runner) resolve(ctx context.Context, job Job, c cell) (input, error) {
 	var in input
 	if job.SourceKey != "" {
@@ -662,11 +668,13 @@ func (r *Runner) resolve(ctx context.Context, job Job, c cell) (input, error) {
 }
 
 // eval runs one job end to end: trace, baseline, prefetch file, timed
-// replay. Once the input is resolved, the baseline runs on its own
-// goroutine beside prefetch generation and the timed replay, which run on
-// the caller's: neither reads the baseline, so a cell takes about the
-// longer of the two paths rather than their sum. The paths join before
-// the Result is built.
+// replay. Once the input is resolved, three goroutines share the cell: the
+// baseline runs on its own, prefetch generation on another, writing the
+// file in chunks, and the timed replay on the caller's, reading each chunk
+// as it is written. Neither reads the baseline, so a cell takes about the
+// longest of the three stages rather than their sum. The stages join
+// before the Result is built, and a failure keeps the serial precedence:
+// baseline, then generation, then replay.
 func (r *Runner) eval(ctx context.Context, job Job, c cell) (res Result, err error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -695,11 +703,9 @@ func (r *Runner) eval(ctx context.Context, job Job, c cell) (res Result, err err
 		base = r.startBaseline(ctx, job, cfg, &in, c)
 		defer base.join(&res, &err)
 	}
+	gen := r.startGeneration(ctx, job, &in, c)
+	defer gen.join(&res, &err)
 
-	pfs, label, err := r.prefetchFile(ctx, job, &in, c)
-	if err != nil {
-		return Result{}, err
-	}
 	if err := r.inject(ctx, fault.SiteSimulate, c.key, c.attempt); err != nil {
 		return Result{}, err
 	}
@@ -718,7 +724,11 @@ func (r *Runner) eval(ctx context.Context, job Job, c cell) (res Result, err err
 	}
 	eng, release := sim.AcquireEngine(cfg)
 	defer release()
-	sr, err := eng.RunStreamCtx(ctx, timed, pfs)
+	sr, err := eng.RunFeedCtx(ctx, timed, gen)
+	if err != nil {
+		return Result{}, err
+	}
+	label, err := gen.wait()
 	if err != nil {
 		return Result{}, err
 	}
@@ -765,9 +775,9 @@ type pendingBaseline struct {
 }
 
 // startBaseline starts the cell's baseline on a new goroutine. Its copy of
-// the input leaves the resolved stream to the cell's goroutine, so the two
-// share no mutable state. A panic there becomes the baseline's
-// *PanicError, as safeEval does for the cell.
+// the input leaves the resolved stream to generation, so it shares no
+// mutable state with the cell's other goroutines. A panic there becomes
+// the baseline's *PanicError, as safeEval does for the cell.
 func (r *Runner) startBaseline(ctx context.Context, job Job, cfg sim.Config, in *input, c cell) *pendingBaseline {
 	b := &pendingBaseline{job: job, cfg: cfg, in: *in, c: c}
 	b.in.first = nil
@@ -785,13 +795,13 @@ func (r *Runner) startBaseline(ctx context.Context, job Job, cfg sim.Config, in 
 }
 
 // join is deferred by eval, so the cell returns on no path — success,
-// error or a prefetch-path panic — before its baseline goroutine has
-// exited. It keeps the serial precedence: a baseline failure is the
-// cell's failure even when the prefetch path failed or panicked too.
+// error or a panic — before its baseline goroutine has exited. It keeps
+// the serial precedence: a baseline failure is the cell's failure even
+// when generation or the replay failed or panicked too.
 func (b *pendingBaseline) join(res *Result, err *error) {
 	b.done.Wait()
 	if b.err != nil {
-		recover() // a prefetch-path panic, if any, is outranked
+		recover() // a replay panic, if any, is outranked
 		*res, *err = Result{}, b.err
 	}
 }
@@ -829,44 +839,179 @@ func (r *Runner) baseline(ctx context.Context, job Job, cfg sim.Config, in *inpu
 	return r.baselines.Do(ctx, in.key+"\x00"+strconv.Itoa(cfg.Warmup), run)
 }
 
-// prefetchFile produces the job's prefetch file and result label. Online
-// prefetchers advise over a stream of the input; GenFile generators take a
-// slice by signature, so they get the input collected — offline trainers
-// need the materialized trace anyway.
-func (r *Runner) prefetchFile(ctx context.Context, job Job, in *input, c cell) ([]trace.Prefetch, string, error) {
+// feedDepth is how many chunk buffers a cell's generation cycles through:
+// the one the replay reads, the one generation fills, and two written
+// chunks queued between them, so neither stage waits on the other's
+// uneven pace from chunk to chunk.
+const feedDepth = 4
+
+// errGenerationStopped ends a timed replay whose generation failed; the
+// cell reports the generation's error instead.
+var errGenerationStopped = errors.New("prefetch generation stopped")
+
+// generation is a cell's prefetch generation running on its own
+// goroutine, writing the prefetch file in chunks that the timed replay
+// reads through Next. Chunk k fills bufs[k%feedDepth]: written is
+// buffered feedDepth-2 deep, so generation refills a buffer only once the
+// replay has taken the chunk after the one that used it last and is done
+// with that one. The goroutine owns its copies of the stage's arguments
+// and the resolved stream; its outcome is written before written closes.
+type generation struct {
+	ctx context.Context
+	job Job
+	in  input
+	c   cell
+
+	bufs    [feedDepth][]trace.Prefetch
+	budget  int         // most entries per access
+	written chan uint64 // per chunk, the id the file is complete through
+	sent    int         // chunks sent, the generation goroutine's count
+	taken   int         // chunks taken, the replay's count
+
+	label string
+	err   error
+}
+
+// startGeneration starts the cell's prefetch generation on a new
+// goroutine. It takes the resolved stream from in: the cell's timed
+// replay opens its own. A panic there becomes the generation's
+// *PanicError, as safeEval does for the cell.
+func (r *Runner) startGeneration(ctx context.Context, job Job, in *input, c cell) *generation {
+	g := &generation{ctx: ctx, job: job, in: *in, c: c, written: make(chan uint64, feedDepth-2)}
+	in.first = nil
+	go func() {
+		defer close(g.written)
+		defer func() {
+			if p := recover(); p != nil {
+				g.err = &PanicError{Value: p, Stack: debug.Stack()}
+			}
+		}()
+		g.label, g.err = r.generate(g)
+	}()
+	return g
+}
+
+// emit sends a written chunk to the replay and returns the buffer for the
+// next one. The file's last chunk, complete through every id, needs no
+// successor.
+func (g *generation) emit(chunk []trace.Prefetch, through uint64) ([]trace.Prefetch, error) {
+	g.bufs[g.sent%feedDepth] = chunk
+	select {
+	case g.written <- through:
+	case <-g.ctx.Done():
+		return nil, g.ctx.Err()
+	}
+	g.sent++
+	if through == math.MaxUint64 {
+		return nil, nil
+	}
+	return g.buffer(), nil
+}
+
+// buffer returns the buffer for chunk sent, emptied: the one chunk
+// sent-feedDepth used. The first call carves all of them out of one
+// allocation sized, as GenerateFileStreamCtx presizes a file, for the
+// accesses they can cover: a short cell's file, or feedDepth chunks.
+func (g *generation) buffer() []trace.Prefetch {
+	if g.sent == 0 {
+		n := feedDepth * prefetch.ChunkAccesses
+		if g.in.known {
+			n = min(n, g.in.n)
+		}
+		all := make([]trace.Prefetch, n*g.budget)
+		for i := range g.bufs {
+			lo := min(i*prefetch.ChunkAccesses, n) * g.budget
+			hi := min((i+1)*prefetch.ChunkAccesses, n) * g.budget
+			g.bufs[i] = all[lo:lo:hi]
+		}
+	}
+	return g.bufs[g.sent%feedDepth][:0]
+}
+
+// Next implements sim.PrefetchFeed for the timed replay: the next written
+// chunk, or errGenerationStopped once generation has ended without
+// completing the file.
+func (g *generation) Next() ([]trace.Prefetch, uint64, error) {
+	select {
+	case through, ok := <-g.written:
+		if !ok {
+			return nil, 0, errGenerationStopped
+		}
+		chunk := g.bufs[g.taken%feedDepth]
+		g.taken++
+		return chunk, through, nil
+	case <-g.ctx.Done():
+		return nil, 0, g.ctx.Err()
+	}
+}
+
+// wait takes and drops every chunk the replay left until generation ends,
+// so a finished or failed replay never leaves it blocked, and returns its
+// label and error.
+func (g *generation) wait() (string, error) {
+	for range g.written {
+	}
+	return g.label, g.err
+}
+
+// join is deferred by eval after the baseline's join, so it runs first:
+// the cell returns on no path — success, error, cancellation or a replay
+// panic — before its generation goroutine has exited. A generation
+// failure is the cell's failure even when the replay failed or panicked
+// too; the baseline's join then outranks both.
+func (g *generation) join(res *Result, err *error) {
+	if _, gerr := g.wait(); gerr != nil {
+		recover() // a replay panic, if any, is outranked
+		*res, *err = Result{}, gerr
+	}
+}
+
+// generate writes the job's prefetch file into g and returns the result
+// label. Online prefetchers advise over a stream of the input, and the
+// replay reads their file a chunk at a time; GenFile generators take a
+// slice by signature, so they get the input collected (offline trainers
+// need the materialized trace anyway), and their file, like a File job's,
+// is a single chunk.
+func (r *Runner) generate(g *generation) (string, error) {
+	ctx, job, in, c := g.ctx, g.job, &g.in, g.c
 	label := job.Label
 	switch {
 	case job.File != nil:
 		if label == "" {
 			label = "file"
 		}
-		return job.File, label, nil
+		_, err := g.emit(job.File, math.MaxUint64)
+		return label, err
 	case job.GenFile != nil:
 		if label == "" {
-			return nil, "", fmt.Errorf("GenFile job needs a Label")
+			return "", fmt.Errorf("GenFile job needs a Label")
 		}
 		if err := r.inject(ctx, fault.SitePrefetchGen, c.key, c.attempt); err != nil {
-			return nil, "", err
+			return "", err
 		}
 		src, err := in.open(ctx)
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
 		accs, err := trace.Collect(src)
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
 		pfs, err := job.GenFile(ctx, accs)
-		return pfs, label, err
+		if err != nil {
+			return "", err
+		}
+		_, err = g.emit(pfs, math.MaxUint64)
+		return label, err
 	case job.New != nil, job.Prefetcher != nil:
 		if err := r.inject(ctx, fault.SitePrefetchGen, c.key, c.attempt); err != nil {
-			return nil, "", err
+			return "", err
 		}
 		p := job.Prefetcher
 		if job.New != nil {
 			var err error
 			if p, err = job.New(); err != nil {
-				return nil, "", err
+				return "", err
 			}
 		}
 		budget := job.Budget
@@ -877,30 +1022,30 @@ func (r *Runner) prefetchFile(ctx context.Context, job Job, in *input, c cell) (
 		if s := prefetch.SharedMember(p); s != nil && in.key != "" && job.New != nil {
 			rec, err := r.recording(ctx, s, in, budget)
 			if err != nil {
-				return nil, "", err
+				return "", err
 			}
 			rep = prefetch.NewReplay(s.Name(), rec)
 			s.Use(rep)
 		}
 		src, err := in.open(ctx)
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
-		pfs, err := prefetch.GenerateFileStreamCtx(ctx, p, src, budget)
-		if err != nil {
-			return nil, "", err
+		g.budget = budget
+		if err := prefetch.GenerateChunksCtx(ctx, p, src, budget, g.buffer(), g.emit); err != nil {
+			return "", err
 		}
 		if rep != nil {
 			if err := rep.Finish(); err != nil {
-				return nil, "", err
+				return "", err
 			}
 		}
 		if label == "" {
 			label = p.Name()
 		}
-		return pfs, label, nil
+		return label, nil
 	}
-	return nil, "", fmt.Errorf("job has no prefetcher, generator, or file")
+	return "", fmt.Errorf("job has no prefetcher, generator, or file")
 }
 
 // recording returns the advice of a shareable member's live copy over the

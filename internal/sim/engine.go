@@ -4,9 +4,28 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"pathfinder/internal/trace"
 )
+
+// PrefetchFeed delivers one core's prefetch file to a replay in file
+// order, a chunk at a time, so the file can be written while it is
+// replayed. The replay asks for a chunk only when it has issued every
+// entry it holds and its next access lies past the instruction id the file
+// is complete through. A file held in memory is one chunk, complete
+// through math.MaxUint64.
+type PrefetchFeed interface {
+	// Next returns the file's next chunk, valid until the following call,
+	// and the instruction id through which the file is then complete: no
+	// later chunk holds an entry at or below it. An error ends the replay.
+	Next() (chunk []trace.Prefetch, through uint64, err error)
+}
+
+// wholeFile is the feed of a prefetch file held in memory.
+type wholeFile []trace.Prefetch
+
+func (f *wholeFile) Next() ([]trace.Prefetch, uint64, error) { return *f, math.MaxUint64, nil }
 
 // Engine is a reusable simulation arena: one machine (caches, DRAM,
 // in-flight bookkeeping, per-core pipelines) whose backing memory survives
@@ -28,10 +47,14 @@ type Engine struct {
 	pipes []*corePipeline
 	wins  []*replayWindow
 
-	// Scratch for the single-core entry points, so RunCtx/RunStreamCtx do
-	// not allocate per-call slice headers.
-	srcs1 [1]trace.Source
-	pfs1  [1][]trace.Prefetch
+	// Scratch for the entry points, so a run allocates no slice headers
+	// or feeds: the one-core source, file and feed, and a whole-file feed
+	// per core for RunMultiStreamCtx.
+	srcs1  [1]trace.Source
+	file1  wholeFile
+	feeds1 [1]PrefetchFeed
+	files  []wholeFile
+	feeds  []PrefetchFeed
 }
 
 // newEngine returns an Engine for the given machine configuration. The
@@ -53,24 +76,35 @@ func (e *Engine) RunCtx(ctx context.Context, accs []trace.Access, pfs []trace.Pr
 	return e.RunStreamCtx(ctx, trace.NewSliceSource(accs), pfs)
 }
 
-// RunStreamCtx is the streaming single-core replay: RunMultiStreamCtx with
-// one core.
+// RunStreamCtx is the streaming single-core replay: RunFeedCtx over the
+// whole file.
 func (e *Engine) RunStreamCtx(ctx context.Context, src trace.Source, pfs []trace.Prefetch) (Result, error) {
+	e.file1 = pfs
+	res, err := e.RunFeedCtx(ctx, src, &e.file1)
+	e.file1 = nil
+	return res, err
+}
+
+// RunFeedCtx is RunStreamCtx with the prefetch file delivered by feed
+// (nil for none), so the file need not exist in full before the replay
+// starts: internal/runner writes a cell's file while its timed replay
+// reads it. The Result is the one RunStreamCtx gives for the whole file.
+func (e *Engine) RunFeedCtx(ctx context.Context, src trace.Source, feed PrefetchFeed) (Result, error) {
 	e.srcs1[0] = src
-	e.pfs1[0] = pfs
-	res, err := e.RunMultiStreamCtx(ctx, e.srcs1[:], e.pfs1[:])
-	e.srcs1[0], e.pfs1[0] = nil, nil
+	e.feeds1[0] = feed
+	res, err := e.run(ctx, e.srcs1[:], e.feeds1[:])
+	e.srcs1[0], e.feeds1[0] = nil, nil
 	if err != nil {
 		return Result{}, err
 	}
 	return res[0], nil
 }
 
-// RunMultiStreamCtx is the simulator's scheduler; every other entry point
-// funnels here. srcs[i] is core i's load trace and pfs[i] its prefetch
-// file (entries keyed by triggering instruction id, non-decreasing); pfs
-// may be nil, as may any one file, for no prefetching. It returns one
-// Result per core.
+// RunMultiStreamCtx runs the simulator's scheduler, which every other
+// entry point funnels into, over in-memory prefetch files. srcs[i] is core
+// i's load trace and pfs[i] its prefetch file (entries keyed by triggering
+// instruction id, non-decreasing); pfs may be nil, as may any one file,
+// for no prefetching. It returns one Result per core.
 //
 // Each core retires instructions in order at cfg.Width per cycle. A load
 // dispatches once the instruction cfg.ROB before it has retired — the
@@ -94,6 +128,27 @@ func (e *Engine) RunStreamCtx(ctx context.Context, src trace.Source, pfs []trace
 // such a warmup is rejected up front. The loop polls ctx every few
 // thousand steps and returns ctx.Err() when cancelled.
 func (e *Engine) RunMultiStreamCtx(ctx context.Context, srcs []trace.Source, pfs [][]trace.Prefetch) ([]Result, error) {
+	if pfs != nil && len(pfs) != len(srcs) {
+		return nil, fmt.Errorf("sim: %d prefetch files for %d cores", len(pfs), len(srcs))
+	}
+	if cap(e.files) < len(srcs) {
+		e.files = make([]wholeFile, len(srcs))
+		e.feeds = make([]PrefetchFeed, len(srcs))
+	}
+	files, feeds := e.files[:len(srcs)], e.feeds[:len(srcs)]
+	for i := range feeds {
+		feeds[i] = nil
+		if pfs != nil {
+			files[i] = pfs[i]
+			feeds[i] = &files[i]
+		}
+	}
+	return e.run(ctx, srcs, feeds)
+}
+
+// run is the scheduler: RunMultiStreamCtx with each core's prefetch file
+// behind a feed (nil for none).
+func (e *Engine) run(ctx context.Context, srcs []trace.Source, feeds []PrefetchFeed) ([]Result, error) {
 	cfg := e.cfg
 	if cfg.Width <= 0 || cfg.ROB <= 0 {
 		return nil, fmt.Errorf("sim: invalid core config (width %d, ROB %d)", cfg.Width, cfg.ROB)
@@ -103,9 +158,6 @@ func (e *Engine) RunMultiStreamCtx(ctx context.Context, srcs []trace.Source, pfs
 	}
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("sim: no cores")
-	}
-	if pfs != nil && len(pfs) != len(srcs) {
-		return nil, fmt.Errorf("sim: %d prefetch files for %d cores", len(pfs), len(srcs))
 	}
 	// Sources with a known length keep the slice path's up-front rejection
 	// of a warmup that swallows the whole trace; unbounded sources are
@@ -127,20 +179,16 @@ func (e *Engine) RunMultiStreamCtx(ctx context.Context, srcs []trace.Source, pfs
 	}
 	mem := e.mem
 	for i, src := range srcs {
-		var p []trace.Prefetch
-		if pfs != nil {
-			p = pfs[i]
-		}
 		if i < len(e.pipes) {
 			e.wins[i].rearm(src)
 			// Refresh the pipeline's config copy: setWarmup may have changed
 			// it since the pipeline was built.
 			e.pipes[i].cfg = cfg
-			e.pipes[i].rearm(e.wins[i], p)
+			e.pipes[i].rearm(e.wins[i], feeds[i])
 		} else {
 			w := newReplayWindow(src)
 			e.wins = append(e.wins, w)
-			e.pipes = append(e.pipes, newCorePipeline(cfg, w, p))
+			e.pipes = append(e.pipes, newCorePipeline(cfg, w, feeds[i]))
 		}
 	}
 	pipes := e.pipes[:len(srcs)]

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"pathfinder/internal/flat"
 	"pathfinder/internal/trace"
@@ -60,15 +61,21 @@ func (s *sharedMemory) drainFills(now uint64) {
 const ringSize = 512
 
 // corePipeline is one core's private state: L1/L2, the retire/dispatch
-// model, its dependence chains, and its share of the prefetch file. It
-// pulls accesses through a one-record replayWindow over a trace.Source,
-// so a core's heap footprint is independent of its trace length.
+// model, its dependence chains, and its prefetch file. It pulls accesses
+// through a one-record replayWindow over a trace.Source, so a core's heap
+// footprint is independent of its trace length, and the file through a
+// PrefetchFeed one chunk at a time.
 type corePipeline struct {
-	cfg Config
-	l1  *Cache
-	l2  *Cache
-	win *replayWindow
-	pfs []trace.Prefetch
+	cfg  Config
+	l1   *Cache
+	l2   *Cache
+	win  *replayWindow
+	feed PrefetchFeed
+	// pfs is the chunk being issued, from pfIdx on; the file is complete
+	// through instruction id through once pfs is.
+	pfs     []trace.Prefetch
+	pfIdx   int
+	through uint64
 
 	consumed int // accesses replayed so far
 	retire   float64
@@ -76,7 +83,6 @@ type corePipeline struct {
 	ringLen  int
 	ringPos  int
 	chains   map[uint32]float64
-	pfIdx    int
 	prevID   uint64
 	firstID  uint64
 
@@ -86,31 +92,35 @@ type corePipeline struct {
 	res        Result
 }
 
-func newCorePipeline(cfg Config, win *replayWindow, pfs []trace.Prefetch) *corePipeline {
+func newCorePipeline(cfg Config, win *replayWindow, feed PrefetchFeed) *corePipeline {
 	c := &corePipeline{
 		cfg:    cfg,
 		l1:     NewCache(cfg.L1Sets, cfg.L1Ways),
 		l2:     NewCache(cfg.L2Sets, cfg.L2Ways),
 		chains: make(map[uint32]float64),
 	}
-	c.rearm(win, pfs)
+	c.rearm(win, feed)
 	return c
 }
 
-// rearm points the pipeline at a new trace window and prefetch file and
-// clears all replay state, reusing the caches' and chain map's backing.
-// After rearm the pipeline behaves identically to a newly constructed one.
-func (c *corePipeline) rearm(win *replayWindow, pfs []trace.Prefetch) {
+// rearm points the pipeline at a new trace window and prefetch file (nil
+// for none) and clears all replay state, reusing the caches' and chain
+// map's backing. After rearm the pipeline behaves identically to a newly
+// constructed one.
+func (c *corePipeline) rearm(win *replayWindow, feed PrefetchFeed) {
 	c.l1.Reset()
 	c.l2.Reset()
 	c.win = win
-	c.pfs = pfs
+	c.feed = feed
+	c.pfs, c.pfIdx, c.through = nil, 0, 0
+	if feed == nil {
+		c.through = math.MaxUint64
+	}
 	c.consumed = 0
 	c.retire = 0
 	c.ringLen = 0
 	c.ringPos = 0
 	clear(c.chains)
-	c.pfIdx = 0
 	c.measuring = c.cfg.Warmup == 0
 	c.warmCycles = 0
 	c.warmInstr = 0
@@ -242,43 +252,57 @@ func (c *corePipeline) step(mem *sharedMemory) error {
 		c.ringLen++
 	}
 
-	// Issue this access's prefetches after the demand is handled.
-	// Prefetches are dropped under memory pressure: demand requests have
-	// priority at the controller.
+	// Issue this access's prefetches after the demand is handled: every
+	// file entry up to its id, in file order, pulling chunks until the file
+	// is complete through it. Prefetches are dropped under memory pressure:
+	// demand requests have priority at the controller.
 	dropDepth := cfg.PrefetchDropDepth
 	if dropDepth <= 0 {
 		dropDepth = cfg.DRAM.ReadQueue / 2
 	}
-	for c.pfIdx < len(c.pfs) && c.pfs[c.pfIdx].ID <= acc.ID {
-		pf := c.pfs[c.pfIdx]
-		c.pfIdx++
-		if c.measuring {
-			c.res.PrefIssued++
-		}
-		pb := pf.Block()
-		if mem.llc.Contains(pb) {
-			continue
-		}
-		if mem.inflight.Get(pb) != nil {
-			continue
-		}
-		if mem.dram.QueueDepth(now) >= dropDepth {
-			if c.measuring {
-				c.res.PrefDropped++
+issue:
+	for {
+		for ; c.pfIdx < len(c.pfs); c.pfIdx++ {
+			pf := c.pfs[c.pfIdx]
+			if pf.ID > acc.ID {
+				break issue
 			}
-			continue
+			if c.measuring {
+				c.res.PrefIssued++
+			}
+			pb := pf.Block()
+			if mem.llc.Contains(pb) {
+				continue
+			}
+			if mem.inflight.Get(pb) != nil {
+				continue
+			}
+			if mem.dram.QueueDepth(now) >= dropDepth {
+				if c.measuring {
+					c.res.PrefDropped++
+				}
+				continue
+			}
+			done := mem.dram.Access(pb, now+uint64(cfg.L1Lat+cfg.L2Lat+cfg.LLCLat))
+			r, _ := mem.inflight.Insert(pb)
+			*r = done
+			mem.fills.push(inflightFill{ready: done, block: pb, seq: mem.fillSeq})
+			if len(mem.fills) > mem.fillsPeak {
+				mem.fillsPeak = len(mem.fills)
+			}
+			mem.fillSeq++
+			if c.measuring {
+				c.res.PrefFetched++
+			}
 		}
-		done := mem.dram.Access(pb, now+uint64(cfg.L1Lat+cfg.L2Lat+cfg.LLCLat))
-		r, _ := mem.inflight.Insert(pb)
-		*r = done
-		mem.fills.push(inflightFill{ready: done, block: pb, seq: mem.fillSeq})
-		if len(mem.fills) > mem.fillsPeak {
-			mem.fillsPeak = len(mem.fills)
+		if c.through >= acc.ID {
+			break
 		}
-		mem.fillSeq++
-		if c.measuring {
-			c.res.PrefFetched++
+		chunk, through, err := c.feed.Next()
+		if err != nil {
+			return fmt.Errorf("prefetch file at access %d: %w", c.consumed, err)
 		}
+		c.pfs, c.pfIdx, c.through = chunk, 0, through
 	}
 
 	c.win.pop()

@@ -114,8 +114,7 @@ type Network struct {
 
 	// w is the learned input→excitatory weight matrix, row-major
 	// [input][neuron].
-	w []float64
-	// colSum caches per-neuron input-weight sums for normalisation.
+	w     []float64
 	theta []float64 // adaptive threshold offsets, one per excitatory neuron
 
 	vE      []float64 // excitatory membrane potentials

@@ -311,9 +311,10 @@ type (
 	// file — plus optional baseline, warmup, budget, and machine
 	// overrides. Source jobs never materialize the trace: each stage
 	// streams a fresh resolution through the bounded replay window. The
-	// baseline runs on its own goroutine beside prefetch generation and
-	// the timed replay, so a Source factory may be called from two
-	// goroutines at once and must be safe for that.
+	// baseline, prefetch generation and the timed replay run side by side
+	// on goroutines of their own, so a Source factory may be called from
+	// three goroutines at once, with three of its streams open, and must be
+	// safe for that.
 	EvalJob = runner.Job
 	// EvalResult is one evaluated job: Metrics plus the trace's
 	// no-prefetch IPC and the job's wall-clock / simulated-cycle cost.
@@ -355,10 +356,11 @@ func OpenJournal(path string) (*RunJournal, error) { return runner.OpenJournal(p
 
 // Eval runs the complete two-phase evaluation described by one EvalJob:
 // trace acquisition, the no-prefetch baseline (unless job.Baseline is
-// precomputed), prefetch-file generation, and the timed replay. The
-// baseline runs on a second goroutine beside the other two stages, so a
-// job.Source factory may be called from two goroutines at once; Eval
-// returns only once both have finished. Warmup defaults to 10% of the
+// precomputed), prefetch-file generation, and the timed replay. The three
+// stages run side by side on goroutines of their own, the replay reading
+// the prefetch file chunk by chunk as it is written, so a job.Source
+// factory may be called from three goroutines at once; Eval returns only
+// once all three have finished. Warmup defaults to 10% of the
 // trace; job.Sim defaults to ScaledSimConfig. Use a Runner to evaluate
 // whole grids in parallel.
 func Eval(ctx context.Context, job EvalJob) (Metrics, error) {
