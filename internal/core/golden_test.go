@@ -70,12 +70,11 @@ func TestSNNPathGolden(t *testing.T) {
 	shortTicks := DefaultConfig()
 	shortTicks.Ticks = 8
 
-	// 65 neurons straddle the batched kernels' 64-lane bitset word, so this
-	// case drives the word-split threshold scans, partial-word mask
-	// bookkeeping, and the batched quiescence-settlement replay through the
-	// full Advise path. Captured after the kernel rewrite (bit-identity to
-	// the reference loop is separately pinned by the refmodel oracle); it
-	// guards the batched-settlement path from here on.
+	// 65 neurons straddle the 64-lane word of the fired-this-tick mask,
+	// so this case drives its partial final word, and a layer wider than
+	// one word, through the full Advise path. Captured after the kernel
+	// rewrite (bit-identity to the reference loop is separately pinned by
+	// the refmodel oracle); it guards the wide layer from here on.
 	wide := DefaultConfig()
 	wide.Neurons = 65
 

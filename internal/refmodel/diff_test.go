@@ -55,7 +55,7 @@ func randomSNNConfig(r *rand.Rand) snn.Config {
 func randomPixels(r *rand.Rand, size int) []float64 {
 	px := make([]float64, size)
 	switch r.Intn(10) {
-	case 0: // all dark: quiescence fast-forward end to end
+	case 0: // all dark: no input spike and no fire in the interval
 	case 1: // all lit
 		for i := range px {
 			px[i] = 1
@@ -464,12 +464,12 @@ func TestDiffSNNRealConfig(t *testing.T) {
 }
 
 // TestDiffSNNBitsetWordBoundary pins the regimes the random generator
-// rarely reaches but the batched kernels special-case: neuron counts
-// straddling the 64-lane bitset word (63/64/65, exercising the word-split
-// threshold scans and partial final words), refractory periods outlasting
-// the interval (whole mask words live, ticks with no eligible candidate),
-// and dense WTA ties (uniform state, every neuron crossing threshold on
-// the same tick — the first-candidate tie-break must survive reordering).
+// rarely reaches: neuron counts straddling the 64-lane word of the
+// fired-this-tick mask (63/64/65, exercising its partial final word),
+// refractory periods outlasting the interval (ticks with no eligible
+// candidate), and dense WTA ties (uniform state, every neuron crossing
+// threshold on the same tick — the first-candidate tie-break must survive
+// reordering, and a fired list as wide as the layer).
 // With FireProb 1 every lit pixel spikes on every tick, which aligns the
 // whole layer without any special input coding.
 func TestDiffSNNBitsetWordBoundary(t *testing.T) {

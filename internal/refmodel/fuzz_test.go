@@ -54,9 +54,8 @@ func FuzzPresent(f *testing.F) {
 		nb := int(s.next())
 		cfg.Neurons = 1 + nb%8
 		if nb >= 128 {
-			// High-bit regime: neuron counts straddling the 64-lane bitset
-			// word of the batched kernels (fired/refractory masks, the
-			// word-split threshold scans).
+			// High-bit regime: neuron counts straddling the 64-lane word
+			// of the fired-this-tick mask.
 			cfg.Neurons = 58 + nb%13
 		}
 		cfg.Ticks = 1 + int(s.next())%16

@@ -3,8 +3,8 @@
 // network of internal/snn and the cache/DRAM timing simulator of
 // internal/sim.
 //
-// The optimized engines are refactored aggressively (event-driven tick
-// loops, fused passes, heaps, scratch reuse); each rewrite claims to be
+// The optimized engines are refactored aggressively (sparse tick loops,
+// fused passes, heaps, scratch reuse); each rewrite claims to be
 // bit-identical to the simple semantics it replaced. This package *is*
 // those simple semantics, kept alive as executable oracles: every type here
 // favours the obvious data structure (per-tick loops, recency lists, linear

@@ -8,7 +8,7 @@ import (
 )
 
 // SNN is the reference Diehl & Cook network: the straightforward per-tick
-// LIF/STDP loop the event-driven engine in internal/snn replaced. It shares
+// LIF/STDP loop the optimized engine in internal/snn replaced. It shares
 // snn.Config and snn.Result and presents the same Present/PresentOneTick
 // API, so the differential harness can drive both networks through
 // identical call sequences. Every loop below does the obvious thing, one
@@ -111,7 +111,7 @@ func (n *SNN) InhPotentials() []float64 {
 }
 
 // Present runs one input interval of cfg.Ticks ticks, tick by tick, with no
-// event-driven shortcuts: every tick decays every potential, draws every
+// shortcuts: every tick decays every potential, draws every
 // Poisson sample, scans every neuron for threshold crossings, and applies
 // STDP in the BindsNet order. Semantics are documented on snn.Present.
 func (n *SNN) Present(pixels []float64, learn bool) (snn.Result, error) {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -250,6 +251,65 @@ func TestOverlapStreamsOpenAtOnce(t *testing.T) {
 	defer g.mu.Unlock()
 	if g.opened != 3 || g.max != 3 {
 		t.Errorf("cold cell opened %d streams, at most %d at once; want 3, all at once", g.opened, g.max)
+	}
+}
+
+// eofSource records whether its stream was read to the end.
+type eofSource struct {
+	trace.Source
+	eof bool
+}
+
+func (s *eofSource) Next(a *trace.Access) error {
+	err := s.Source.Next(a)
+	if err == io.EOF {
+		s.eof = true
+	}
+	return err
+}
+
+// TestFileJobReplayTakesResolvedStream pins where a File job's resolved
+// stream goes. Generation reads no trace for a File job, so the timed
+// replay takes the stream resolve opened: a cold cell opens two streams,
+// that one and the baseline's, and reads each to the end. Handing the
+// resolved stream to generation would open a third for the replay and
+// leave the first unread.
+func TestFileJobReplayTakesResolvedStream(t *testing.T) {
+	accs, err := workload.Generate("cc-5", 3000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := sourceFactory(t, accs)
+	var (
+		mu      sync.Mutex
+		streams []*eofSource
+	)
+	job := Job{
+		Trace: "cc-5", SourceKey: "cc-5#4", Warmup: 300, File: []trace.Prefetch{},
+		Source: func(ctx context.Context) (trace.Source, error) {
+			src, err := open(ctx)
+			if err != nil {
+				return nil, err
+			}
+			s := &eofSource{Source: src}
+			mu.Lock()
+			streams = append(streams, s)
+			mu.Unlock()
+			return s, nil
+		},
+	}
+	if _, err := New(Config{}).Eval(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(streams) != 2 {
+		t.Errorf("cold File cell opened %d streams, want 2", len(streams))
+	}
+	for i, s := range streams {
+		if !s.eof {
+			t.Errorf("stream %d of %d was never read to the end", i+1, len(streams))
+		}
 	}
 }
 

@@ -596,8 +596,8 @@ type input struct {
 
 // open returns a fresh stream positioned at the first record. Each of a
 // cell's goroutines opens streams from its own copy of the input, and only
-// the generation goroutine's copy holds the resolved stream, so that
-// stream goes to exactly one stage.
+// one copy holds the resolved stream — generation's, or the timed
+// replay's for a File job — so that stream goes to exactly one stage.
 func (in *input) open(ctx context.Context) (trace.Source, error) {
 	if src := in.first; src != nil {
 		in.first = nil
@@ -614,8 +614,8 @@ func (in *input) open(ctx context.Context) (trace.Source, error) {
 // keyed by that triple. Source and Accs jobs are keyed only by their
 // SourceKey: a Trace label does not identify records. A Source is opened
 // once here to learn its length (or recall one memoized under its key),
-// and that unread stream feeds the generation goroutine's first
-// stream-reading stage.
+// and that unread stream feeds the first stage that reads one:
+// generation's, or a File job's timed replay.
 func (r *Runner) resolve(ctx context.Context, job Job, c cell) (input, error) {
 	var in input
 	if job.SourceKey != "" {
@@ -775,7 +775,7 @@ type pendingBaseline struct {
 }
 
 // startBaseline starts the cell's baseline on a new goroutine. Its copy of
-// the input leaves the resolved stream to generation, so it shares no
+// the input leaves the resolved stream to the other stages, so it shares no
 // mutable state with the cell's other goroutines. A panic there becomes
 // the baseline's *PanicError, as safeEval does for the cell.
 func (r *Runner) startBaseline(ctx context.Context, job Job, cfg sim.Config, in *input, c cell) *pendingBaseline {
@@ -855,7 +855,8 @@ var errGenerationStopped = errors.New("prefetch generation stopped")
 // buffered feedDepth-2 deep, so generation refills a buffer only once the
 // replay has taken the chunk after the one that used it last and is done
 // with that one. The goroutine owns its copies of the stage's arguments
-// and the resolved stream; its outcome is written before written closes.
+// and, when it generates from the trace, the resolved stream; its outcome
+// is written before written closes.
 type generation struct {
 	ctx context.Context
 	job Job
@@ -873,12 +874,18 @@ type generation struct {
 }
 
 // startGeneration starts the cell's prefetch generation on a new
-// goroutine. It takes the resolved stream from in: the cell's timed
-// replay opens its own. A panic there becomes the generation's
-// *PanicError, as safeEval does for the cell.
+// goroutine. A job that generates from the trace takes the resolved
+// stream from in, and the cell's timed replay opens its own; a File job
+// reads no stream, so it leaves the resolved one to the replay. A panic
+// there becomes the generation's *PanicError, as safeEval does for the
+// cell.
 func (r *Runner) startGeneration(ctx context.Context, job Job, in *input, c cell) *generation {
 	g := &generation{ctx: ctx, job: job, in: *in, c: c, written: make(chan uint64, feedDepth-2)}
-	in.first = nil
+	if job.File != nil {
+		g.in.first = nil
+	} else {
+		in.first = nil
+	}
 	go func() {
 		defer close(g.written)
 		defer func() {

@@ -9,8 +9,8 @@ import (
 
 // pfdebug build: the engine self-checks its structural invariants after
 // every presented interval and every weight normalisation, panicking with a
-// description on the first violation. These are the properties the
-// event-driven fast paths rely on; see docs/testing.md.
+// description on the first violation. These are the properties the tick
+// loop's shortcuts rely on; see docs/testing.md.
 const pfdebugEnabled = true
 
 // debugCheckInterval runs after a presentation. maxSpikes is the most times
@@ -20,8 +20,7 @@ func (n *Network) debugCheckInterval(maxSpikes int) {
 	cfg := n.cfg
 	// Membrane, trace and theta decay factors must be genuine decays
 	// (finite, in (0, 1]) whenever their time constants are sane;
-	// otherwise the quiescence fast-forward's fixed-point reasoning and
-	// the lazy trace resets are unsound.
+	// otherwise the lazy pre-trace resets are unsound.
 	checkDecay := func(name string, tc, d float64) {
 		if tc > 0 && !(d > 0 && d <= 1) {
 			panic(fmt.Sprintf("snn pfdebug: %s decay %v outside (0,1] (tc %v)", name, d, tc))
@@ -57,12 +56,32 @@ func (n *Network) debugCheckInterval(maxSpikes int) {
 		if n.xPost[j] < 0 || n.xPost[j] > 1 {
 			panic(fmt.Sprintf("snn pfdebug: xPost[%d] = %v outside [0, 1]", j, n.xPost[j]))
 		}
+		// Only a fire moves a neuron's inhibitory, refractory and trace
+		// state off rest, and the tick loop walks only the interval's
+		// fired list over the inhibitory and trace part: every other
+		// neuron must still sit at rest. The 1-tick approximation leaves
+		// the last full interval's state and list in place.
+		if !fired(n.scrFired, j) && (n.vI[j] != cfg.RestI || n.xPost[j] != 0 || n.refracI[j] != 0 ||
+			n.scrInhHold[j] != 0 || n.refracE[j] != 0 || n.spikeCounts[j] != 0) {
+			panic(fmt.Sprintf("snn pfdebug: neuron %d never fired but left rest: vI %v, xPost %v, refracI %d, inhHold %d, refracE %d, spikes %d",
+				j, n.vI[j], n.xPost[j], n.refracI[j], n.scrInhHold[j], n.refracE[j], n.spikeCounts[j]))
+		}
 	}
 	for i := range n.w {
 		if w := n.w[i]; !(w >= 0 && w <= cfg.WMax) {
 			panic(fmt.Sprintf("snn pfdebug: w[%d] = %v outside [0, %v]", i, w, cfg.WMax))
 		}
 	}
+}
+
+// fired reports whether neuron j is in the fired list.
+func fired(list []int, j int) bool {
+	for _, k := range list {
+		if k == j {
+			return true
+		}
+	}
+	return false
 }
 
 // debugCheckNormalized runs after normalizeNeurons rescaled the given

@@ -2,8 +2,8 @@ package snn
 
 // Flat structure-of-arrays kernels for the LIF/STDP inner loops. The tick
 // loop in network.go is assembled from these: contiguous float64 vectors
-// walked linearly with fixed unrolling, bitset masks for fired/refractory
-// neurons, and batched trace settlement. Every kernel preserves the exact
+// walked linearly with fixed unrolling, and a bitset mask for the neurons
+// fired this tick. Every kernel preserves the exact
 // per-element floating-point operation sequence of the reference per-tick
 // loop (internal/refmodel): unrolling and loop-order changes only ever
 // reorder operations on *independent* elements, never the operation chain
@@ -15,15 +15,13 @@ package snn
 
 // bitset is a fixed-capacity bitmask over neuron indices. Word granularity
 // is what the tick loop batches on: clearing a 50-neuron fired mask is one
-// store instead of fifty, and a zero word lets a whole 64-neuron span skip
-// its refractory bookkeeping.
+// store instead of fifty.
 type bitset []uint64
 
 // newBitset returns a bitset able to hold n bits.
 func newBitset(n int) bitset { return make(bitset, (n+63)>>6) }
 
 func (b bitset) set(j int)      { b[uint(j)>>6] |= 1 << (uint(j) & 63) }
-func (b bitset) clear(j int)    { b[uint(j)>>6] &^= 1 << (uint(j) & 63) }
 func (b bitset) get(j int) bool { return b[uint(j)>>6]>>(uint(j)&63)&1 != 0 }
 
 // zero clears every bit.
@@ -31,16 +29,6 @@ func (b bitset) zero() {
 	for i := range b {
 		b[i] = 0
 	}
-}
-
-// any reports whether any bit is set.
-func (b bitset) any() bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // decayToward applies one exponential-decay step towards rest to every
@@ -115,73 +103,4 @@ func integrate(vE []float64, w []float64, nn int, gain float64, spikes []int) {
 			vE[j] += gain * row[j]
 		}
 	}
-}
-
-// replayDecay replays k per-tick decay steps v = rest + (v-rest)*d on every
-// element not already at its fixed point, gathering the dirty lanes first
-// and then advancing four of them per pass. One lane's replay is a serial
-// dependence chain (each step needs the previous step's rounding), so the
-// scalar loop is latency-bound; four independent chains in flight cover
-// that latency. Lane values are bit-identical to replaying each element
-// alone — chains never interact.
-func replayDecay(v []float64, rest, d float64, k int, laneBuf []int) []int {
-	lanes := laneBuf[:0]
-	for j := range v {
-		if v[j] != rest {
-			lanes = append(lanes, j)
-		}
-	}
-	i := 0
-	for ; i+4 <= len(lanes); i += 4 {
-		j0, j1, j2, j3 := lanes[i], lanes[i+1], lanes[i+2], lanes[i+3]
-		v0, v1, v2, v3 := v[j0], v[j1], v[j2], v[j3]
-		for s := 0; s < k; s++ {
-			v0 = rest + (v0-rest)*d
-			v1 = rest + (v1-rest)*d
-			v2 = rest + (v2-rest)*d
-			v3 = rest + (v3-rest)*d
-		}
-		v[j0], v[j1], v[j2], v[j3] = v0, v1, v2, v3
-	}
-	for ; i < len(lanes); i++ {
-		j := lanes[i]
-		x := v[j]
-		for s := 0; s < k; s++ {
-			x = rest + (x-rest)*d
-		}
-		v[j] = x
-	}
-	return lanes
-}
-
-// replayScale is replayDecay for the multiplicative trace decay x *= d,
-// with zero as the fixed point.
-func replayScale(x []float64, d float64, k int, laneBuf []int) []int {
-	lanes := laneBuf[:0]
-	for j := range x {
-		if x[j] != 0 {
-			lanes = append(lanes, j)
-		}
-	}
-	i := 0
-	for ; i+4 <= len(lanes); i += 4 {
-		j0, j1, j2, j3 := lanes[i], lanes[i+1], lanes[i+2], lanes[i+3]
-		v0, v1, v2, v3 := x[j0], x[j1], x[j2], x[j3]
-		for s := 0; s < k; s++ {
-			v0 *= d
-			v1 *= d
-			v2 *= d
-			v3 *= d
-		}
-		x[j0], x[j1], x[j2], x[j3] = v0, v1, v2, v3
-	}
-	for ; i < len(lanes); i++ {
-		j := lanes[i]
-		v := x[j]
-		for s := 0; s < k; s++ {
-			v *= d
-		}
-		x[j] = v
-	}
-	return lanes
 }

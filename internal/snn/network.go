@@ -10,17 +10,18 @@
 //
 // The tick loop is the per-access hot path of the whole reproduction (one
 // Present per SNN query per trace miss), so it is engineered as an
-// event-driven, allocation-free engine — see docs/performance.md for the
-// hot-path map and the invariants the fast paths rely on. Every
-// optimisation preserves the exact floating-point operation sequence and
-// RNG draw order of the straightforward per-tick reference loop, so
-// results are bit-identical (pinned by core's TestSNNPathGolden).
+// allocation-free engine whose inhibitory-layer and trace work walks only
+// the neurons that fired in the interval — see docs/performance.md for the
+// hot-path map and the invariants it relies on. Every optimisation
+// preserves the exact floating-point operation sequence and RNG draw
+// order of the straightforward per-tick reference loop, so results are
+// bit-identical (pinned by core's TestSNNPathGolden and the refmodel
+// differential oracle).
 package snn
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Config holds the network hyper-parameters. Defaults follow Table 4 of the
@@ -138,8 +139,7 @@ type Network struct {
 	// interval. Results copy it out (never alias it): see PresentInto.
 	spikeCounts []int
 
-	// monitor, when non-nil, records per-tick state. A monitor disables
-	// quiescence fast-forwarding so every tick is observable.
+	// monitor, when non-nil, records per-tick state.
 	monitor *Monitor
 
 	tick int
@@ -150,25 +150,14 @@ type Network struct {
 	// Present and deliberately NOT serialized (see serialize.go — only
 	// learned state persists).
 	scrActive   []int     // lit-pixel indices of the current input
-	scrSched    []int     // concatenated per-tick input spike schedule
-	scrSchedOff []int     // scrSched offsets; tick t spans [off[t-1], off[t])
+	scrPre      []int     // this tick's input spikes, in ascending pixel order
 	scrInhHold  []int     // remaining suppression ticks per inhibitory neuron
-	scrSpiked   []bool    // fired-this-tick flags, maintained only for monitors
-	scrFired    []int     // distinct neurons fired this interval, in fire order
+	scrFired    []int     // distinct neurons fired in the last full interval, in fire order
 	scrTickFire []int     // neurons fired within the current tick, in fire order
 	scrCand     []int     // above-threshold candidates within a tick
 	scrThr      []float64 // cached ThreshE + theta[j], refreshed on fire
 	scrPot      []float64
-
-	// Structure-of-arrays kernel scratch (see kernels.go): bitset masks
-	// over the neuron index space and gather buffers for the batched
-	// passes. The masks shadow the scalar state exactly — a set bit in
-	// refracWE/refracWI means the matching counter is non-zero, and
-	// scrSpikedW is the authoritative fired-this-tick set.
-	scrSpikedW bitset // excitatory neurons that fired this tick
-	refracWE   bitset // neurons with a live excitatory refractory countdown
-	refracWI   bitset // neurons with a live inhibitory refractory countdown
-	scrLanes   []int  // dirty-lane gather buffer for fast-forward replay
+	scrSpikedW  bitset // excitatory neurons that fired this tick
 
 	// lastReset is the tick at which resetState last ran. Pre-synaptic
 	// traces are zeroed lazily against it: any xPreTick at or before it
@@ -179,8 +168,8 @@ type Network struct {
 
 // New constructs a network with uniform-random initial weights in
 // [0, 0.3 × WMax], mirroring BindsNet's initialisation. It rejects any
-// configuration outside the region the event-driven engine is exact for
-// (see checkRegion).
+// configuration outside the region the engine is exact for (see
+// checkRegion).
 func New(cfg Config) (*Network, error) {
 	if cfg.InputSize <= 0 || cfg.Neurons <= 0 {
 		return nil, fmt.Errorf("snn: input size %d and neurons %d must be positive", cfg.InputSize, cfg.Neurons)
@@ -215,18 +204,13 @@ func New(cfg Config) (*Network, error) {
 		decayTheta:  1,
 		rand:        newRNG(cfg.Seed),
 
-		scrSchedOff: make([]int, cfg.Ticks+1),
 		scrInhHold:  make([]int, cfg.Neurons),
-		scrSpiked:   make([]bool, cfg.Neurons),
 		scrFired:    make([]int, 0, 8),
 		scrTickFire: make([]int, 0, 8),
 		scrCand:     make([]int, 0, 8),
 		scrThr:      make([]float64, cfg.Neurons),
 		scrPot:      make([]float64, cfg.Neurons),
 		scrSpikedW:  newBitset(cfg.Neurons),
-		refracWE:    newBitset(cfg.Neurons),
-		refracWI:    newBitset(cfg.Neurons),
-		scrLanes:    make([]int, 0, cfg.Neurons),
 	}
 	if cfg.TCTheta > 0 {
 		n.decayTheta = math.Exp(-float64(cfg.Ticks) / cfg.TCTheta)
@@ -246,13 +230,13 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// checkRegion rejects a configuration outside the region the event-driven
-// engine is exact for: undriven potentials decay towards a rest below
-// threshold, a neuron leaving refractory resets below threshold (theta
-// never goes negative), and a fire only lowers the other potentials. That
-// is what lets a quiet tick reduce to three exponential decays and the
-// winner-take-all loop filter its candidates instead of rescanning (see
-// docs/performance.md). Every comparison fails on NaN.
+// checkRegion rejects a configuration outside the region the engine is
+// exact for: undriven potentials decay towards a rest below threshold, a
+// neuron leaving refractory resets below threshold (theta never goes
+// negative), and a fire only lowers the other potentials. That is what
+// keeps an inhibitory neuron at rest until its excitatory partner fires
+// and lets the winner-take-all loop filter its candidates instead of
+// rescanning (see docs/performance.md). Every comparison fails on NaN.
 func checkRegion(cfg Config) error {
 	for _, c := range [...]struct {
 		field string
@@ -374,26 +358,20 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 	}
 	n.scrActive = active
 
-	// Pre-draw the whole interval's input spike schedule: the per-tick
-	// Poisson spikes are drawn up front in the same tick-major,
-	// active-pixel order the reference loop used, so the RNG stream is
-	// consumed identically. Knowing future spike ticks is what lets the
-	// tick loop below fast-forward through quiescent stretches.
-	n.buildSchedule(pixels, active)
-
 	nn := n.cfg.Neurons
 	ticks := n.cfg.Ticks
-	gain := n.cfg.InputGain
+	fp, gain := n.cfg.FireProb, n.cfg.InputGain
 	restE, dE := n.cfg.RestE, n.decayE
 	restI, dI := n.cfg.RestI, n.decayI
 	dX := n.decayTrace
 	threshE, resetE := n.cfg.ThreshE, n.cfg.ResetE
 	threshI, resetI := n.cfg.ThreshI, n.cfg.ResetI
-	inh := n.cfg.Inh
+	inh, exc := n.cfg.Inh, n.cfg.Exc
 	// Re-slicing every per-neuron array to [:nn] lets the compiler prove
 	// the j < nn loops in bounds and drop the checks.
 	vE, vI, xPost := n.vE[:nn], n.vI[:nn], n.xPost[:nn]
 	refracE, refracI := n.refracE[:nn], n.refracI[:nn]
+	inhHold := n.scrInhHold[:nn]
 
 	// Cache each neuron's effective firing threshold; the sum only
 	// changes when a fire bumps theta.
@@ -402,165 +380,81 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 		thr[j] = threshE + n.theta[j]
 	}
 
-	inhHold := n.scrInhHold[:nn]
-	excSpiked := n.scrSpiked[:nn]
-	for j := 0; j < nn; j++ {
-		inhHold[j] = 0
-		excSpiked[j] = false
-	}
-	// Bitset masks over the neuron index space (kernels.go). The fired and
-	// refractory masks were zeroed by resetState; spikedW is re-cleared per
-	// tick at word granularity.
+	// spikedW is the fired-this-tick mask, cleared at word granularity.
 	spikedW := n.scrSpikedW
-	refracWE, refracWI := n.refracWE, n.refracWI
-	// Liveness of the vI and xPost vectors: until the first inhibitory-layer
-	// write (resp. the first fire), every element sits at its reset fixed
-	// point — restI everywhere, all-zero traces — where the per-tick decay
-	// maps each element to itself exactly, so the whole pass can be skipped.
-	viLive, postLive := false, false
-	// firedList accumulates the distinct neurons that fired this interval;
-	// only their input weights (and post traces) can be non-zero, which
-	// lets STDP depression and re-normalisation touch only those columns.
+	// firedList accumulates the distinct neurons that fired this interval.
+	// A neuron's inhibitory potential, refractory and hold countdowns and
+	// post trace leave their rest values (RestI, 0, 0, 0) only once its
+	// excitatory partner has fired, so every per-tick pass over that
+	// state walks firedList instead of the whole layer: at rest the
+	// reference loop's update maps each value to itself exactly. Only
+	// these neurons' input weights change too, which lets STDP depression
+	// and re-normalisation touch only their columns.
 	firedList := n.scrFired[:0]
-
-	// Live occupancy counters: how many neurons currently hold a non-zero
-	// refractory or inhibition-hold countdown. They gate both the
-	// quiescence fast-forward and the per-tick bookkeeping loops.
-	refracCntE, refracCntI, holdCnt := 0, 0, 0
-
-	// A monitor must observe every tick, so it disables fast-forwarding.
-	skipQuiet := n.monitor == nil
+	// holdCnt is how many inhibitory neurons hold a live suppression
+	// countdown, replacing the reference loop's per-tick rescan.
+	holdCnt := 0
 
 	// Telemetry accumulators: plain locals flushed once after the loop.
-	var mTicks, mFfwd, mFfwdTicks, mCand, mDep, mPot uint64
+	var mCand, mDep, mPot uint64
 
-	for t := 1; t <= ticks; {
-		// Event-driven quiescence skip: with no pending input spikes, no
-		// live refractory counter on either layer and no inhibition
-		// hold, a tick is exactly three exponential decays (vE, vI,
-		// xPost) — the winner-take-all loop left every non-refractory
-		// neuron below threshold, and inside New's region decay cannot
-		// carry a potential back above it. Advance all decays to the next
-		// event tick in one pass, replaying the per-tick FP operations so
-		// the state stays bit-identical to ticking through.
-		if skipQuiet && refracCntE == 0 && refracCntI == 0 && holdCnt == 0 {
-			if next := n.nextSpikeTick(t); next > t {
-				n.fastForward(next - t)
-				mFfwd++
-				mFfwdTicks += uint64(next - t)
-				t = next
-				continue
+	for t := 1; t <= ticks; t++ {
+		n.tick++
+		// 1. This tick's input spikes: Poisson rate coding, one RNG draw
+		// per lit pixel in ascending pixel order — the reference loop's
+		// tick-major draw order.
+		preSpikes := n.scrPre[:0]
+		for _, i := range active {
+			if n.rand.float64() < fp*pixels[i] {
+				preSpikes = append(preSpikes, i)
 			}
 		}
+		n.scrPre = preSpikes
 
-		n.tick++
-		mTicks++
-		// 1. This tick's input spikes, cut from the prebuilt schedule.
-		preSpikes := n.scrSched[n.scrSchedOff[t-1]:n.scrSchedOff[t]]
-
-		// 2. Excitatory layer: leak, integrate, inhibit, fire. The decay/
-		// housekeeping section runs as per-array vector kernels
-		// (kernels.go): each array is walked linearly with the reference
-		// loop's per-element operation, so splitting the fused per-neuron
-		// pass into per-array passes only reorders operations on
-		// independent elements — bit-identical. The vI and xPost passes
-		// are elided entirely while those arrays still sit at their reset
-		// fixed points, and the fired mask clears at word granularity.
+		// 2. Excitatory layer: leak, integrate, inhibit, fire. The leaks
+		// run as per-array passes, which only reorders operations on
+		// independent elements — bit-identical. The vI leak runs here
+		// rather than in the inhibitory pass, as nothing reads vI in
+		// between.
 		decayToward(vE, restE, dE)
-		if postLive {
-			decayScale(xPost, dX)
-		}
-		if viLive {
-			decayToward(vI, restI, dI)
+		for _, j := range firedList {
+			xPost[j] *= dX
+			vI[j] = restI + (vI[j]-restI)*dI
 		}
 		spikedW.zero()
-		if n.monitor != nil {
-			for j := 0; j < nn; j++ {
-				excSpiked[j] = false
-			}
-		}
 		integrate(vE, n.w, nn, gain, preSpikes)
-		// Sustained lateral inhibition (from inhibitory neurons that
-		// fired within the last InhHold ticks; a neuron is not inhibited
-		// by its own partner), refractory handling, and the
-		// above-threshold scan, fused into a single pass per neuron.
-		// holdCnt and refracCntE track the live countdowns incrementally,
-		// replacing the reference loop's per-tick rescans and selecting
-		// the cheapest variant of the pass.
+		// Refractory handling, sustained lateral inhibition (from
+		// inhibitory neurons that fired within the last InhHold ticks; a
+		// neuron is not inhibited by its own partner) and the
+		// above-threshold scan, in one pass per neuron. A refractory
+		// neuron skips the inhibition the reference loop applies, since
+		// its reset overwrites the result; one leaving refractory resets
+		// below threshold (New), so it cannot be a candidate.
 		cand := n.scrCand[:0]
-		if holdCnt > 0 {
-			// Fused variant: the reference loop's separate hold-decrement
-			// pass runs inside the main scan. `others` uses the pre-tick
-			// holdCnt snapshot and each neuron's own pre-decrement hold
-			// value, and the decrements never feed back into this tick's
-			// arithmetic, so the fusion is bit-identical.
-			hc := holdCnt
-			for j := 0; j < nn; j++ {
-				others := hc
-				h := inhHold[j]
-				if h > 0 {
+		for j := 0; j < nn; j++ {
+			if refracE[j] > 0 {
+				refracE[j]--
+				vE[j] = resetE
+				continue
+			}
+			v := vE[j]
+			if holdCnt > 0 {
+				others := holdCnt
+				if inhHold[j] > 0 {
 					others--
 				}
-				if refracE[j] > 0 {
-					// A neuron leaving refractory joins this tick's
-					// scan at its reset potential, which New keeps
-					// below threshold: it cannot be a candidate.
-					if refracE[j]--; refracE[j] == 0 {
-						refracCntE--
-						refracWE.clear(j)
-					}
-					vE[j] = resetE
-				} else {
-					v := vE[j] - inh*float64(others)
-					vE[j] = v
-					if v >= thr[j] {
-						cand = append(cand, j)
-					}
-				}
-				if h > 0 {
-					if inhHold[j] = h - 1; h == 1 {
-						holdCnt--
-					}
-				}
+				v = v - inh*float64(others)
+				vE[j] = v
 			}
-		} else if refracCntE > 0 {
-			// Word-split variant: 64-neuron spans whose refractory mask
-			// word is zero take the pure threshold scan; only spans with a
-			// live countdown pay the per-neuron bookkeeping. Candidates
-			// still append in ascending neuron order across spans, which
-			// preserves the winner-take-all tie-breaking order.
-			for wi := range refracWE {
-				base := wi << 6
-				end := base + 64
-				if end > nn {
-					end = nn
-				}
-				if refracWE[wi] == 0 {
-					for j := base; j < end; j++ {
-						if vE[j] >= thr[j] {
-							cand = append(cand, j)
-						}
-					}
-					continue
-				}
-				for j := base; j < end; j++ {
-					if refracE[j] > 0 {
-						if refracE[j]--; refracE[j] == 0 {
-							refracCntE--
-							refracWE.clear(j)
-						}
-						vE[j] = resetE
-						continue
-					}
-					if vE[j] >= thr[j] {
-						cand = append(cand, j)
-					}
-				}
+			if v >= thr[j] {
+				cand = append(cand, j)
 			}
-		} else {
-			for j := 0; j < nn; j++ {
-				if vE[j] >= thr[j] {
-					cand = append(cand, j)
+		}
+		// Count the holds down after the scan read them.
+		for _, j := range firedList {
+			if inhHold[j] > 0 {
+				if inhHold[j]--; inhHold[j] == 0 {
+					holdCnt--
 				}
 			}
 		}
@@ -580,13 +474,8 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 				}
 			}
 			spikedW.set(best)
-			excSpiked[best] = true
 			vE[best] = resetE
 			refracE[best] = n.cfg.RefracE
-			if n.cfg.RefracE > 0 {
-				refracCntE++
-				refracWE.set(best)
-			}
 			n.theta[best] += n.cfg.ThetaPlus
 			thr[best] = threshE + n.theta[best]
 			if n.spikeCounts[best] == 0 {
@@ -594,7 +483,6 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 			}
 			n.spikeCounts[best]++
 			xPost[best] = 1
-			postLive = true
 			tickFired = append(tickFired, best)
 			if res.FirstFireTick == 0 {
 				res.FirstFireTick = t
@@ -666,74 +554,39 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 			}
 		}
 
-		// 4. Inhibitory layer, driven one-to-one by excitatory spikes. An
-		// inhibitory spike suppresses the other excitatory neurons for
-		// the next InhHold ticks. Its leak already ran in the fused decay
-		// pass; with no excitatory spike this tick and no refractory
-		// counter live, no inhibitory potential can reach threshold (it
-		// decays towards RestI, which New keeps below ThreshI), so the
-		// whole pass is skipped.
-		if len(tickFired) > 0 || refracCntI > 0 {
-			viLive = true
-			if len(tickFired) == 0 {
-				// Only refractory countdowns are live this tick: no
-				// excitatory spike arrived, so no decaying inhibitory
-				// potential can reach threshold (the same invariant that
-				// lets the whole pass be skipped when the mask is empty
-				// too). Walk just the masked neurons.
-				for wi, wd := range refracWI {
-					base := wi << 6
-					for wd != 0 {
-						j := base + bits.TrailingZeros64(wd)
-						wd &= wd - 1
-						if refracI[j]--; refracI[j] == 0 {
-							refracCntI--
-							refracWI.clear(j)
-						}
-						vI[j] = resetI
+		// 4. Inhibitory layer, driven one-to-one by excitatory spikes; its
+		// leak ran in step 2. An inhibitory spike suppresses the other
+		// excitatory neurons for the next InhHold ticks.
+		for _, j := range firedList {
+			if spikedW.get(j) {
+				vI[j] += exc
+			}
+			if refracI[j] > 0 {
+				refracI[j]--
+				vI[j] = resetI
+				continue
+			}
+			if vI[j] >= threshI {
+				vI[j] = resetI
+				refracI[j] = n.cfg.RefracI
+				if n.cfg.InhHold > inhHold[j] {
+					if inhHold[j] == 0 {
+						holdCnt++
 					}
-				}
-			} else {
-				for j := 0; j < nn; j++ {
-					if spikedW.get(j) {
-						vI[j] += n.cfg.Exc
-					}
-					if refracI[j] > 0 {
-						if refracI[j]--; refracI[j] == 0 {
-							refracCntI--
-							refracWI.clear(j)
-						}
-						vI[j] = resetI
-						continue
-					}
-					if vI[j] >= threshI {
-						vI[j] = resetI
-						refracI[j] = n.cfg.RefracI
-						if n.cfg.RefracI > 0 {
-							refracCntI++
-							refracWI.set(j)
-						}
-						if n.cfg.InhHold > inhHold[j] {
-							if inhHold[j] == 0 {
-								holdCnt++
-							}
-							inhHold[j] = n.cfg.InhHold
-						}
-					}
+					inhHold[j] = n.cfg.InhHold
 				}
 			}
 		}
 
 		if n.monitor != nil {
-			n.monitor.record(t, vE, excSpiked)
+			n.monitor.record(t, vE, spikedW)
 		}
-		t++
 	}
 
 	if learn && len(firedList) > 0 {
 		n.normalizeNeurons(firedList)
 	}
-	n.scrFired = firedList[:0]
+	n.scrFired = firedList
 
 	best := -1
 	var mSpikes uint64
@@ -751,10 +604,8 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 	copy(res.Spikes, n.spikeCounts)
 	if m := snnTele.Load(); m != nil {
 		m.presents.Inc()
-		m.ticks.Add(mTicks)
+		m.ticks.Add(uint64(ticks))
 		m.spikes.Add(mSpikes)
-		m.fastForwards.Add(mFfwd)
-		m.fastForwardTicks.Add(mFfwdTicks)
 		m.wtaCandidates.Add(mCand)
 		m.stdpDepressions.Add(mDep)
 		m.stdpPotentiation.Add(mPot)
@@ -763,65 +614,6 @@ func (n *Network) PresentInto(res *Result, pixels []float64, learn bool) error {
 		n.debugCheckInterval(ticks)
 	}
 	return nil
-}
-
-// buildSchedule fills scrSched/scrSchedOff with the interval's Poisson
-// input spikes: tick t's spiking pixels occupy scrSched[off[t-1]:off[t]],
-// in ascending pixel order within a tick — exactly the order the reference
-// per-tick loop generated them in, drawing from the RNG in the identical
-// sequence.
-func (n *Network) buildSchedule(pixels []float64, active []int) {
-	ticks := n.cfg.Ticks
-	off := n.scrSchedOff
-	sched := n.scrSched[:0]
-	// ticks × active is the hard upper bound on interval spikes; sizing
-	// once up front keeps the appends below allocation-free.
-	if want := ticks * len(active); cap(sched) < want {
-		sched = make([]int, 0, want)
-	}
-	off[0] = 0
-	fp := n.cfg.FireProb
-	for t := 1; t <= ticks; t++ {
-		for _, i := range active {
-			if n.rand.float64() < fp*pixels[i] {
-				sched = append(sched, i)
-			}
-		}
-		off[t] = len(sched)
-	}
-	n.scrSched = sched
-}
-
-// nextSpikeTick returns the first tick >= t with a scheduled input spike,
-// or Ticks+1 if the rest of the interval is input-silent.
-func (n *Network) nextSpikeTick(t int) int {
-	off := n.scrSchedOff
-	ticks := n.cfg.Ticks
-	base := off[t-1]
-	if off[ticks] == base {
-		return ticks + 1
-	}
-	for ; t <= ticks; t++ {
-		if off[t] > base {
-			return t
-		}
-	}
-	return ticks + 1
-}
-
-// fastForward advances the network through k quiescent ticks: only the
-// three exponential decays act, so each dirty element's trajectory is
-// replayed with the exact per-tick floating-point operations (no
-// closed-form pow, which would round differently). Values already at their
-// fixed point (rest potential, zero trace) are skipped — the per-tick
-// update maps them to themselves exactly. The replay kernels (kernels.go)
-// gather the dirty lanes per array and advance four independent decay
-// chains at a time, hiding the serial per-chain FP latency.
-func (n *Network) fastForward(k int) {
-	n.scrLanes = replayDecay(n.vE, n.cfg.RestE, n.decayE, k, n.scrLanes)
-	n.scrLanes = replayDecay(n.vI, n.cfg.RestI, n.decayI, k, n.scrLanes)
-	n.scrLanes = replayScale(n.xPost, n.decayTrace, k, n.scrLanes)
-	n.tick += k
 }
 
 // PresentOneTick is the low-cost approximation of §3.4 ("Lowering Time
@@ -978,21 +770,20 @@ func (n *Network) decayPreTrace(i int) {
 }
 
 // resetState restores per-sample state (potentials, refractory counters,
-// traces, interval spike counts) while preserving weights and thetas.
-// Pre-synaptic traces are not wiped here: bumping lastReset makes every
-// xPre whose last touch is at or before it read as zero on next access.
+// inhibition holds, traces, interval spike counts) while preserving
+// weights and thetas. Pre-synaptic traces are not wiped here: bumping
+// lastReset makes every xPre whose last touch is at or before it read as
+// zero on next access.
 func (n *Network) resetState() {
 	for j := range n.vE {
 		n.vE[j] = n.cfg.RestE
 		n.vI[j] = n.cfg.RestI
 		n.refracE[j] = 0
 		n.refracI[j] = 0
+		n.scrInhHold[j] = 0
 		n.xPost[j] = 0
 		n.spikeCounts[j] = 0
 	}
-	n.scrSpikedW.zero()
-	n.refracWE.zero()
-	n.refracWI.zero()
 	n.lastReset = n.tick
 }
 
@@ -1083,8 +874,7 @@ func (n *Network) scaleColumn(j int, sum float64) {
 
 // Monitor records per-tick excitatory potentials and spikes for
 // visualisation (Figure 3) and the §3.6 walkthrough (Table 2). Attaching a
-// monitor turns off quiescence fast-forwarding (every tick must be
-// recorded) but does not change the simulated dynamics.
+// monitor does not change the simulated dynamics.
 type Monitor struct {
 	// Ticks holds one snapshot per simulated tick since the monitor was
 	// attached.
@@ -1101,11 +891,14 @@ type MonitorTick struct {
 	Fired []bool
 }
 
-func (m *Monitor) record(t int, v []float64, fired []bool) {
+// record snapshots tick t's potentials and its fired-this-tick mask.
+func (m *Monitor) record(t int, v []float64, fired bitset) {
 	vc := make([]float64, len(v))
 	copy(vc, v)
-	fc := make([]bool, len(fired))
-	copy(fc, fired)
+	fc := make([]bool, len(v))
+	for j := range fc {
+		fc[j] = fired.get(j)
+	}
 	m.Ticks = append(m.Ticks, MonitorTick{Tick: t, Potentials: vc, Fired: fc})
 }
 

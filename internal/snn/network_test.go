@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -36,7 +37,7 @@ func TestNewValidatesConfig(t *testing.T) {
 		{"", func(c *Config) { c.Ticks = 0 }},
 		{"", func(c *Config) { c.FireProb = 0 }},
 		{"", func(c *Config) { c.FireProb = 1.5 }},
-		// The region the event-driven engine is exact for.
+		// The region the engine is exact for.
 		{"RestE", func(c *Config) { c.RestE = c.ThreshE }},
 		{"ResetE", func(c *Config) { c.ResetE = c.ThreshE + 1 }},
 		{"ResetE", func(c *Config) { c.ResetE = math.NaN() }},
@@ -334,7 +335,8 @@ func TestMonitorRecordsTicks(t *testing.T) {
 	}
 	var m Monitor
 	n.SetMonitor(&m)
-	if _, err := n.Present(pattern(1, 2, 4), false); err != nil {
+	res, err := n.Present(pattern(1, 2, 4), false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Ticks) != cfg.Ticks {
@@ -342,6 +344,18 @@ func TestMonitorRecordsTicks(t *testing.T) {
 	}
 	if len(m.Ticks[0].Potentials) != cfg.Neurons {
 		t.Errorf("monitor potentials length %d, want %d", len(m.Ticks[0].Potentials), cfg.Neurons)
+	}
+	// The per-tick fired flags add up to the interval's spike counts.
+	fires := make([]int, cfg.Neurons)
+	for _, tk := range m.Ticks {
+		for j, f := range tk.Fired {
+			if f {
+				fires[j]++
+			}
+		}
+	}
+	if !reflect.DeepEqual(fires, res.Spikes) {
+		t.Errorf("monitor fired flags count %v, want the interval's spikes %v", fires, res.Spikes)
 	}
 	m.Reset()
 	if len(m.Ticks) != 0 {

@@ -7,10 +7,10 @@ import (
 	"pathfinder/internal/telemetry"
 )
 
-// Performance tests for the event-driven tick engine: micro-benchmarks for
+// Performance tests for the tick engine: micro-benchmarks for
 // BENCH_snn.json (`make bench-micro`), the allocation-regression guard, and
-// equivalence tests pinning the fast paths to the always-tick reference
-// behaviour. Headline before/after numbers live in docs/performance.md.
+// equivalence tests pinning observed and unobserved runs to each other.
+// Headline before/after numbers live in docs/performance.md.
 
 // BenchmarkPresent measures one full rate-coded input interval on the
 // Table 4 configuration in both learning modes, through the
@@ -239,10 +239,9 @@ func TestPresentIntoMatchesPresent(t *testing.T) {
 }
 
 // TestMonitorDoesNotChangeDynamics runs identical networks with and without
-// a monitor attached. A monitor forces the engine through every tick
-// (quiescence fast-forwarding off), so this pins the fast-forward path to
-// the tick-by-tick reference trajectory — including rate-coded RNG state,
-// which must advance identically for the later intervals to agree.
+// a monitor attached: observation must not perturb the dynamics, including
+// rate-coded RNG state, which must advance identically for the later
+// intervals to agree.
 func TestMonitorDoesNotChangeDynamics(t *testing.T) {
 	cfg := testConfig()
 	plain, err := New(cfg)
@@ -266,7 +265,7 @@ func TestMonitorDoesNotChangeDynamics(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("interval %d: fast path %+v != monitored path %+v", i, a, b)
+			t.Fatalf("interval %d: unmonitored %+v != monitored %+v", i, a, b)
 		}
 	}
 	for j := 0; j < cfg.Neurons; j++ {

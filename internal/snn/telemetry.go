@@ -17,8 +17,6 @@ type snnMetrics struct {
 	oneTickPresents  *telemetry.Counter // §3.4 1-tick presentations
 	ticks            *telemetry.Counter // ticks actually simulated
 	spikes           *telemetry.Counter // excitatory spikes emitted
-	fastForwards     *telemetry.Counter // quiescence fast-forwards taken
-	fastForwardTicks *telemetry.Counter // ticks skipped by fast-forwards
 	wtaCandidates    *telemetry.Counter // above-threshold WTA candidates scanned
 	stdpDepressions  *telemetry.Counter // STDP depression weight updates
 	stdpPotentiation *telemetry.Counter // STDP potentiation weight updates
@@ -40,8 +38,6 @@ func EnableTelemetry(r *telemetry.Registry) {
 		oneTickPresents:  r.Counter("snn.presents_one_tick"),
 		ticks:            r.Counter("snn.ticks"),
 		spikes:           r.Counter("snn.spikes"),
-		fastForwards:     r.Counter("snn.fast_forwards"),
-		fastForwardTicks: r.Counter("snn.fast_forward_ticks"),
 		wtaCandidates:    r.Counter("snn.wta_candidates"),
 		stdpDepressions:  r.Counter("snn.stdp_depressions"),
 		stdpPotentiation: r.Counter("snn.stdp_potentiations"),
