@@ -80,9 +80,11 @@ fuzz-short:
 # The serving-daemon integration harness: concurrent client sessions over
 # real sockets, per-session prediction streams bit-identical to the
 # single-process path, clean and under seeded fault injection, all with
-# the race detector on.
+# the race detector on. The admission, eviction, spill and drain tests
+# around the one session table run ten times over.
 serve-harness:
 	$(GO) test -race -count=1 -run 'TestHarness' ./internal/serve/
+	$(GO) test -race -count=10 -run 'MaxSessions|LRUEviction|Evicted|Drain|Spill' ./internal/serve/
 
 # The distributed-sweep chaos harness: coordinator/worker fleets over real
 # sockets under seeded worker kills, disconnects and coordinator

@@ -1,8 +1,7 @@
 // Command pfserved is the prefetch-as-a-service daemon: it accepts
-// miss-stream events over a length-prefixed binary protocol (newline-JSON
-// as a debug fallback), maintains one online-learning prefetcher per
-// session behind a sharded session table, and streams prefetch predictions
-// back — PATHFINDER's real-time learning loop as a long-lived server. It
+// miss-stream events over a length-prefixed binary protocol, maintains one
+// online-learning prefetcher per session in one session table, and streams
+// prefetch predictions back — PATHFINDER's real-time learning loop as a long-lived server. It
 // also runs one-shot evaluation jobs on the shared engine pool.
 //
 // Usage:
@@ -56,7 +55,6 @@ func run(ctx context.Context, sigs <-chan os.Signal, args []string, stdout io.Wr
 		metricsAddr  = fs.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof here (empty: off)")
 		sessionPF    = fs.String("session-prefetcher", "pathfinder", "prefetcher behind each session: any online technique name of the registry (NewPrefetcherByName in internal/serve/eval.go)")
 		budget       = fs.Int("budget", 0, "predictions per event (0: the paper's budget of 2)")
-		shards       = fs.Int("shards", 0, "session-table shards, rounded to a power of two (0: 8)")
 		maxSessions  = fs.Int("max-sessions", 0, "resident-session cap with LRU idle eviction (0: 1024)")
 		queueDepth   = fs.Int("queue-depth", 0, "bounded per-session event queue depth (0: 256)")
 		outDepth     = fs.Int("out-depth", 0, "bounded per-connection outbound queue depth (0: 256)")
@@ -83,7 +81,6 @@ func run(ctx context.Context, sigs <-chan os.Signal, args []string, stdout io.Wr
 	cfg := pathfinder.ServeConfig{
 		Addr:          *addr,
 		Budget:        *budget,
-		Shards:        *shards,
 		MaxSessions:   *maxSessions,
 		QueueDepth:    *queueDepth,
 		OutboundDepth: *outDepth,

@@ -66,7 +66,7 @@ func TestResolveTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Write(f, want); err != nil {
+	if err := trace.Encode(f, trace.NewSliceSource(want)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

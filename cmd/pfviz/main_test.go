@@ -73,7 +73,7 @@ func TestRunTraceFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Write(f, accs); err != nil {
+	if err := trace.Encode(f, trace.NewSliceSource(accs)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,15 @@ import (
 
 // TestRunSingleTrace smoke-tests the single-benchmark path end to end: the
 // written file must be a valid PFT2 trace with exactly the requested loads.
+// readTrace decodes a binary trace container into a slice.
+func readTrace(r io.Reader) ([]trace.Access, error) {
+	rd, err := trace.NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	return trace.Collect(rd)
+}
+
 func TestRunSingleTrace(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "cc5.pft")
@@ -32,9 +42,9 @@ func TestRunSingleTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	accs, err := trace.Read(f)
+	accs, err := readTrace(f)
 	if err != nil {
-		t.Fatalf("written file is not a readable PFT2 trace: %v", err)
+		t.Fatalf("written file is not a readable trace: %v", err)
 	}
 	if len(accs) != 500 {
 		t.Errorf("trace holds %d loads, want 500", len(accs))
@@ -60,7 +70,7 @@ func TestRunAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		accs, err := trace.Read(f)
+		accs, err := readTrace(f)
 		f.Close()
 		if err != nil {
 			t.Errorf("%s: unreadable: %v", filepath.Base(path), err)
@@ -87,7 +97,7 @@ func TestRunStdout(t *testing.T) {
 	if err := run([]string{"-trace", "cc-5", "-loads", "300", "-o", "-"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	accs, err := trace.Read(bytes.NewReader(out.Bytes()))
+	accs, err := readTrace(bytes.NewReader(out.Bytes()))
 	if err != nil {
 		t.Fatalf("stdout is not a decodable trace stream: %v", err)
 	}

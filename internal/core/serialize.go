@@ -66,25 +66,21 @@ func (p *Pathfinder) Save(w io.Writer) error {
 	for _, r := range retiredInts {
 		ints[r.slot] = r.want
 	}
-	for _, v := range ints {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
+	floats := make([]float64, len(retiredFloats))
+	for i, r := range retiredFloats {
+		floats[i] = r.want
 	}
-	for _, r := range retiredFloats {
-		if err := binary.Write(bw, binary.LittleEndian, r.want); err != nil {
-			return err
-		}
-	}
-	// Inference table labels.
+	// Then the Inference Table labels: a 4-byte delta and a confidence
+	// byte each.
+	var labels []byte
 	for n := 0; n < p.cfg.Neurons; n++ {
 		for _, l := range p.it.labels[n] {
-			if err := binary.Write(bw, binary.LittleEndian, int32(l.Delta)); err != nil {
-				return err
-			}
-			if err := binary.Write(bw, binary.LittleEndian, l.Conf); err != nil {
-				return err
-			}
+			labels = append(binary.LittleEndian.AppendUint32(labels, uint32(int32(l.Delta))), l.Conf)
+		}
+	}
+	for _, v := range []any{ints, floats, labels} {
+		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+			return err
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -108,16 +104,12 @@ func load(br *bufio.Reader) (*Pathfinder, error) {
 		return nil, errors.New("core: bad magic; not a PFS1 file")
 	}
 	var ints [21]int64
-	for i := range ints {
-		if err := binary.Read(br, binary.LittleEndian, &ints[i]); err != nil {
-			return nil, fmt.Errorf("core: reading config: %w", err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, ints[:]); err != nil {
+		return nil, fmt.Errorf("core: reading config: %w", err)
 	}
-	var floats [2]float64
-	for i := range floats {
-		if err := binary.Read(br, binary.LittleEndian, &floats[i]); err != nil {
-			return nil, fmt.Errorf("core: reading config: %w", err)
-		}
+	var floats [len(retiredFloats)]float64
+	if err := binary.Read(br, binary.LittleEndian, floats[:]); err != nil {
+		return nil, fmt.Errorf("core: reading config: %w", err)
 	}
 	for _, r := range retiredInts {
 		if ints[r.slot] != r.want {
@@ -145,17 +137,15 @@ func load(br *bufio.Reader) (*Pathfinder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring: %w", err)
 	}
+	labels := make([]byte, 5*cfg.Neurons*cfg.LabelsPerNeuron)
+	if _, err := io.ReadFull(br, labels); err != nil {
+		return nil, fmt.Errorf("core: reading labels: %w", err)
+	}
 	for n := 0; n < cfg.Neurons; n++ {
-		for s := 0; s < cfg.LabelsPerNeuron; s++ {
-			var delta int32
-			var conf uint8
-			if err := binary.Read(br, binary.LittleEndian, &delta); err != nil {
-				return nil, fmt.Errorf("core: reading labels: %w", err)
-			}
-			if err := binary.Read(br, binary.LittleEndian, &conf); err != nil {
-				return nil, fmt.Errorf("core: reading labels: %w", err)
-			}
-			p.it.labels[n][s] = Label{Delta: int(delta), Conf: conf}
+		for s := range p.it.labels[n] {
+			delta := int32(binary.LittleEndian.Uint32(labels))
+			p.it.labels[n][s] = Label{Delta: int(delta), Conf: labels[4]}
+			labels = labels[5:]
 		}
 	}
 	net, err := snn.LoadNetwork(br)

@@ -223,26 +223,24 @@ func (t *TrainingTable) save(w io.Writer) error {
 	if err := binary.Write(w, binary.LittleEndian, int64(n)); err != nil {
 		return err
 	}
+	// One row per entry: pc, page, footprint and last-use stamp, then
+	// last offset, broken count, last neuron and delta count as int64s,
+	// then the deltas as int64s.
+	var row []byte
 	stamp := uint64(0)
 	for i := t.order.Oldest(); i != 0; i = t.order.Newer(i) {
 		e := &t.ents[i]
 		stamp++
-		hdr := []uint64{e.pc, e.page, e.footprint, stamp}
-		for _, v := range hdr {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
-		ints := []int64{int64(e.lastOffset), int64(e.broken), int64(e.lastNeuron), int64(len(e.deltas))}
-		for _, v := range ints {
-			if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-				return err
-			}
+		row = row[:0]
+		for _, v := range [...]uint64{e.pc, e.page, e.footprint, stamp,
+			uint64(e.lastOffset), uint64(e.broken), uint64(e.lastNeuron), uint64(len(e.deltas))} {
+			row = binary.LittleEndian.AppendUint64(row, v)
 		}
 		for _, d := range e.deltas {
-			if err := binary.Write(w, binary.LittleEndian, int64(d)); err != nil {
-				return err
-			}
+			row = binary.LittleEndian.AppendUint64(row, uint64(d))
+		}
+		if _, err := w.Write(row); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -269,20 +267,14 @@ func (t *TrainingTable) load(r io.Reader, neurons int) error {
 	}
 	fresh := NewTrainingTable(t.cap, t.h)
 	var prevUse uint64
+	deltas := make([]int64, t.h)
 	for i := int64(0); i < count; i++ {
-		var hdr [4]uint64
-		for j := range hdr {
-			if err := binary.Read(r, binary.LittleEndian, &hdr[j]); err != nil {
-				return fmt.Errorf("core: reading training table: %w", err)
-			}
+		var row [8]uint64
+		if err := binary.Read(r, binary.LittleEndian, row[:]); err != nil {
+			return fmt.Errorf("core: reading training table: %w", err)
 		}
-		var ints [4]int64
-		for j := range ints {
-			if err := binary.Read(r, binary.LittleEndian, &ints[j]); err != nil {
-				return fmt.Errorf("core: reading training table: %w", err)
-			}
-		}
-		lastOffset, broken, lastNeuron, nd := ints[0], ints[1], ints[2], ints[3]
+		hdr := row[:4]
+		lastOffset, broken, lastNeuron, nd := int64(row[4]), int64(row[5]), int64(row[6]), int64(row[7])
 		switch {
 		case lastOffset < 0 || lastOffset > 63,
 			broken < 0 || broken > int64(t.h),
@@ -301,12 +293,11 @@ func (t *TrainingTable) load(r io.Reader, neurons int) error {
 		e := fresh.Insert(hdr[0], hdr[1], int(lastOffset))
 		e.footprint = hdr[2]
 		e.broken, e.lastNeuron = int(broken), int(lastNeuron)
+		if err := binary.Read(r, binary.LittleEndian, deltas[:nd]); err != nil {
+			return fmt.Errorf("core: reading training table: %w", err)
+		}
 		e.deltas = e.deltas[:nd]
-		for j := range e.deltas {
-			var d int64
-			if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-				return fmt.Errorf("core: reading training table: %w", err)
-			}
+		for j, d := range deltas[:nd] {
 			e.deltas[j] = int(d)
 		}
 	}

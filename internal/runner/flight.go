@@ -7,12 +7,7 @@ import (
 	"sync"
 )
 
-// flightShards is the shard count of the single-flight caches. Sixteen
-// shards keep lock contention negligible for grids of hundreds of cells
-// while costing nothing for small runs.
-const flightShards = 16
-
-// flight is a sharded single-flight cache: for each key the value is built
+// flight is a single-flight cache: for each key the value is built
 // exactly once, concurrent callers block until the builder finishes, and
 // failed builds are evicted so a later caller may retry.
 //
@@ -22,10 +17,6 @@ const flightShards = 16
 // re-enters and rebuilds rather than inheriting an unrelated caller's
 // cancellation as the key's permanent error.
 type flight[T any] struct {
-	shards [flightShards]flightShard[T]
-}
-
-type flightShard[T any] struct {
 	mu sync.Mutex
 	m  map[string]*flightCall[T]
 }
@@ -42,14 +33,13 @@ type flightCall[T any] struct {
 // cancelling the build) when their own ctx is cancelled, and take over the
 // build when the previous builder was cancelled.
 func (f *flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (T, error) {
-	sh := &f.shards[fnv1a(key)%flightShards]
 	for {
-		sh.mu.Lock()
-		if sh.m == nil {
-			sh.m = make(map[string]*flightCall[T])
+		f.mu.Lock()
+		if f.m == nil {
+			f.m = make(map[string]*flightCall[T])
 		}
-		if c, ok := sh.m[key]; ok {
-			sh.mu.Unlock()
+		if c, ok := f.m[key]; ok {
+			f.mu.Unlock()
 			if m := runnerTele.Load(); m != nil {
 				m.flightHits.Inc()
 			}
@@ -68,8 +58,8 @@ func (f *flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (T
 			}
 		}
 		c := &flightCall[T]{done: make(chan struct{})}
-		sh.m[key] = c
-		sh.mu.Unlock()
+		f.m[key] = c
+		f.mu.Unlock()
 		if m := runnerTele.Load(); m != nil {
 			m.flightMisses.Inc()
 		}
@@ -85,11 +75,11 @@ func (f *flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (T
 				if c.err != nil {
 					// Evict before waking waiters so a retrying waiter
 					// finds the slot free instead of the dead call.
-					sh.mu.Lock()
-					if sh.m[key] == c {
-						delete(sh.m, key)
+					f.mu.Lock()
+					if f.m[key] == c {
+						delete(f.m, key)
 					}
-					sh.mu.Unlock()
+					f.mu.Unlock()
 				}
 				close(c.done)
 			}()
@@ -106,14 +96,4 @@ func (f *flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (T
 // rather than a property of the key being built.
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// fnv1a hashes a key for shard selection.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

@@ -1,7 +1,7 @@
 // Package runner is the parallel evaluation engine behind the experiment
 // harness: it fans a (trace × prefetcher) grid out across a worker pool,
 // computes each trace and its no-prefetch baseline exactly once through
-// sharded single-flight caches, and reports per-cell progress to an
+// single-flight caches, and reports per-cell progress to an
 // optional sink. A third single-flight cache holds recordings: the advice
 // of a shareable member (a prefetch.Shared, which the registry builds
 // around every PATHFINDER of serve.JobFor) is recorded once per (input,
@@ -430,6 +430,16 @@ func backoffDelay(base time.Duration, key string, attempt int) time.Duration {
 	}
 	h := fnv1a(fmt.Sprintf("%s\x00%d", key, attempt))
 	return d + time.Duration(uint64(d/2)*uint64(h)/(1<<32))
+}
+
+// fnv1a hashes a cell key and attempt number into backoffDelay's jitter.
+func fnv1a(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
 }
 
 // sleepCtx blocks for d or until ctx is done.

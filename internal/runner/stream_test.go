@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -13,14 +14,16 @@ import (
 
 // sourceFactory encodes accs into the counted binary container once and
 // returns a Job.Source factory that decodes a fresh stream per call —
-// the shape a file-backed streaming job has in practice.
+// the shape a file-backed streaming job has in practice. The counted
+// container is the PFT2 magic and a uvarint count before the record
+// bytes the PFT3 encoder writes after its own magic.
 func sourceFactory(t testing.TB, accs []trace.Access) func(context.Context) (trace.Source, error) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, accs); err != nil {
+	var stream bytes.Buffer
+	if err := trace.Encode(&stream, trace.NewSliceSource(accs)); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
+	data := append(binary.AppendUvarint([]byte("PFT2"), uint64(len(accs))), stream.Bytes()[4:]...)
 	return func(context.Context) (trace.Source, error) {
 		return trace.NewReader(bytes.NewReader(data))
 	}

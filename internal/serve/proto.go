@@ -1,8 +1,7 @@
 // Package serve is the prefetch-as-a-service layer behind cmd/pfserved: a
 // long-lived daemon that accepts miss-stream events over a length-prefixed
-// binary protocol (with a newline-JSON fallback for debugging), maintains
-// per-session online prefetcher instances behind a sharded session table,
-// and returns prefetch predictions — the serving form of PATHFINDER's
+// binary protocol, maintains per-session online prefetcher instances in
+// one session table, and returns prefetch predictions — the serving form of PATHFINDER's
 // real-time learning loop. One-shot evaluation jobs ride the same
 // connection and run on the shared internal/runner engine pool.
 //
@@ -28,9 +27,9 @@ import (
 	"pathfinder/internal/trace"
 )
 
-// Magic opens every binary-protocol connection: the client writes these
-// four bytes before its first frame. A connection whose first byte is '{'
-// is handled in the newline-JSON debug mode instead (see docs/serving.md).
+// Magic opens every connection: the client writes these four bytes before
+// its first frame. A connection that opens with anything else draws a
+// bad-request reject and is closed.
 const Magic = "PFS1"
 
 // MaxFrameBytes bounds one frame's payload. The length prefix is validated
@@ -81,8 +80,8 @@ const (
 	// accepted; resend it — and everything after it, in order — after the
 	// retry hint.
 	RejectQueueFull byte = 1
-	// RejectMaxSessions: the session table shard is at capacity and every
-	// resident session has work in flight, so nothing could be evicted.
+	// RejectMaxSessions: the session table holds MaxSessions sessions and
+	// every one has work in flight, so nothing could be evicted.
 	RejectMaxSessions byte = 2
 	// RejectOverloaded: the global in-flight event cap was reached.
 	// Semantics match RejectQueueFull (the event was not accepted).
@@ -94,11 +93,11 @@ const (
 	// lost reply); skip it and continue with the next one.
 	RejectStale byte = 5
 	// RejectBadRequest: the frame was malformed or the session could not
-	// be created. Binary connections are closed after this reject.
+	// be created. A malformed frame also closes the connection.
 	RejectBadRequest byte = 6
 )
 
-// rejectCodeNames maps reject codes to their JSON-mode names.
+// rejectCodeNames maps reject codes to their stable names.
 var rejectCodeNames = map[byte]string{
 	RejectQueueFull:   "queue-full",
 	RejectMaxSessions: "max-sessions",
@@ -108,8 +107,8 @@ var rejectCodeNames = map[byte]string{
 	RejectBadRequest:  "bad-request",
 }
 
-// RejectCodeName returns the stable string name of a reject code (used in
-// JSON mode and error messages).
+// RejectCodeName returns the stable string name of a reject code, for
+// logs and error messages.
 func RejectCodeName(code byte) string {
 	if n, ok := rejectCodeNames[code]; ok {
 		return n

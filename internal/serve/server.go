@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -33,13 +32,9 @@ type Config struct {
 	// refuses a budget above 256, the most addresses a predict frame
 	// carries.
 	Budget int
-	// Shards is the session-table shard count, rounded up to a power of
-	// two (default 8).
-	Shards int
-	// MaxSessions caps resident sessions; admission enforces
-	// ceil(MaxSessions/Shards) per shard (default 1024). When a shard is
-	// full, its least-recently-used idle session is evicted to make room
-	// (a PATHFINDER session is first spilled, so it can resume; see
+	// MaxSessions caps resident sessions (default 1024). When the table
+	// is full, its least-recently-used idle session is evicted to make
+	// room (a PATHFINDER session is first spilled, so it can resume; see
 	// spillSessions); if every resident session has work in flight the
 	// new session is rejected with RejectMaxSessions.
 	MaxSessions int
@@ -97,14 +92,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Budget <= 0 {
 		cfg.Budget = prefetch.Budget
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	shards := 1
-	for shards < cfg.Shards {
-		shards <<= 1
-	}
-	cfg.Shards = shards
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 1024
 	}
@@ -134,8 +121,7 @@ func DefaultSessionPrefetcher(session uint64) (prefetch.Prefetcher, error) {
 }
 
 // response is one server-to-client reply queued on a connection's bounded
-// outbound channel; the writer goroutine encodes it per the connection's
-// mode (binary or JSON).
+// outbound channel; the writer goroutine encodes it as a frame.
 type response struct {
 	kind        byte
 	session, id uint64
@@ -157,7 +143,6 @@ type Server struct {
 	cancel  context.CancelFunc
 
 	table    *table
-	spill    *spillStore
 	draining atomic.Bool
 	inflight atomic.Int64
 
@@ -195,14 +180,9 @@ func New(cfg Config) (*Server, error) {
 		baseCtx: ctx,
 		cancel:  cancel,
 		evalSem: make(chan struct{}, maxConcurrentEvals),
-		spill:   newSpillStore(spillSessions),
 		conns:   make(map[*conn]struct{}),
 	}
-	perShard := (cfg.MaxSessions + cfg.Shards - 1) / cfg.Shards
-	if perShard < 1 {
-		perShard = 1
-	}
-	s.table = newTable(s, cfg.Shards, perShard)
+	s.table = &table{srv: s, cap: cfg.MaxSessions, spill: spillStore{cap: spillSessions}}
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -263,9 +243,9 @@ func (s *Server) shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.ln.Close()
 	s.acceptWG.Wait()
-	// The draining flag is observed under each shard's mutex, so after
-	// closeAll walks the shards no further event can be enqueued and
-	// closing the session queues is safe.
+	// The draining flag is observed under the table mutex, so after
+	// closeAll no further event can be enqueued and closing the session
+	// queues is safe.
 	s.table.closeAll()
 
 	forced := false
@@ -343,9 +323,8 @@ func (s *Server) Close() error {
 // dispatches frames, a bounded outbound queue, and a writer goroutine that
 // encodes replies.
 type conn struct {
-	srv  *Server
-	nc   net.Conn
-	json atomic.Bool
+	srv *Server
+	nc  net.Conn
 
 	out      chan response
 	dead     chan struct{} // closed when the connection is unusable
@@ -383,22 +362,13 @@ func (c *conn) send(r response) bool {
 	}
 }
 
-// readLoop sniffs the protocol mode, then parses and dispatches frames
-// until the connection fails or the client disconnects.
+// readLoop checks the magic, then parses and dispatches frames until the
+// connection fails or the client disconnects.
 func (c *conn) readLoop() {
 	defer c.srv.readers.Done()
 	defer c.markDead()
 	br := bufio.NewReader(c.nc)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
 	m := serveTele.Load()
-	if first[0] == '{' {
-		c.json.Store(true)
-		c.readJSON(br)
-		return
-	}
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != Magic {
 		if m != nil {
@@ -432,44 +402,6 @@ func (c *conn) readLoop() {
 			return
 		}
 		if !c.dispatch(&f) {
-			return
-		}
-	}
-}
-
-// readJSON is the newline-JSON debug loop. Lines are read in place from a
-// buffer one byte larger than the frame cap, so an over-long line is
-// rejected once the buffer fills instead of being accumulated first.
-func (c *conn) readJSON(br *bufio.Reader) {
-	m := serveTele.Load()
-	lr := bufio.NewReaderSize(br, MaxFrameBytes+1)
-	var f Frame
-	for {
-		line, err := lr.ReadSlice('\n')
-		if len(line) == 0 && err != nil {
-			return
-		}
-		if errors.Is(err, bufio.ErrBufferFull) || len(line) > MaxFrameBytes {
-			if m != nil {
-				m.frameErrors.Inc()
-			}
-			c.send(response{kind: FrameReject, code: RejectBadRequest, msg: "line too long"})
-			return
-		}
-		if m != nil {
-			m.frames.Inc()
-		}
-		if perr := parseJSONFrame(line, &f); perr != nil {
-			if m != nil {
-				m.frameErrors.Inc()
-			}
-			c.send(response{kind: FrameReject, code: RejectBadRequest, msg: perr.Error()})
-			return
-		}
-		if !c.dispatch(&f) {
-			return
-		}
-		if err != nil { // EOF after a final unterminated line
 			return
 		}
 	}
@@ -531,7 +463,7 @@ func (c *conn) writeLoop() {
 	bw := bufio.NewWriter(c.nc)
 	var scratch []byte
 	write := func(r response) {
-		if err := c.writeResponse(bw, &scratch, r); err != nil {
+		if err := writeResponse(bw, &scratch, r); err != nil {
 			c.markDead()
 		}
 		if r.start != 0 {
@@ -582,18 +514,8 @@ func (c *conn) writeLoop() {
 	}
 }
 
-// writeResponse encodes one reply in the connection's mode.
-func (c *conn) writeResponse(bw *bufio.Writer, scratch *[]byte, r response) error {
-	if c.json.Load() {
-		b, err := json.Marshal(jsonResponse(r))
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		return bw.WriteByte('\n')
-	}
+// writeResponse encodes one reply as a frame.
+func writeResponse(bw *bufio.Writer, scratch *[]byte, r response) error {
 	p := (*scratch)[:0]
 	switch r.kind {
 	case FramePredict:

@@ -7,10 +7,11 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -70,7 +71,6 @@ func TestQueueFullShedsWithRetryHint(t *testing.T) {
 	srv := newTestServer(t, Config{
 		NewPrefetcher: nextLineFactory,
 		QueueDepth:    4,
-		Shards:        1,
 		Fault:         hangInjector(30 * time.Second),
 	})
 	c := dialBinary(t, srv.Addr())
@@ -169,7 +169,6 @@ func TestMaxSessionsRejectsWhenAllBusy(t *testing.T) {
 	reg := withRegistry(t)
 	srv := newTestServer(t, Config{
 		NewPrefetcher: nextLineFactory,
-		Shards:        1,
 		MaxSessions:   2,
 		QueueDepth:    4,
 		Fault:         hangInjector(30 * time.Second),
@@ -204,7 +203,52 @@ func TestMaxSessionsRejectsWhenAllBusy(t *testing.T) {
 	srv.Shutdown(ctx)
 }
 
-// TestLRUEvictionAdmitsNewSessionAndResetsWatermark fills a one-shard
+// TestMaxSessionsIsExactWithDefaultConfig admits the default MaxSessions
+// busy sessions, ids 1 to 1024, and refuses the next: the cap is the
+// table's, whatever the ids.
+func TestMaxSessionsIsExactWithDefaultConfig(t *testing.T) {
+	reg := withRegistry(t)
+	srv := newTestServer(t, Config{
+		NewPrefetcher: nextLineFactory,
+		Fault:         hangInjector(30 * time.Second),
+	})
+	limit := uint64(srv.cfg.MaxSessions)
+	c := dialBinary(t, srv.Addr())
+	defer c.close()
+
+	// Every session's first event hangs in its worker, so none is idle.
+	for sid := uint64(1); sid <= limit; sid++ {
+		if err := c.writeEvent(sid, acc(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counters := func() (accepted, refused uint64) {
+		snap := reg.Snapshot()
+		return snap.Counters["serve.events_accepted"], snap.Counters["serve.shed_max_sessions"]
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		a, r := counters()
+		return a+r == limit
+	})
+	if a, r := counters(); r != 0 {
+		t.Fatalf("%d busy sessions admitted and %d refused; want all %d admitted", a, r, limit)
+	}
+	if err := c.writeEvent(limit+1, acc(1)); err != nil {
+		t.Fatal(err)
+	}
+	c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if f := c.mustRead(); f.Kind != FrameReject || f.Code != RejectMaxSessions || f.Session != limit+1 {
+		t.Fatalf("session %d past the cap: got kind %#x code %s session %d; want a max-sessions reject", limit+1, f.Kind, RejectCodeName(f.Code), f.Session)
+	}
+	if n := srv.SessionCount(); n != int(limit) {
+		t.Fatalf("SessionCount = %d, want %d", n, limit)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	srv.Shutdown(ctx)
+}
+
+// TestLRUEvictionAdmitsNewSessionAndResetsWatermark fills a two-session
 // table, touches its older session, and admits a third: the session left
 // least recently used is evicted, returns fresh, and the touched one keeps
 // rejecting its old id as stale.
@@ -212,7 +256,6 @@ func TestLRUEvictionAdmitsNewSessionAndResetsWatermark(t *testing.T) {
 	reg := withRegistry(t)
 	srv := newTestServer(t, Config{
 		NewPrefetcher: nextLineFactory,
-		Shards:        1,
 		MaxSessions:   2,
 	})
 	c := dialBinary(t, srv.Addr())
@@ -550,126 +593,27 @@ func TestSessionBudgetCap(t *testing.T) {
 	}
 }
 
-func TestJSONDebugMode(t *testing.T) {
-	srv := newTestServer(t, Config{NewPrefetcher: nextLineFactory, Budget: 2})
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	br := bufio.NewReader(nc)
-	sendLine := func(s string) {
-		t.Helper()
-		if _, err := fmt.Fprintln(nc, s); err != nil {
-			t.Fatalf("send %q: %v", s, err)
-		}
-	}
-	readObj := func() map[string]any {
-		t.Helper()
-		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			t.Fatalf("read json line: %v", err)
-		}
-		var m map[string]any
-		if err := json.Unmarshal(line, &m); err != nil {
-			t.Fatalf("bad json %q: %v", line, err)
-		}
-		return m
-	}
-
-	sendLine(`{"type":"ping"}`)
-	if m := readObj(); m["type"] != "pong" {
-		t.Fatalf("want pong, got %v", m)
-	}
-	sendLine(`{"type":"event","session":1,"id":1,"pc":4096,"addr":8192}`)
-	m := readObj()
-	if m["type"] != "predict" || m["id"] != float64(1) {
-		t.Fatalf("want predict for id 1, got %v", m)
-	}
-	// NextLine with budget 2 prefetches the next two blocks.
-	addrs, ok := m["addrs"].([]any)
-	if !ok || len(addrs) != 2 || addrs[0] != float64(8192+trace.BlockBytes) || addrs[1] != float64(8192+2*trace.BlockBytes) {
-		t.Fatalf("want the next two blocks, got %v", m["addrs"])
-	}
-	// Duplicates reject with the string code.
-	sendLine(`{"type":"event","session":1,"id":1,"pc":4096,"addr":8192}`)
-	if m := readObj(); m["type"] != "reject" || m["code"] != "stale" {
-		t.Fatalf("want stale reject, got %v", m)
-	}
-	// A malformed line closes the connection (its bad-request reject is
-	// best-effort: the teardown may win the race, so only closure is
-	// guaranteed).
-	sendLine(`{"type":"nope"}`)
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for {
-		_, err := br.ReadByte()
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("connection stayed open after a protocol violation")
-		}
-		break
-	}
-}
-
-// TestJSONLineCapBoundsAllocation sends one 64 MiB JSON-mode line with no
-// newline. The server must reject it once the line passes MaxFrameBytes,
-// not buffer the whole line before checking the cap.
-func TestJSONLineCapBoundsAllocation(t *testing.T) {
-	srv := newTestServer(t, Config{NewPrefetcher: nextLineFactory})
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(30 * time.Second))
-	chunk := make([]byte, 1<<20)
-	for i := range chunk {
-		chunk[i] = ' '
-	}
-	chunk[0] = '{'
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 64; i++ {
-		if _, err := nc.Write(chunk); err != nil {
-			break // the server rejected the line and hung up
-		}
-		chunk[0] = ' '
-	}
-	nc.(*net.TCPConn).CloseWrite()
-	buf := make([]byte, 512)
-	for {
-		if _, err := nc.Read(buf); err != nil {
-			break
-		}
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
-		t.Fatalf("a 64 MiB JSON line allocated %d MiB; want the read bounded near MaxFrameBytes", got>>20)
-	}
-}
-
 func TestBinaryProtocolViolationsCloseTheConnection(t *testing.T) {
 	reg := withRegistry(t)
 	srv := newTestServer(t, Config{NewPrefetcher: nextLineFactory})
 
-	assertClosed := func(t *testing.T, nc net.Conn) {
+	// assertClosed waits for the server to close nc and returns the bytes
+	// it sent first (a best-effort reject, if it won the race).
+	assertClosed := func(t *testing.T, nc net.Conn) []byte {
 		t.Helper()
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var got []byte
 		buf := make([]byte, 512)
 		for {
-			_, err := nc.Read(buf)
+			n, err := nc.Read(buf)
+			got = append(got, buf[:n]...)
 			if err == nil {
-				continue // best-effort reject bytes drain first
+				continue
 			}
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Fatalf("connection stayed open after a protocol violation")
 			}
-			return // closed
+			return got
 		}
 	}
 	t.Run("bad magic", func(t *testing.T) {
@@ -680,6 +624,27 @@ func TestBinaryProtocolViolationsCloseTheConnection(t *testing.T) {
 		defer nc.Close()
 		nc.Write([]byte("NOPE"))
 		assertClosed(t, nc)
+	})
+	t.Run("json opening", func(t *testing.T) {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.Write([]byte("{\"type\":\"ping\"}\n"))
+		// Whatever arrives before the close is the bad-magic reject,
+		// never a pong.
+		fr := NewFrameReader(bytes.NewReader(assertClosed(t, nc)))
+		for {
+			payload, err := fr.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			var f Frame
+			if err != nil || ParseFrame(payload, &f) != nil || f.Kind != FrameReject || f.Code != RejectBadRequest {
+				t.Fatalf("a JSON opening drew kind %#x code %s (err %v); want only a bad-request reject", f.Kind, RejectCodeName(f.Code), err)
+			}
+		}
 	})
 	t.Run("corrupt frame", func(t *testing.T) {
 		c := dialBinary(t, srv.Addr())
@@ -703,8 +668,8 @@ func TestBinaryProtocolViolationsCloseTheConnection(t *testing.T) {
 		c.nc.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 		assertClosed(t, c.nc)
 	})
-	if got := reg.Snapshot().Counters["serve.frame_errors"]; got < 3 {
-		t.Fatalf("frame_errors = %d, want >= 3", got)
+	if got := reg.Snapshot().Counters["serve.frame_errors"]; got < 4 {
+		t.Fatalf("frame_errors = %d, want >= 4", got)
 	}
 }
 
@@ -721,7 +686,6 @@ func TestSlowClientBackpressureBoundedMemory(t *testing.T) {
 	reg := withRegistry(t)
 	srv := newTestServer(t, Config{
 		NewPrefetcher: nextLineFactory,
-		Shards:        1,
 		QueueDepth:    64,
 		OutboundDepth: 64,
 	})

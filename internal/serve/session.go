@@ -24,15 +24,15 @@ type queuedEvent struct {
 
 // session is one client session: a private online prefetcher plus a
 // bounded event queue drained by a dedicated worker goroutine. All fields
-// below the queue are guarded by the owning shard's mutex; pending is
-// atomic because the worker decrements it without the lock.
+// below the queue are guarded by the table mutex; pending is atomic
+// because the worker decrements it without the lock.
 type session struct {
 	id uint64
 	pf prefetch.Prefetcher
 
 	// q is the bounded event queue. Capacity equals the configured
 	// QueueDepth; the pending counter gates sends, so a send under the
-	// shard lock never blocks. Closed (by closeAll) to drain the session.
+	// table lock never blocks. Closed (by closeAll) to drain the session.
 	q chan queuedEvent
 	// stop makes the worker exit immediately; only ever closed while the
 	// session is idle (pending == 0), so no accepted event is abandoned.
@@ -43,7 +43,7 @@ type session struct {
 	// safe to evict.
 	pending atomic.Int32
 
-	// lastID is the largest accepted event id (shard mutex). Events with
+	// lastID is the largest accepted event id (table mutex). Events with
 	// id <= lastID are duplicates of already-accepted work and are
 	// rejected RejectStale, which makes client retries idempotent.
 	lastID uint64
@@ -117,27 +117,29 @@ func (s *session) process(srv *Server, ev queuedEvent) {
 	srv.inflight.Add(-1)
 }
 
-// shard is one power-of-two slice of the session table: its resident
-// sessions in recency order, under one mutex.
-type shard struct {
+// table is the session table: the resident sessions in recency order and
+// the spill ring of evicted-session snapshots, under one mutex.
+type table struct {
+	srv      *Server
 	mu       sync.Mutex
 	sessions flat.LRU[*session] // session id -> session
-	cap      int
+	cap      int                // MaxSessions
 	closed   bool
+	spill    spillStore
 }
 
 // evictIdle evicts the least-recently-used quiescent session, returning
-// false when every resident session still has events in flight (shard
+// false when every resident session still has events in flight (table
 // mutex held). The evicted worker exits via its stop channel. The
 // session's learned state and protocol watermarks are snapshotted into
-// the spill store first, so a returning session resumes instead of
+// the spill ring first, so a returning session resumes instead of
 // starting fresh (see docs/serving.md); when the prefetcher cannot
 // serialize itself, the state is discarded. Quiescence (pending == 0)
 // makes the snapshot safe: the worker only touches the prefetcher while
 // an accepted event is pending.
-func (sh *shard) evictIdle(spill *spillStore) bool {
+func (t *table) evictIdle() bool {
 	var victim *session
-	sh.sessions.Range(func(_ uint64, s **session) bool {
+	t.sessions.Range(func(_ uint64, s **session) bool {
 		if (*s).pending.Load() == 0 {
 			victim = *s
 		}
@@ -147,13 +149,13 @@ func (sh *shard) evictIdle(spill *spillStore) bool {
 		return false
 	}
 	close(victim.stop)
-	sh.sessions.Delete(victim.id)
+	t.sessions.Delete(victim.id)
 	m := serveTele.Load()
 	if m != nil {
 		m.evicted.Inc()
 	}
 	if e := snapshot(victim); e != nil {
-		spill.put(e)
+		t.spill.put(e)
 		if m != nil {
 			m.spilled.Inc()
 		}
@@ -161,55 +163,29 @@ func (sh *shard) evictIdle(spill *spillStore) bool {
 	return true
 }
 
-// table is the sharded session table.
-type table struct {
-	srv    *Server
-	shards []shard
-	mask   uint64
-}
-
-// newTable builds a table with the configured (power-of-two) shard count.
-func newTable(srv *Server, shards, perShardCap int) *table {
-	t := &table{srv: srv, shards: make([]shard, shards), mask: uint64(shards - 1)}
-	for i := range t.shards {
-		t.shards[i].cap = perShardCap
-	}
-	return t
-}
-
-// splitmix64 spreads session ids across shards even when clients pick
-// adjacent or adversarial ids.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // enqueue admits one event into its session's queue, creating (or
 // evicting into room for) the session as needed. It returns 0 on
 // acceptance or the reject code, and never blocks: the pending counter
 // gates the buffered channel send.
 func (t *table) enqueue(c *conn, sid uint64, acc trace.Access, start int64) byte {
-	sh := &t.shards[splitmix64(sid)&t.mask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.closed || t.srv.draining.Load() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed || t.srv.draining.Load() {
 		return RejectDraining
 	}
 	m := serveTele.Load()
 	var s *session
-	if ps := sh.sessions.Get(sid); ps != nil {
+	if ps := t.sessions.Get(sid); ps != nil {
 		s = *ps // Get made it the most recently used
 	} else {
-		if sh.sessions.Len() >= sh.cap && !sh.evictIdle(t.srv.spill) {
+		if t.sessions.Len() >= t.cap && !t.evictIdle() {
 			return RejectMaxSessions
 		}
 		var (
 			pf       prefetch.Prefetcher
 			restored *spillEntry
 		)
-		if e, ok := t.srv.spill.take(sid); ok {
+		if e, ok := t.spill.take(sid); ok {
 			if rpf, err := core.LoadSession(bytes.NewReader(e.blob)); err == nil {
 				pf, restored = rpf, e
 				if m != nil {
@@ -237,7 +213,7 @@ func (t *table) enqueue(c *conn, sid uint64, acc trace.Access, start int64) byte
 		if restored != nil {
 			s.lastID, s.shedID = restored.lastID, restored.shedID
 		}
-		ps, _ := sh.sessions.Insert(sid)
+		ps, _ := t.sessions.Insert(sid)
 		*ps = s
 		if m != nil {
 			m.sessions.Add(1)
@@ -280,33 +256,25 @@ func (t *table) enqueue(c *conn, sid uint64, acc trace.Access, start int64) byte
 	return 0
 }
 
-// closeAll marks every shard closed and closes every resident session's
+// closeAll marks the table closed and closes every resident session's
 // queue: the workers drain what was accepted — exactly once — and exit.
 // Called only from the server's shutdown path, after draining is set.
 func (t *table) closeAll() {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		if !sh.closed {
-			sh.closed = true
-			sh.sessions.Range(func(_ uint64, s **session) bool {
-				close((*s).q)
-				return true
-			})
-		}
-		sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return
 	}
+	t.closed = true
+	t.sessions.Range(func(_ uint64, s **session) bool {
+		close((*s).q)
+		return true
+	})
 }
 
-// sessionCount returns the number of resident sessions (for tests and the
-// admission gauge cross-check).
+// sessionCount returns the number of resident sessions.
 func (t *table) sessionCount() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += sh.sessions.Len()
-		sh.mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sessions.Len()
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"sync"
 
 	"pathfinder/internal/core"
 	"pathfinder/internal/flat"
@@ -19,25 +18,19 @@ type spillEntry struct {
 	shedID uint64
 }
 
-// spillStore is a bounded LRU ring of evicted-session snapshots, shared
-// across the session table's shards. When it is full, admitting a new
-// snapshot drops the least recently spilled one — the same session losing
-// state it would have lost without the store, just later. Lock order:
-// shard.mu, then spillStore.mu (never the reverse).
+// spillStore is a bounded LRU ring of evicted-session snapshots, guarded
+// by the session table's mutex. When it is full, admitting a new snapshot
+// drops the least recently spilled one — the same session losing state it
+// would have lost without the store, just later.
 type spillStore struct {
-	mu      sync.Mutex
 	ring    flat.LRU[spillEntry] // session id -> snapshot
 	cap     int
 	dropped int // snapshots pushed out by capacity (stats/tests)
 }
 
-func newSpillStore(cap int) *spillStore { return &spillStore{cap: cap} }
-
 // put admits a snapshot, replacing any previous snapshot for the same
 // session and evicting the oldest entry when past capacity.
 func (st *spillStore) put(e *spillEntry) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	v, _ := st.ring.Insert(e.id)
 	*v = *e
 	for st.ring.Len() > st.cap {
@@ -49,8 +42,6 @@ func (st *spillStore) put(e *spillEntry) {
 
 // take removes and returns the snapshot for id, if one is held.
 func (st *spillStore) take(id uint64) (*spillEntry, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	v := st.ring.Peek(id)
 	if v == nil {
 		return nil, false
@@ -58,13 +49,6 @@ func (st *spillStore) take(id uint64) (*spillEntry, bool) {
 	e := *v
 	st.ring.Delete(id)
 	return &e, true
-}
-
-// len returns the number of held snapshots (for tests).
-func (st *spillStore) len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.ring.Len()
 }
 
 // snapshot serializes a quiescent session into a spill entry, or nil when

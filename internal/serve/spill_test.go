@@ -2,10 +2,27 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	"pathfinder/internal/prefetch"
 	"pathfinder/internal/trace"
 )
+
+// spilled returns the number of snapshots in the server's spill ring.
+func spilled(srv *Server) int {
+	srv.table.mu.Lock()
+	defer srv.table.mu.Unlock()
+	return srv.table.spill.ring.Len()
+}
+
+// quiesce waits until no accepted event is in flight. A worker drops its
+// pending count just after handing over the reply the client reads, so
+// without the wait a new session can find the resident one still busy
+// and draw max-sessions instead of evicting it.
+func quiesce(t *testing.T, srv *Server) {
+	t.Helper()
+	waitFor(t, 2*time.Second, func() bool { return srv.inflight.Load() == 0 })
+}
 
 // sendAndCollect drives accs through one session synchronously (one
 // reply read per event sent) and returns the prediction stream.
@@ -36,16 +53,12 @@ func TestEvictedSessionRestoresLearnedState(t *testing.T) {
 	accs := genTrace(t, "cc-5", 400, 7)
 	want := expectedPredictions(t, DefaultSessionPrefetcher, 1, accs, prefetch.Budget)
 
-	// One shard, one resident session: creating session 2 must evict
-	// session 1.
-	srv, err := New(Config{Shards: 1, MaxSessions: 1})
+	// One resident session: creating session 2 must evict session 1.
+	srv, err := New(Config{MaxSessions: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.spill == nil {
-		t.Fatal("default config should enable the spill store")
-	}
 
 	c := dialBinary(t, srv.Addr())
 	defer c.close()
@@ -56,17 +69,19 @@ func TestEvictedSessionRestoresLearnedState(t *testing.T) {
 	// Force the eviction with an unrelated session, then prove session 1
 	// is no longer resident but its snapshot is.
 	evictor := genTrace(t, "cc-5", 1, 9)
+	quiesce(t, srv)
 	sendAndCollect(t, c, 2, evictor)
 	if n := srv.SessionCount(); n != 1 {
 		t.Fatalf("SessionCount = %d after eviction, want 1 (session 2 only)", n)
 	}
-	if n := srv.spill.len(); n != 1 {
+	if n := spilled(srv); n != 1 {
 		t.Fatalf("spill holds %d snapshots, want 1", n)
 	}
 
 	// The restored session must also remember what it already accepted: a
 	// duplicate of the last pre-eviction event is stale, not a fresh event
 	// that would fork the learned state.
+	quiesce(t, srv)
 	if err := c.writeEvent(1, accs[half-1]); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +104,7 @@ func TestEvictedRegistrySessionRestoresLearnedState(t *testing.T) {
 	accs := genTrace(t, "cc-5", 400, 7)
 	want := expectedPredictions(t, factory, 1, accs, prefetch.Budget)
 
-	srv, err := New(Config{Shards: 1, MaxSessions: 1, NewPrefetcher: factory})
+	srv, err := New(Config{MaxSessions: 1, NewPrefetcher: factory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +114,12 @@ func TestEvictedRegistrySessionRestoresLearnedState(t *testing.T) {
 
 	half := len(accs) / 2
 	got := sendAndCollect(t, c, 1, accs[:half])
+	quiesce(t, srv)
 	sendAndCollect(t, c, 2, genTrace(t, "cc-5", 1, 9)) // evicts session 1
-	if srv.spill == nil || srv.spill.len() != 1 {
+	if spilled(srv) != 1 {
 		t.Fatal("evicted pathfinder-1tick session was not spilled")
 	}
+	quiesce(t, srv)
 	got = append(got, sendAndCollect(t, c, 1, accs[half:])...)
 	assertPredictionsMatch(t, 1, got, want)
 }
@@ -111,12 +128,12 @@ func TestEvictedRegistrySessionRestoresLearnedState(t *testing.T) {
 // snapshot is dropped when a new one would exceed the cap, and re-spilling
 // a session replaces its previous snapshot instead of duplicating it.
 func TestSpillStoreBounded(t *testing.T) {
-	st := newSpillStore(2)
+	st := &spillStore{cap: 2}
 	st.put(&spillEntry{id: 1})
 	st.put(&spillEntry{id: 2})
 	st.put(&spillEntry{id: 2, lastID: 7}) // replace, not duplicate
-	if st.len() != 2 {
-		t.Fatalf("len = %d, want 2", st.len())
+	if n := st.ring.Len(); n != 2 {
+		t.Fatalf("len = %d, want 2", n)
 	}
 	st.put(&spillEntry{id: 3}) // pushes out id 1, the oldest
 	if _, ok := st.take(1); ok {
@@ -132,7 +149,7 @@ func TestSpillStoreBounded(t *testing.T) {
 	if _, ok := st.take(3); !ok {
 		t.Fatal("newest snapshot missing")
 	}
-	if st.len() != 0 {
-		t.Fatalf("len = %d after draining, want 0", st.len())
+	if n := st.ring.Len(); n != 0 {
+		t.Fatalf("len = %d after draining, want 0", n)
 	}
 }

@@ -233,10 +233,11 @@ func New(cfg Config) (*Network, error) {
 // checkRegion rejects a configuration outside the region the engine is
 // exact for: undriven potentials decay towards a rest below threshold, a
 // neuron leaving refractory resets below threshold (theta never goes
-// negative), and a fire only lowers the other potentials. That is what
-// keeps an inhibitory neuron at rest until its excitatory partner fires
-// and lets the winner-take-all loop filter its candidates instead of
-// rescanning (see docs/performance.md). Every comparison fails on NaN.
+// negative), a fire only lowers the other potentials, and refractory
+// countdowns start at zero or above. That is what keeps an inhibitory
+// neuron at rest until its excitatory partner fires and lets the
+// winner-take-all loop filter its candidates instead of rescanning (see
+// docs/performance.md). Every comparison fails on NaN.
 func checkRegion(cfg Config) error {
 	for _, c := range [...]struct {
 		field string
@@ -257,6 +258,8 @@ func checkRegion(cfg Config) error {
 		{"WMax", cfg.WMax, cfg.WMax > 0, "above", 0},
 		{"TCDecayE", cfg.TCDecayE, cfg.TCDecayE > 0, "above", 0},
 		{"TCDecayI", cfg.TCDecayI, cfg.TCDecayI > 0, "above", 0},
+		{"RefracE", float64(cfg.RefracE), cfg.RefracE >= 0, "at least", 0},
+		{"RefracI", float64(cfg.RefracI), cfg.RefracI >= 0, "at least", 0},
 	} {
 		if !c.ok {
 			return fmt.Errorf("snn: %s %v must be %s %v", c.field, c.v, c.rel, c.bound)

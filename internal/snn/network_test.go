@@ -52,6 +52,8 @@ func TestNewValidatesConfig(t *testing.T) {
 		{"WMax", func(c *Config) { c.WMax = 0 }},
 		{"TCDecayE", func(c *Config) { c.TCDecayE = 0 }},
 		{"TCDecayI", func(c *Config) { c.TCDecayI = -10 }},
+		{"RefracE", func(c *Config) { c.RefracE = -1 }},
+		{"RefracI", func(c *Config) { c.RefracI = -1 }},
 	}
 	for i, c := range cases {
 		cfg := testConfig()

@@ -57,24 +57,10 @@ func (n *Network) Save(w io.Writer) error {
 		n.cfg.RestE, n.cfg.ResetE, n.cfg.ThreshE, n.cfg.TCDecayE,
 		n.cfg.RestI, n.cfg.ResetI, n.cfg.ThreshI, n.cfg.TCDecayI,
 	}
-	for _, v := range ints {
+	// Then the learned state. binary.Write stores a float64 as its IEEE
+	// bits, one slice per call.
+	for _, v := range []any{ints, floats, n.w, n.theta} {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, v := range floats {
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-			return err
-		}
-	}
-	// Learned state.
-	for _, v := range n.w {
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-			return err
-		}
-	}
-	for _, v := range n.theta {
-		if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
 			return err
 		}
 	}
@@ -94,16 +80,12 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 		return nil, errors.New("snn: bad magic; not an SNN1 file")
 	}
 	var ints [9]int64
-	for i := range ints {
-		if err := binary.Read(br, binary.LittleEndian, &ints[i]); err != nil {
-			return nil, fmt.Errorf("snn: reading config: %w", err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, ints[:]); err != nil {
+		return nil, fmt.Errorf("snn: reading config: %w", err)
 	}
 	var fbits [19]uint64
-	for i := range fbits {
-		if err := binary.Read(br, binary.LittleEndian, &fbits[i]); err != nil {
-			return nil, fmt.Errorf("snn: reading config: %w", err)
-		}
+	if err := binary.Read(br, binary.LittleEndian, fbits[:]); err != nil {
+		return nil, fmt.Errorf("snn: reading config: %w", err)
 	}
 	if ints[0] <= 0 || ints[0] > maxLoadInputSize || ints[1] <= 0 || ints[1] > maxLoadNeurons {
 		return nil, fmt.Errorf("snn: implausible dimensions in file (input %d, neurons %d)", ints[0], ints[1])
@@ -143,27 +125,21 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 	}
 	// The learned state must lie where the engine keeps it: weights in
 	// [0, WMax] and thresholds finite and non-negative.
-	for i := range n.w {
-		var bits uint64
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("snn: reading weights: %w", err)
-		}
-		w := math.Float64frombits(bits)
+	if err := binary.Read(br, binary.LittleEndian, n.w); err != nil {
+		return nil, fmt.Errorf("snn: reading weights: %w", err)
+	}
+	for i, w := range n.w {
 		if !(w >= 0 && w <= cfg.WMax) {
 			return nil, fmt.Errorf("snn: weight %d is %v, outside [0, %v]", i, w, cfg.WMax)
 		}
-		n.w[i] = w
 	}
-	for i := range n.theta {
-		var bits uint64
-		if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-			return nil, fmt.Errorf("snn: reading thetas: %w", err)
-		}
-		th := math.Float64frombits(bits)
+	if err := binary.Read(br, binary.LittleEndian, n.theta); err != nil {
+		return nil, fmt.Errorf("snn: reading thetas: %w", err)
+	}
+	for i, th := range n.theta {
 		if !(th >= 0) || math.IsInf(th, 0) {
 			return nil, fmt.Errorf("snn: threshold %d is %v", i, th)
 		}
-		n.theta[i] = th
 	}
 	return n, nil
 }

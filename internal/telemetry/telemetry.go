@@ -333,9 +333,6 @@ func Disable() { global.Store(nil) }
 // Get returns the global registry, or nil when telemetry is off.
 func Get() *Registry { return global.Load() }
 
-// Enabled reports whether a global registry is installed.
-func Enabled() bool { return global.Load() != nil }
-
 // GlobalSnapshot snapshots the global registry (nil when telemetry is
 // off) — the "final telemetry block" RunReport embeds.
 func GlobalSnapshot() *Snapshot { return global.Load().Snapshot() }

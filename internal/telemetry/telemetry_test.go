@@ -184,14 +184,14 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestGlobalEnableDisable(t *testing.T) {
 	defer Disable()
-	if Enabled() || Get() != nil {
+	if Get() != nil {
 		t.Fatal("telemetry must start disabled")
 	}
 	if GlobalSnapshot() != nil {
 		t.Fatal("disabled global snapshot must be nil")
 	}
 	r := Enable()
-	if !Enabled() || Get() != r {
+	if Get() != r {
 		t.Fatal("Enable must install the registry")
 	}
 	r.Counter("x").Inc()
@@ -199,7 +199,7 @@ func TestGlobalEnableDisable(t *testing.T) {
 		t.Fatalf("global snapshot: %+v", GlobalSnapshot())
 	}
 	Disable()
-	if Enabled() {
+	if Get() != nil {
 		t.Fatal("Disable must clear the registry")
 	}
 }

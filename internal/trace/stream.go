@@ -1,18 +1,18 @@
 // Streaming form of the trace container: a pull-based Source iterator plus
 // incremental decoders and encoders, so traces of any length — gigabyte
-// files, live capture pipes — replay in constant memory. The slice entry
-// points (Read, ReadText, Write, WriteText) are retained as conveniences
-// and are themselves built on the streaming layer, so the two paths cannot
-// drift: they share one decoder and produce identical records and identical
-// positioned errors by construction.
+// files, live capture pipes — replay in constant memory. Collect
+// materializes any Source into a slice.
 //
 // Containers:
 //
-//   - "PFT2" (Write): counted — magic, uvarint record count, records. The
+//   - "PFT2": counted — magic, uvarint record count, records. The
 //     decoder knows the length up front and can pre-size collections.
+//     The repository no longer writes it; NewReader still decodes it.
 //   - "PFT3" (Writer): unbounded — magic, records until EOF. This is the
 //     piping format: an encoder that does not know the record count when
 //     the first record leaves (tracegen -o -, live capture adapters).
+//
+// Both carry the same record bytes.
 //
 // NewReader decodes both; NewAutoReader additionally sniffs the text form.
 package trace
@@ -36,8 +36,12 @@ type Source interface {
 	Next(a *Access) error
 }
 
-// magic3 identifies the unbounded (stream) binary trace container.
-var magic3 = [4]byte{'P', 'F', 'T', '3'}
+// magic identifies the counted binary trace container (PFT2), magic3 the
+// unbounded stream (PFT3).
+var (
+	magic  = [4]byte{'P', 'F', 'T', '2'}
+	magic3 = [4]byte{'P', 'F', 'T', '3'}
+)
 
 // SliceSource adapts an in-memory []Access to the Source interface, keeping
 // the old materialized shape usable wherever a Source is now expected.
@@ -358,13 +362,15 @@ func uvarintWord(x uint64, n uint) uint64 {
 // Writer is the streaming binary trace encoder. It emits the unbounded
 // PFT3 container — the record count need not be known when encoding
 // starts, which is what lets tracegen pipe to stdout and capture adapters
-// encode live streams. Records are validated incrementally with the same
-// positioned errors as the slice encoder; a validation or I/O error is
-// sticky and nothing further is written.
+// encode live streams. Records are validated incrementally with positioned
+// errors; a validation or I/O error is sticky and nothing further is
+// written.
 type Writer struct {
-	bw  *bufio.Writer
-	enc recordEncoder
-	err error
+	bw     *bufio.Writer
+	buf    [maxRecordLen]byte
+	i      uint64 // records written (error positions)
+	prevID uint64
+	err    error
 }
 
 // NewWriter returns a streaming encoder writing the PFT3 container to w.
@@ -376,67 +382,42 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bw}
 }
 
-// Write validates and encodes one record. Validation mirrors the slice
-// encoder: non-decreasing IDs and canonical-address-space PC/Addr.
+// Write validates a (non-decreasing IDs, canonical-address-space PC and
+// Addr) and writes its four uvarints in one buffered write.
 func (w *Writer) Write(a Access) error {
 	if w.err != nil {
 		return w.err
 	}
-	if err := w.enc.write(w.bw, a); err != nil {
-		w.err = err
-		return err
+	switch {
+	case a.ID < w.prevID:
+		w.err = fmt.Errorf("trace: access %d has ID %d < previous ID %d", w.i, a.ID, w.prevID)
+	case a.PC > MaxAddr:
+		w.err = fmt.Errorf("trace: access %d has pc %#x beyond the canonical address space", w.i, a.PC)
+	case a.Addr > MaxAddr:
+		w.err = fmt.Errorf("trace: access %d has addr %#x beyond the canonical address space", w.i, a.Addr)
+	default:
+		b := binary.AppendUvarint(w.buf[:0], a.ID-w.prevID)
+		b = binary.AppendUvarint(b, a.PC)
+		b = binary.AppendUvarint(b, a.Addr)
+		b = binary.AppendUvarint(b, uint64(a.Chain))
+		w.prevID = a.ID
+		w.i++
+		_, w.err = w.bw.Write(b)
 	}
-	return nil
+	return w.err
 }
 
 // Flush completes the stream: it drains the buffer, the magic included,
 // to the underlying writer, so a Writer with no records still emits an
 // empty but valid PFT3 trace. Call it once after the last record.
 func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
+	if w.err == nil {
+		w.err = w.bw.Flush()
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.err = err
-		return err
-	}
-	return nil
+	return w.err
 }
 
-// recordEncoder validates records in order and writes each one as a
-// single buffered write of its four uvarints. Write (PFT2) and Writer
-// (PFT3) both encode through it, so their record bytes and their
-// positioned errors are the same.
-type recordEncoder struct {
-	buf    [maxRecordLen]byte
-	i      uint64 // records written (error positions)
-	prevID uint64
-}
-
-// write validates a (non-decreasing IDs, canonical-address-space PC and
-// Addr) and writes its encoding to bw.
-func (e *recordEncoder) write(bw *bufio.Writer, a Access) error {
-	if a.ID < e.prevID {
-		return fmt.Errorf("trace: access %d has ID %d < previous ID %d", e.i, a.ID, e.prevID)
-	}
-	if a.PC > MaxAddr {
-		return fmt.Errorf("trace: access %d has pc %#x beyond the canonical address space", e.i, a.PC)
-	}
-	if a.Addr > MaxAddr {
-		return fmt.Errorf("trace: access %d has addr %#x beyond the canonical address space", e.i, a.Addr)
-	}
-	b := binary.AppendUvarint(e.buf[:0], a.ID-e.prevID)
-	b = binary.AppendUvarint(b, a.PC)
-	b = binary.AppendUvarint(b, a.Addr)
-	b = binary.AppendUvarint(b, uint64(a.Chain))
-	e.prevID = a.ID
-	e.i++
-	_, err := bw.Write(b)
-	return err
-}
-
-// Encode drains src through a streaming Writer into w — the constant-memory
-// counterpart of Write for unbounded inputs.
+// Encode drains src through a streaming Writer into w.
 func Encode(w io.Writer, src Source) error {
 	enc := NewWriter(w)
 	var a Access

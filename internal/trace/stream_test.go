@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -62,9 +61,9 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 	if got := buf.Bytes()[:4]; string(got) != "PFT3" {
 		t.Fatalf("stream container magic = %q, want PFT3", got)
 	}
-	got, err := Read(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
-		t.Fatalf("Read of PFT3 stream: %v", err)
+		t.Fatalf("read of PFT3 stream: %v", err)
 	}
 	if !reflect.DeepEqual(got, accs) {
 		t.Fatal("PFT3 round trip mismatch")
@@ -72,22 +71,19 @@ func TestStreamWriterReaderRoundTrip(t *testing.T) {
 }
 
 // TestStreamWriterMatchesWrite pins that both containers carry the same
-// record bytes: Write's after its magic and count equal Encode's after its
-// magic, down to the widest fields either encoder accepts.
+// record bytes: a counted PFT2 container holding Encode's records after
+// its magic and count decodes to the records Encode was given, down to
+// the widest fields the encoder accepts.
 func TestStreamWriterMatchesWrite(t *testing.T) {
 	accs := genAccesses(1000, 14)
 	last := accs[len(accs)-1].ID
 	accs = append(accs, Access{ID: last + 1<<60, PC: MaxAddr, Addr: MaxAddr, Chain: 1<<32 - 1})
-	var counted, stream bytes.Buffer
-	if err := Write(&counted, accs); err != nil {
+	got, err := readAll(bytes.NewReader(counted(t, accs)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Encode(&stream, NewSliceSource(accs)); err != nil {
-		t.Fatal(err)
-	}
-	header := len(magic) + len(binary.AppendUvarint(nil, uint64(len(accs))))
-	if !bytes.Equal(counted.Bytes()[header:], stream.Bytes()[len(magic3):]) {
-		t.Fatal("Write and Encode encode the same records differently")
+	if !reflect.DeepEqual(got, accs) {
+		t.Fatal("the PFT2 decoder reads Encode's record bytes differently")
 	}
 }
 
@@ -97,9 +93,9 @@ func TestStreamWriterEmpty(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := readAll(&buf)
 	if err != nil {
-		t.Fatalf("Read of empty PFT3 stream: %v", err)
+		t.Fatalf("read of empty PFT3 stream: %v", err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("got %d records, want 0", len(got))
@@ -149,27 +145,20 @@ func TestStreamWriterFailurePaths(t *testing.T) {
 
 // TestStreamSliceDecodeParity is the differential decode test: over
 // valid, corrupt, and truncated containers, the streaming Reader must
-// yield the reference decoder's accesses or positioned error, and the
-// slice Read the Reader's. Read delegates to Reader, so the second half
-// holds by construction; it pins the paths against splitting again.
+// yield the reference decoder's accesses or positioned error, and
+// Collect over it the Reader's.
 func TestStreamSliceDecodeParity(t *testing.T) {
-	var valid bytes.Buffer
-	if err := Write(&valid, genAccesses(200, 3)); err != nil {
-		t.Fatal(err)
-	}
-	var stream bytes.Buffer
-	if err := Encode(&stream, NewSliceSource(genAccesses(200, 3))); err != nil {
-		t.Fatal(err)
-	}
+	valid := counted(t, genAccesses(200, 3))
+	stream := encode(t, genAccesses(200, 3))
 	cases := map[string][]byte{
-		"valid counted":             valid.Bytes(),
-		"valid stream":              stream.Bytes(),
+		"valid counted":             valid,
+		"valid stream":              stream,
 		"empty input":               {},
 		"bad magic":                 []byte("XXXX\x00"),
 		"magic only":                []byte("PFT2"),
-		"stream magic only":         stream.Bytes()[:4],
-		"truncated mid-record":      valid.Bytes()[:valid.Len()-2],
-		"stream truncated":          stream.Bytes()[:stream.Len()-2],
+		"stream magic only":         stream[:4],
+		"truncated mid-record":      valid[:len(valid)-2],
+		"stream truncated":          stream[:len(stream)-2],
 		"pc beyond address space":   corruptTrace(1, 0, MaxAddr+1, 0, 0),
 		"addr beyond address space": corruptTrace(1, 0, 0, MaxAddr+1, 0),
 		"id delta overflow":         corruptTrace(2, 5, 0, 0, 0, ^uint64(0), 0, 0, 0),
@@ -185,7 +174,7 @@ func TestStreamSliceDecodeParity(t *testing.T) {
 		if streamErr != nil {
 			streamAccs = nil
 		}
-		sliceAccs, sliceErr := Read(bytes.NewReader(data))
+		sliceAccs, sliceErr := readAll(bytes.NewReader(data))
 		if d := diffDecode(sliceAccs, sliceErr, streamAccs, streamErr); d != "" {
 			t.Errorf("%s: slice vs stream: %s", name, d)
 		}
@@ -210,11 +199,7 @@ func TestReaderStickyError(t *testing.T) {
 
 func TestReaderRemaining(t *testing.T) {
 	accs := genAccesses(5, 4)
-	var counted bytes.Buffer
-	if err := Write(&counted, accs); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := NewReader(&counted)
+	rd, err := NewReader(bytes.NewReader(counted(t, accs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +227,12 @@ func TestReaderRemaining(t *testing.T) {
 	}
 }
 
-// TestTextStreamParity mirrors the binary parity test for the text form.
+// TestTextStreamParity mirrors the binary parity test for the text form:
+// Collect over a TextReader yields what Next does, record for record and
+// error for error.
 func TestTextStreamParity(t *testing.T) {
-	var valid bytes.Buffer
-	if err := WriteText(&valid, genAccesses(50, 5)); err != nil {
-		t.Fatal(err)
-	}
 	cases := map[string]string{
-		"valid":          valid.String(),
+		"valid":          textLines(genAccesses(50, 5)),
 		"empty":          "",
 		"comments only":  "# hi\n\n# there\n",
 		"nan field":      "1 0x400100 NaN",
@@ -261,7 +244,7 @@ func TestTextStreamParity(t *testing.T) {
 		"chain overflow": "1 2 64 4294967296",
 	}
 	for name, data := range cases {
-		sliceAccs, sliceErr := ReadText(strings.NewReader(data))
+		sliceAccs, sliceErr := readText(strings.NewReader(data))
 
 		var streamAccs []Access
 		var streamErr error
@@ -293,43 +276,12 @@ func TestTextStreamParity(t *testing.T) {
 	}
 }
 
-func TestTextWriterStreaming(t *testing.T) {
-	accs := genAccesses(20, 6)
-	var streamed bytes.Buffer
-	tw := NewTextWriter(&streamed)
-	for _, a := range accs {
-		if err := tw.Write(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var sliced bytes.Buffer
-	if err := WriteText(&sliced, accs); err != nil {
-		t.Fatal(err)
-	}
-	if streamed.String() != sliced.String() {
-		t.Fatal("TextWriter output differs from WriteText")
-	}
-}
-
 func TestNewAutoReader(t *testing.T) {
 	accs := genAccesses(30, 7)
-	var counted, stream, text bytes.Buffer
-	if err := Write(&counted, accs); err != nil {
-		t.Fatal(err)
-	}
-	if err := Encode(&stream, NewSliceSource(accs)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteText(&text, accs); err != nil {
-		t.Fatal(err)
-	}
 	for name, data := range map[string][]byte{
-		"counted": counted.Bytes(),
-		"stream":  stream.Bytes(),
-		"text":    text.Bytes(),
+		"counted": counted(t, accs),
+		"stream":  encode(t, accs),
+		"text":    []byte(textLines(accs)),
 	} {
 		src, err := NewAutoReader(bytes.NewReader(data))
 		if err != nil {
@@ -400,12 +352,7 @@ func TestReaderZeroAllocSteadyState(t *testing.T) {
 	EnableTelemetry(reg)
 	defer EnableTelemetry(nil)
 
-	var buf bytes.Buffer
-	if err := Write(&buf, genAccesses(4096, 9)); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	rd, err := NewReader(bytes.NewReader(data))
+	rd, err := NewReader(bytes.NewReader(counted(t, genAccesses(4096, 9))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,12 +396,7 @@ func TestDecodeTelemetry(t *testing.T) {
 	EnableTelemetry(reg)
 	defer EnableTelemetry(nil)
 
-	accs := genAccesses(25, 10)
-	var buf bytes.Buffer
-	if err := Write(&buf, accs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(&buf); err != nil {
+	if _, err := readAll(bytes.NewReader(counted(t, genAccesses(25, 10)))); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -465,11 +407,11 @@ func TestDecodeTelemetry(t *testing.T) {
 		t.Errorf("trace.decode_errors = %d, want 0", got)
 	}
 
-	if _, err := Read(bytes.NewReader(corruptTrace(1, 0, MaxAddr+1, 0, 0))); err == nil {
-		t.Fatal("Read accepted corrupt record")
+	if _, err := readAll(bytes.NewReader(corruptTrace(1, 0, MaxAddr+1, 0, 0))); err == nil {
+		t.Fatal("read accepted corrupt record")
 	}
-	if _, err := ReadText(strings.NewReader("1 2 NaN")); err == nil {
-		t.Fatal("ReadText accepted NaN")
+	if _, err := readText(strings.NewReader("1 2 NaN")); err == nil {
+		t.Fatal("readText accepted NaN")
 	}
 	snap = reg.Snapshot()
 	if got := snap.Counters["trace.decode_errors"]; got != 2 {
@@ -496,11 +438,7 @@ type errSource struct{ err error }
 func (e errSource) Next(*Access) error { return e.err }
 
 func BenchmarkReaderNext(b *testing.B) {
-	var buf bytes.Buffer
-	if err := Write(&buf, genAccesses(1<<16, 11)); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := counted(b, genAccesses(1<<16, 11))
 	b.ReportAllocs()
 	var a Access
 	rd, err := NewReader(bytes.NewReader(data))
@@ -523,16 +461,13 @@ func BenchmarkReaderNext(b *testing.B) {
 	}
 }
 
+// BenchmarkRead decodes a counted container into a slice.
 func BenchmarkRead(b *testing.B) {
-	var buf bytes.Buffer
-	if err := Write(&buf, genAccesses(1<<16, 12)); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := counted(b, genAccesses(1<<16, 12))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Read(bytes.NewReader(data)); err != nil {
+		if _, err := readAll(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

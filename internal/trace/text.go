@@ -5,11 +5,8 @@
 // lines ignored. The decoder is strict: every field must be a finite
 // unsigned integer — floats, NaN, and ±Inf (which numeric exporters love
 // to emit for missing values) are rejected with the record's position
-// rather than silently folded into addresses.
-//
-// TextReader and TextWriter are the streaming forms; ReadText and
-// WriteText are the materializing conveniences built on them, so both
-// paths parse and validate identically by construction.
+// rather than silently folded into addresses. TextReader decodes it; the
+// repository writes traces only in the binary containers.
 package trace
 
 import (
@@ -20,90 +17,8 @@ import (
 	"strings"
 )
 
-// TextWriter is the streaming text trace encoder: one record per Write
-// call, validated incrementally with the same positioned errors as
-// WriteText. The header comment is emitted with the first record (or
-// Flush), so construction performs no I/O.
-type TextWriter struct {
-	bw      *bufio.Writer
-	i       int // records written (error positions)
-	prevID  uint64
-	started bool
-	err     error
-}
-
-// NewTextWriter returns a streaming encoder writing the text trace form
-// to w.
-func NewTextWriter(w io.Writer) *TextWriter { return &TextWriter{bw: bufio.NewWriter(w)} }
-
-func (t *TextWriter) start() error {
-	if t.started {
-		return nil
-	}
-	t.started = true
-	_, err := fmt.Fprintln(t.bw, "# pathfinder trace: id pc addr chain")
-	return err
-}
-
-// Write validates and encodes one record.
-func (t *TextWriter) Write(a Access) error {
-	if t.err != nil {
-		return t.err
-	}
-	fail := func(err error) error {
-		t.err = err
-		return err
-	}
-	if t.i > 0 && a.ID < t.prevID {
-		return fail(fmt.Errorf("trace: access %d has ID %d < previous ID %d", t.i, a.ID, t.prevID))
-	}
-	t.prevID = a.ID
-	if a.PC > MaxAddr || a.Addr > MaxAddr {
-		return fail(fmt.Errorf("trace: access %d has a field beyond the canonical address space", t.i))
-	}
-	if err := t.start(); err != nil {
-		return fail(err)
-	}
-	if _, err := fmt.Fprintf(t.bw, "%d 0x%x 0x%x %d\n", a.ID, a.PC, a.Addr, a.Chain); err != nil {
-		return fail(err)
-	}
-	t.i++
-	return nil
-}
-
-// Flush completes the stream: it emits the header if no record was
-// written and drains the buffer to the underlying writer.
-func (t *TextWriter) Flush() error {
-	if t.err != nil {
-		return t.err
-	}
-	if err := t.start(); err != nil {
-		t.err = err
-		return err
-	}
-	if err := t.bw.Flush(); err != nil {
-		t.err = err
-		return err
-	}
-	return nil
-}
-
-// WriteText encodes accesses to w in the text trace form, one
-// `id pc addr chain` record per line (addresses in hex for legibility).
-func WriteText(w io.Writer, accs []Access) error {
-	tw := NewTextWriter(w)
-	for _, a := range accs {
-		if err := tw.Write(a); err != nil {
-			return err
-		}
-	}
-	return tw.Flush()
-}
-
 // TextReader is the streaming text trace decoder: a Source yielding one
-// record per Next call with the same parsing, validation, and positioned
-// errors as ReadText (which is implemented on top of it). Errors carry the
-// record number of the offending line, counted over records — comments and
+// record per Next call. Errors carry the record number of the offending line, counted over records — comments and
 // blank lines do not shift it. After a non-nil return the reader is
 // exhausted: further calls repeat the same error.
 type TextReader struct {
@@ -186,12 +101,6 @@ func (t *TextReader) Next(a *Access) error {
 		return t.finish(fmt.Errorf("trace: record %d: %w", t.rec, err))
 	}
 	return t.finish(io.EOF)
-}
-
-// ReadText decodes the text trace form written by WriteText (or by
-// external tooling following the same shape).
-func ReadText(r io.Reader) ([]Access, error) {
-	return Collect(NewTextReader(r))
 }
 
 // parseTextField parses one text-form field as a finite unsigned integer

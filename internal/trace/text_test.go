@@ -1,11 +1,25 @@
 package trace
 
 import (
-	"bytes"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// readText decodes the text trace form into a slice.
+func readText(r io.Reader) ([]Access, error) { return Collect(NewTextReader(r)) }
+
+// textLines formats accs in the text trace form, one `id pc addr chain`
+// line each.
+func textLines(accs []Access) string {
+	var b strings.Builder
+	for _, a := range accs {
+		fmt.Fprintf(&b, "%d 0x%x 0x%x %d\n", a.ID, a.PC, a.Addr, a.Chain)
+	}
+	return b.String()
+}
 
 func TestTextRoundTrip(t *testing.T) {
 	accs := []Access{
@@ -13,13 +27,9 @@ func TestTextRoundTrip(t *testing.T) {
 		{ID: 1, PC: 0x400108, Addr: 0x7f0000001040, Chain: 2},
 		{ID: 37, PC: 0x400200, Addr: PageBytes},
 	}
-	var buf bytes.Buffer
-	if err := WriteText(&buf, accs); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	got, err := ReadText(&buf)
+	got, err := readText(strings.NewReader(textLines(accs)))
 	if err != nil {
-		t.Fatalf("ReadText: %v", err)
+		t.Fatalf("readText: %v", err)
 	}
 	if !reflect.DeepEqual(got, accs) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, accs)
@@ -33,9 +43,9 @@ func TestReadTextFlexibleInput(t *testing.T) {
 2, 0x400108, 8192, 1  # comma separated, with chain
 	3	4195592	12288     # tabs, decimal pc
 `
-	got, err := ReadText(strings.NewReader(in))
+	got, err := readText(strings.NewReader(in))
 	if err != nil {
-		t.Fatalf("ReadText: %v", err)
+		t.Fatalf("readText: %v", err)
 	}
 	want := []Access{
 		{ID: 1, PC: 0x400100, Addr: 4096},
@@ -72,9 +82,9 @@ func TestReadTextRejects(t *testing.T) {
 		{"positioned past comments", "# c\n\n1 2 4096\n# c\n2 3 bad", "record 1: bad addr"},
 	}
 	for _, tc := range cases {
-		_, err := ReadText(strings.NewReader(tc.in))
+		_, err := readText(strings.NewReader(tc.in))
 		if err == nil {
-			t.Errorf("%s: ReadText accepted %q", tc.name, tc.in)
+			t.Errorf("%s: readText accepted %q", tc.name, tc.in)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
@@ -84,20 +94,11 @@ func TestReadTextRejects(t *testing.T) {
 }
 
 func TestReadTextEmpty(t *testing.T) {
-	got, err := ReadText(strings.NewReader("# only comments\n\n"))
+	got, err := readText(strings.NewReader("# only comments\n\n"))
 	if err != nil {
-		t.Fatalf("ReadText: %v", err)
+		t.Fatalf("readText: %v", err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("got %d records, want 0", len(got))
-	}
-}
-
-func TestWriteTextRejectsInvalid(t *testing.T) {
-	if err := WriteText(&bytes.Buffer{}, []Access{{ID: 5}, {ID: 3}}); err == nil {
-		t.Error("WriteText accepted decreasing IDs")
-	}
-	if err := WriteText(&bytes.Buffer{}, []Access{{ID: 1, Addr: MaxAddr + 1}}); err == nil {
-		t.Error("WriteText accepted out-of-range addr")
 	}
 }

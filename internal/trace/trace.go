@@ -92,53 +92,10 @@ func PageOf(block uint64) uint64 { return block / BlocksPerPage }
 // OffsetOf returns the within-page offset of the given block number.
 func OffsetOf(block uint64) int { return int(block % BlocksPerPage) }
 
-// Delta returns the signed block delta from block a to block b when both lie
-// in the same page, and ok=false otherwise. Deltas are the fundamental unit
-// PATHFINDER and the delta-based baselines learn (§3.2).
-func Delta(a, b uint64) (delta int, ok bool) {
-	if PageOf(a) != PageOf(b) {
-		return 0, false
-	}
-	return OffsetOf(b) - OffsetOf(a), true
-}
-
-// magic identifies the binary trace container format.
-var magic = [4]byte{'P', 'F', 'T', '2'}
-
-// Write encodes accesses to w in the binary trace container format.
-// The format is a 4-byte magic, a uvarint count, then per record uvarint
-// deltas of ID and raw uvarints for PC, Addr and Chain. Delta-encoding
-// IDs keeps typical traces compact without external compression.
-func Write(w io.Writer, accs []Access) error {
-	bw := bufio.NewWriter(w)
-	var hdr [len(magic) + binary.MaxVarintLen64]byte
-	if _, err := bw.Write(binary.AppendUvarint(append(hdr[:0], magic[:]...), uint64(len(accs)))); err != nil {
-		return err
-	}
-	var enc recordEncoder
-	for _, a := range accs {
-		if err := enc.write(bw, a); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read decodes a binary trace container (counted PFT2 as written by Write,
-// or an unbounded PFT3 stream as written by Writer) into a slice. It is
-// the materializing convenience over NewReader: the streaming decoder does
-// all the work, so the two paths decode identically by construction.
-func Read(r io.Reader) ([]Access, error) {
-	rd, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(rd)
-}
-
-// WritePrefetches encodes a prefetch file to w. The format mirrors Write:
-// magic "PFP1", uvarint count, then per record uvarint ID delta and a raw
-// uvarint address. Prefetch IDs must be non-decreasing.
+// WritePrefetches encodes a prefetch file to w. The format mirrors the
+// counted trace container: magic "PFP1", uvarint count, then per record
+// uvarint ID delta and a raw uvarint address. Prefetch IDs must be
+// non-decreasing.
 func WritePrefetches(w io.Writer, pfs []Prefetch) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write([]byte("PFP1")); err != nil {

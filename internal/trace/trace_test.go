@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -42,24 +43,54 @@ func TestPageOfOffsetOf(t *testing.T) {
 	}
 }
 
+// readAll decodes a binary trace container, PFT2 or PFT3, into a slice.
+func readAll(r io.Reader) ([]Access, error) {
+	rd, err := NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(rd)
+}
+
+// encode returns accs as a PFT3 stream.
+func encode(t testing.TB, accs []Access) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Encode(&buf, NewSliceSource(accs)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// counted returns accs as a counted PFT2 container: its magic, a uvarint
+// count, then the record bytes Encode writes after the PFT3 magic.
+func counted(t testing.TB, accs []Access) []byte {
+	t.Helper()
+	b := binary.AppendUvarint(append([]byte(nil), magic[:]...), uint64(len(accs)))
+	return append(b, encode(t, accs)[len(magic3):]...)
+}
+
+// The three delta tests pin the same-page block delta every delta
+// learner computes from PageOf and OffsetOf.
 func TestDeltaSamePage(t *testing.T) {
 	a := uint64(5*BlocksPerPage + 10)
 	b := uint64(5*BlocksPerPage + 13)
-	d, ok := Delta(a, b)
-	if !ok || d != 3 {
-		t.Errorf("Delta = %d,%v; want 3,true", d, ok)
+	if PageOf(a) != PageOf(b) {
+		t.Fatalf("blocks %d and %d in pages %d and %d; want one page", a, b, PageOf(a), PageOf(b))
 	}
-	d, ok = Delta(b, a)
-	if !ok || d != -3 {
-		t.Errorf("reverse Delta = %d,%v; want -3,true", d, ok)
+	if d := OffsetOf(b) - OffsetOf(a); d != 3 {
+		t.Errorf("delta = %d, want 3", d)
+	}
+	if d := OffsetOf(a) - OffsetOf(b); d != -3 {
+		t.Errorf("reverse delta = %d, want -3", d)
 	}
 }
 
 func TestDeltaCrossPage(t *testing.T) {
 	a := uint64(5*BlocksPerPage + 63)
 	b := uint64(6 * BlocksPerPage)
-	if _, ok := Delta(a, b); ok {
-		t.Error("Delta across pages reported ok")
+	if PageOf(a) == PageOf(b) {
+		t.Error("adjacent blocks across a page boundary share a page")
 	}
 }
 
@@ -68,14 +99,16 @@ func TestDeltaBounds(t *testing.T) {
 	f := func(page uint64, o1, o2 uint8) bool {
 		a := page*BlocksPerPage + uint64(o1%BlocksPerPage)
 		b := page*BlocksPerPage + uint64(o2%BlocksPerPage)
-		d, ok := Delta(a, b)
-		return ok && d >= MinDelta && d <= MaxDelta
+		d := OffsetOf(b) - OffsetOf(a)
+		return PageOf(a) == PageOf(b) && d >= MinDelta && d <= MaxDelta
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestWriteReadRoundTrip round-trips records through the counted
+// container.
 func TestWriteReadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	accs := make([]Access, 1000)
@@ -84,13 +117,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		id += uint64(rng.Intn(50))
 		accs[i] = Access{ID: id, PC: rng.Uint64() & MaxAddr, Addr: rng.Uint64() & MaxAddr}
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, accs); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := Read(&buf)
+	got, err := readAll(bytes.NewReader(counted(t, accs)))
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	if !reflect.DeepEqual(got, accs) {
 		t.Fatal("round trip mismatch")
@@ -99,36 +128,28 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 func TestWriteRejectsDecreasingIDs(t *testing.T) {
 	accs := []Access{{ID: 5}, {ID: 3}}
-	if err := Write(&bytes.Buffer{}, accs); err == nil {
-		t.Error("Write accepted decreasing IDs")
+	if err := Encode(&bytes.Buffer{}, NewSliceSource(accs)); err == nil {
+		t.Error("Encode accepted decreasing IDs")
 	}
 }
 
 func TestReadRejectsBadMagic(t *testing.T) {
-	if _, err := Read(strings.NewReader("XXXX\x00")); err == nil {
-		t.Error("Read accepted bad magic")
+	if _, err := readAll(strings.NewReader("XXXX\x00")); err == nil {
+		t.Error("read accepted bad magic")
 	}
 }
 
 func TestReadRejectsTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, []Access{{ID: 1, PC: 2, Addr: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	if _, err := Read(bytes.NewReader(b[:len(b)-1])); err == nil {
-		t.Error("Read accepted truncated input")
+	b := counted(t, []Access{{ID: 1, PC: 2, Addr: 3}})
+	if _, err := readAll(bytes.NewReader(b[:len(b)-1])); err == nil {
+		t.Error("read accepted truncated input")
 	}
 }
 
 func TestReadEmptyTrace(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := readAll(bytes.NewReader(counted(t, nil)))
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("read: %v", err)
 	}
 	if len(got) != 0 {
 		t.Errorf("got %d records, want 0", len(got))
@@ -181,10 +202,10 @@ func TestTraceRoundTripProperty(t *testing.T) {
 			accs[i] = Access{ID: id, PC: uint64(pcs[i]), Addr: addrs[i] & MaxAddr}
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, accs); err != nil {
+		if err := Encode(&buf, NewSliceSource(accs)); err != nil {
 			return false
 		}
-		got, err := Read(&buf)
+		got, err := readAll(&buf)
 		if err != nil {
 			return false
 		}
@@ -208,8 +229,8 @@ func TestWriteRejectsOutOfRangeFields(t *testing.T) {
 		{{ID: 1, PC: MaxAddr + 1, Addr: 0}},
 		{{ID: 1, PC: 0, Addr: MaxAddr + 1}},
 	} {
-		if err := Write(&bytes.Buffer{}, accs); err == nil {
-			t.Errorf("Write accepted out-of-range record %+v", accs[0])
+		if err := Encode(&bytes.Buffer{}, NewSliceSource(accs)); err == nil {
+			t.Errorf("Encode accepted out-of-range record %+v", accs[0])
 		}
 	}
 	if err := WritePrefetches(&bytes.Buffer{}, []Prefetch{{ID: 1, Addr: MaxAddr + 1}}); err == nil {
@@ -218,7 +239,7 @@ func TestWriteRejectsOutOfRangeFields(t *testing.T) {
 }
 
 // corruptTrace hand-encodes a PFT2 body (count then raw uvarint fields),
-// bypassing Write's validation to reach the decoder's reject paths.
+// bypassing the encoder's validation to reach the decoder's reject paths.
 func corruptTrace(fields ...uint64) []byte {
 	var buf bytes.Buffer
 	buf.Write(magic[:])
@@ -241,9 +262,9 @@ func TestReadRejectsCorruptRecords(t *testing.T) {
 		{"chain overflow", corruptTrace(1, 0, 0, 0, 1<<32), "overflows uint32"},
 	}
 	for _, tc := range cases {
-		_, err := Read(bytes.NewReader(tc.data))
+		_, err := readAll(bytes.NewReader(tc.data))
 		if err == nil {
-			t.Errorf("%s: Read accepted corrupt record", tc.name)
+			t.Errorf("%s: read accepted corrupt record", tc.name)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
@@ -295,16 +316,22 @@ type failError struct{}
 
 func (*failError) Error() string { return "synthetic write failure" }
 
+// TestWriteFailurePaths sweeps the failure point across a Writer's whole
+// output: the I/O error surfaces by Flush at the latest and sticks.
 func TestWriteFailurePaths(t *testing.T) {
 	accs := []Access{{ID: 1, PC: 2, Addr: 192}, {ID: 5, PC: 9, Addr: 4096}}
-	// Sweep the failure point across the whole encoding.
-	var full bytes.Buffer
-	if err := Write(&full, accs); err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < full.Len(); n++ {
-		if err := Write(&failWriter{n: n}, accs); err == nil {
-			t.Fatalf("Write succeeded with a writer that fails after %d bytes", n)
+	full := encode(t, accs)
+	for n := 0; n < len(full); n++ {
+		w := NewWriter(&failWriter{n: n})
+		for _, a := range accs {
+			w.Write(a)
+		}
+		err := w.Flush()
+		if err == nil {
+			t.Fatalf("Flush succeeded with a writer that fails after %d bytes", n)
+		}
+		if err2 := w.Write(accs[0]); err2 != err {
+			t.Fatalf("Write after a failure = %v, want the sticky %v", err2, err)
 		}
 	}
 }

@@ -130,6 +130,14 @@ func TestComponentRegionsDisjoint(t *testing.T) {
 	}
 }
 
+// pageDelta returns the block delta from a to b when both lie in one page.
+func pageDelta(a, b uint64) (int, bool) {
+	if trace.PageOf(a) != trace.PageOf(b) {
+		return 0, false
+	}
+	return trace.OffsetOf(b) - trace.OffsetOf(a), true
+}
+
 func TestDeltaPatternStreamFollowsPattern(t *testing.T) {
 	spec := Spec{
 		Name: "pure-pattern", IDGap: 10,
@@ -139,7 +147,7 @@ func TestDeltaPatternStreamFollowsPattern(t *testing.T) {
 	// Deltas within a page must come from the pattern.
 	validDelta := map[int]bool{1: true, 2: true, 3: true}
 	for i := 1; i < len(accs); i++ {
-		if d, ok := trace.Delta(accs[i-1].Block(), accs[i].Block()); ok && d != 0 {
+		if d, ok := pageDelta(accs[i-1].Block(), accs[i].Block()); ok && d != 0 {
 			if !validDelta[d] {
 				t.Fatalf("access %d: delta %d not in pattern {1,2,3}", i, d)
 			}
@@ -331,7 +339,7 @@ func TestDeltaPatternMorphChangesPattern(t *testing.T) {
 	deltasIn := func(lo, hi int) map[int]bool {
 		out := map[int]bool{}
 		for i := lo + 1; i < hi; i++ {
-			if d, ok := trace.Delta(accs[i-1].Block(), accs[i].Block()); ok && d > 0 {
+			if d, ok := pageDelta(accs[i-1].Block(), accs[i].Block()); ok && d > 0 {
 				out[d] = true
 			}
 		}

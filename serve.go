@@ -9,12 +9,12 @@ import (
 // backpressure semantics and drain guarantees.
 type (
 	// ServeConfig configures a PrefetchServer: listen address, the
-	// per-session prefetcher factory, the sharded session-table geometry
-	// (shards, max sessions, LRU idle eviction), the bounded queue depths
-	// that make backpressure explicit, and the drain timeout.
+	// per-session prefetcher factory, the session cap (max sessions, LRU
+	// idle eviction), the bounded queue depths that make backpressure
+	// explicit, and the drain timeout.
 	ServeConfig = serve.Config
 	// PrefetchServer is a live prefetch-as-a-service daemon: per-session
-	// online prefetchers behind a sharded session table, miss-stream
+	// online prefetchers in one session table, miss-stream
 	// events in, predictions out, with bounded queues, admission control
 	// and graceful drain.
 	PrefetchServer = serve.Server
@@ -27,8 +27,7 @@ type (
 
 // NewPrefetchServer binds the configured address and starts serving.
 // Zero-value config fields take the documented defaults (127.0.0.1:0,
-// per-session PATHFINDER instances, 8 shards, 1024 sessions, depth-256
-// queues). Stop it with (*PrefetchServer).Close (graceful drain bounded by
+// per-session PATHFINDER instances, 1024 sessions, depth-256 queues). Stop it with (*PrefetchServer).Close (graceful drain bounded by
 // ServeConfig.DrainTimeout) or Shutdown (caller-bounded drain).
 func NewPrefetchServer(cfg ServeConfig) (*PrefetchServer, error) { return serve.New(cfg) }
 

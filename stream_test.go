@@ -2,6 +2,7 @@ package pathfinder
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -38,18 +39,18 @@ func TestSimulateStreamMatchesSimulate(t *testing.T) {
 }
 
 // TestOpenTraceFile round-trips a counted binary trace through the file
-// source, checking Remaining passes through from the counted container.
+// source, checking Remaining passes through from the counted container:
+// the PFT2 magic and a uvarint count before the record bytes the PFT3
+// encoder writes after its own magic.
 func TestOpenTraceFile(t *testing.T) {
 	accs := collectTrace(t, "cc-5", 1000, 2)
+	var stream bytes.Buffer
+	if err := trace.Encode(&stream, trace.NewSliceSource(accs)); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "t.pft")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Write(f, accs); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	data := append(binary.AppendUvarint([]byte("PFT2"), uint64(len(accs))), stream.Bytes()[4:]...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
